@@ -4,8 +4,21 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
+
+// hash128 is a truncated SHA-256: node digests, upstream labels and cone keys
+// are all 16 bytes.
+type hash128 [16]byte
+
+func sum128(b []byte) hash128 {
+	sum := sha256.Sum256(b)
+	return hash128(sum[:16])
+}
+
+func sortHashes(hs []hash128) {
+	slices.SortFunc(hs, func(a, b hash128) int { return bytes.Compare(a[:], b[:]) })
+}
 
 // Fingerprint returns a canonical hash of the flow structure and operation
 // configurations. Two alternative designs produced by applying the same
@@ -13,15 +26,30 @@ import (
 // generation order (and hence node ID numbering) differs, which lets the
 // Planner deduplicate the alternative space.
 //
-// The canonical form is position-based: nodes are labelled by their
-// canonical() description plus the multiset of their predecessors' labels,
-// iterated to a fixpoint (a Weisfeiler-Leman style refinement bounded by the
-// longest path), then sorted.
+// The canonical form is position-based. One pass in topological order labels
+// every node with the hash of its own digest (its canonical() description)
+// and the sorted labels of its predecessors, which are final by then, so a
+// label encodes the node's whole upstream unfolding tree. The fingerprint
+// hashes the flow name and the sorted multiset of labels.
+//
+// Earlier builds computed the same partition with a Weisfeiler-Leman
+// refinement over predecessors, one round per operation on the longest path
+// (at most 64). The fingerprint values differ from those builds, and so do
+// the values derived from them: the report "fingerprint" field, plan-cache
+// keys and RandomSample draws. The dedup relation does not: two flows
+// fingerprint equal exactly when they did before, as long as their longest
+// path has at most 64 operations (beyond that the refinement stopped early
+// and could merge flows this pass keeps apart).
+//
+// A cyclic graph, which Validate rejects but importers may build before
+// validating, gets a deterministic fingerprint over the sorted multiset of
+// its node digests.
 //
 // The result is cached on the graph and invalidated by structural mutations
 // and MutableNode, so the planner's dedup probe and the measure report pay
 // for one computation per design. Like the topo cache, the cached value is
-// swapped atomically: concurrent readers may fill it lazily.
+// swapped atomically: concurrent readers may fill it lazily. Node digests are
+// memoized on the nodes themselves and shared by copy-on-write clones.
 func (g *Graph) Fingerprint() string {
 	if fp := g.fp.Load(); fp != nil {
 		return *fp
@@ -31,70 +59,48 @@ func (g *Graph) Fingerprint() string {
 	return s
 }
 
-type wlLabel [16]byte
+// Leading tags keep the acyclic and the cyclic encodings apart.
+const (
+	fpTagDAG   = 'D'
+	fpTagCycle = 'C'
+)
 
 func (g *Graph) fingerprintUncached() string {
-	n := len(g.order)
-	idx := make(map[NodeID]int, n)
-	for i, id := range g.order {
-		idx[id] = i
-	}
-	// Refinement labels are fixed-size hashes, not hex strings: one WL round
-	// over a flow of |V| nodes is allocation-free, which matters because the
-	// planner fingerprints every generated alternative.
-	labels := make([]wlLabel, n)
-	buf := make([]byte, 0, 256)
-	for i, id := range g.order {
-		buf = append(buf[:0], g.nodes[id].canonical()...)
-		sum := sha256.Sum256(buf)
-		copy(labels[i][:], sum[:16])
-	}
-	// Refine along topological depth; for a DAG one pass per depth level
-	// suffices, and LongestPath bounds the number of levels. A fixed small
-	// cap guards pathological inputs.
-	rounds := g.LongestPath()
-	if rounds > 64 {
-		rounds = 64
-	}
-	next := make([]wlLabel, n)
-	var preds []wlLabel
-	for r := 0; r < rounds; r++ {
-		changed := false
-		for i, id := range g.order {
+	all := make([]hash128, 0, len(g.order))
+	tag := byte(fpTagDAG)
+	if order, err := g.TopoOrder(); err == nil {
+		labels := make(map[NodeID]hash128, len(order))
+		buf := make([]byte, 0, 128)
+		var preds []hash128
+		for _, id := range order {
 			preds = preds[:0]
 			for _, p := range g.pred[id] {
-				preds = append(preds, labels[idx[p]])
+				preds = append(preds, labels[p])
 			}
-			sort.Slice(preds, func(a, b int) bool {
-				return bytes.Compare(preds[a][:], preds[b][:]) < 0
-			})
-			buf = append(buf[:0], labels[i][:]...)
-			buf = append(buf, '<')
+			sortHashes(preds)
+			d := g.nodes[id].digest()
+			buf = append(append(buf[:0], d[:]...), '<')
 			for _, pl := range preds {
 				buf = append(buf, pl[:]...)
 			}
-			sum := sha256.Sum256(buf)
-			var nl wlLabel
-			copy(nl[:], sum[:16])
-			if nl != labels[i] {
-				changed = true
-			}
-			next[i] = nl
+			l := sum128(buf)
+			labels[id] = l
+			all = append(all, l)
 		}
-		labels, next = next, labels
-		if !changed {
-			break
+	} else {
+		tag = fpTagCycle
+		for _, id := range g.order {
+			all = append(all, g.nodes[id].digest())
 		}
 	}
-	all := append([]wlLabel(nil), labels...)
-	sort.Slice(all, func(a, b int) bool { return bytes.Compare(all[a][:], all[b][:]) < 0 })
-	buf = append(buf[:0], g.Name...)
-	buf = append(buf, '\n')
+	sortHashes(all)
+	buf := make([]byte, 0, 2+len(g.Name)+16*len(all))
+	buf = append(append(append(buf, tag), g.Name...), '\n')
 	for _, l := range all {
 		buf = append(buf, l[:]...)
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:16])
+	sum := sum128(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // ConeKey identifies the full upstream simulation history of one node: its
@@ -112,8 +118,8 @@ type ConeKey [16]byte
 // The key of a node hashes:
 //
 //   - the node's ID (bindings and default source seeds are ID-keyed),
-//   - its canonical description (kind, name, output schema, parallelism,
-//     params) plus its row-semantic cost parameters (selectivity),
+//   - its canonical digest (kind, name, output schema, parallelism, params)
+//     plus its row-semantic cost parameters (selectivity),
 //   - for every predecessor, in input order: the predecessor's cone key, the
 //     output port this node occupies among the predecessor's successors, and
 //     the predecessor's fan-out — partition and hash-split routing assign
@@ -146,8 +152,7 @@ func (g *Graph) ConeKeys(order []NodeID) []ConeKey {
 			}
 			buf = append(buf, byte(port), byte(port>>8), byte(fan), byte(fan>>8))
 		}
-		sum := sha256.Sum256(buf)
-		copy(keys[i][:], sum[:16])
+		keys[i] = ConeKey(sum128(buf))
 	}
 	return keys
 }

@@ -34,6 +34,12 @@ var (
 // MutableNode, which unshares the node first. Mutating a Node obtained from
 // Node() directly on a graph that has live clones writes through to every
 // clone sharing it.
+//
+// Fingerprints are cached on the graph and node digests on the nodes. Once a
+// graph has been fingerprinted (or its cone keys computed), every in-place
+// node edit must go through MutableNode, even on a graph that was never
+// cloned: MutableNode drops both caches, while a direct write through Node()
+// leaves them stale.
 type Graph struct {
 	// Name labels the process (e.g. "tpcds_purchases").
 	Name string
@@ -244,7 +250,9 @@ func (g *Graph) Node(id NodeID) *Node { return g.nodes[id] }
 // first unsharing it (deep copy) when it is shared with clones of this graph.
 // Pattern implementations and any other code that edits node fields, params
 // or costs on a cloned flow must use this accessor; plain Node() reads stay
-// allocation-free.
+// allocation-free. The graph's fingerprint and the node's digest are dropped
+// here, not at the edit, so finish editing the returned node before the next
+// Fingerprint or ConeKeys call on this graph.
 func (g *Graph) MutableNode(id NodeID) *Node {
 	n := g.nodes[id]
 	if n == nil {
@@ -252,10 +260,11 @@ func (g *Graph) MutableNode(id NodeID) *Node {
 	}
 	ep := g.epoch.Load()
 	if ep == 0 || g.owned[id] == ep {
-		// Never cloned, or unshared since the most recent clone. The caller
-		// is about to modify the node, so the cached fingerprint dies here
-		// too.
+		// Never cloned, or unshared since the most recent clone, so no other
+		// graph sees the node. The caller is about to modify it, so the
+		// cached fingerprint and the node's digest die here too.
 		g.fp.Store(nil)
+		n.dig.Store(nil)
 		return n
 	}
 	c := n.Clone()

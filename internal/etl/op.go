@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // OpKind classifies an ETL flow operation. The taxonomy follows Vassiliadis,
@@ -223,6 +224,13 @@ func DefaultCost(k OpKind) Cost {
 type NodeID string
 
 // Node is one ETL flow operation: the vertex set V of the process graph.
+//
+// A node memoizes the hash of its canonical description the first time a
+// fingerprint or cone key needs it, and copy-on-write clones share that memo
+// along with the node. Once a node belongs to a graph that has been
+// fingerprinted, edit its fields only through Graph.MutableNode, which
+// unshares the node or drops the memo; the graph-level fingerprint cache has
+// the same rule.
 type Node struct {
 	ID   NodeID
 	Name string
@@ -250,6 +258,10 @@ type Node struct {
 
 	// PatternName records which pattern generated the node, when Generated.
 	PatternName string
+
+	// dig memoizes digest(). Atomic because evaluation workers fingerprint
+	// clones that share this node concurrently; they all store equal values.
+	dig atomic.Pointer[hash128]
 }
 
 // NewNode builds a node of the given kind with default cost model and
@@ -266,15 +278,25 @@ func NewNode(id NodeID, name string, kind OpKind, out Schema) *Node {
 	}
 }
 
-// Clone returns a deep copy of the node.
+// Clone returns a deep copy of the node. The copy starts without a digest
+// memo, so callers may edit it freely before adding it to a graph, as
+// ParallelizeTask does when it renames its branch copies.
 func (n *Node) Clone() *Node {
-	c := *n
-	c.Out = n.Out.Clone()
-	c.Params = make(map[string]string, len(n.Params))
+	c := &Node{
+		ID:          n.ID,
+		Name:        n.Name,
+		Kind:        n.Kind,
+		Out:         n.Out.Clone(),
+		Params:      make(map[string]string, len(n.Params)),
+		Cost:        n.Cost,
+		Parallelism: n.Parallelism,
+		Generated:   n.Generated,
+		PatternName: n.PatternName,
+	}
 	for k, v := range n.Params {
 		c.Params[k] = v
 	}
-	return &c
+	return c
 }
 
 // Param returns the parameter value for key, or "".
@@ -340,15 +362,27 @@ func (n *Node) canonical() string {
 	return b.String()
 }
 
+// digest returns the 128-bit hash of canonical(), computed on first use and
+// memoized on the node. Clones of a flow share their unedited nodes, so one
+// digest serves every alternative the planner derives from the flow.
+func (n *Node) digest() hash128 {
+	if d := n.dig.Load(); d != nil {
+		return *d
+	}
+	d := sum128([]byte(n.canonical()))
+	n.dig.Store(&d)
+	return d
+}
+
 // appendCone appends the node's data-semantic description for upstream-cone
-// fingerprinting (Graph.ConeKeys): the canonical form plus the cost fields
+// fingerprinting (Graph.ConeKeys): the canonical digest plus the cost fields
 // that influence row contents. Selectivity drives the filter operation's
 // keep decisions; the remaining cost fields only shape timing, which the
 // simulator derives from the concrete graph on every run, so they are
 // excluded to maximise cache sharing.
 func (n *Node) appendCone(b []byte) []byte {
-	b = append(b, n.canonical()...)
-	b = append(b, 0)
+	d := n.digest()
+	b = append(b, d[:]...)
 	bits := math.Float64bits(n.Cost.Selectivity)
 	return append(b,
 		byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
