@@ -208,40 +208,30 @@ func BenchmarkFig2bReliabilityRewrite(b *testing.B) {
 func BenchmarkFig3PlannerPipeline(b *testing.B) {
 	flow := tpch.RevenueETL()
 	bind := tpch.Binding(flow, 1000, 1)
-	for _, mode := range []struct {
-		name string
-		m    core.StreamingMode
-	}{
-		{"streaming", core.StreamingOn},
-		{"sequential", core.StreamingOff},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			planner := core.NewPlanner(nil, core.Options{
-				Policy:    policy.Greedy{TopK: 2},
-				Depth:     2,
-				Sim:       benchSim(1000),
-				Streaming: mode.m,
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = planner.Plan(flow, bind)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(res.Alternatives)), "alternatives")
-			once("fig3:"+mode.name, func() {
-				fmt.Printf("[Fig.3] planner pipeline (%s) on %q: %d candidates -> %d generated -> %d evaluated -> %d skyline\n",
-					mode.name, flow.Name, res.Stats.CandidatesSeen, res.Stats.Generated,
-					res.Stats.Evaluated, len(res.SkylineIdx))
-			})
+	b.Run("streaming", func(b *testing.B) {
+		planner := core.NewPlanner(nil, core.Options{
+			Policy: policy.Greedy{TopK: 2},
+			Depth:  2,
+			Sim:    benchSim(1000),
 		})
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var res *core.Result
+		for i := 0; i < b.N; i++ {
+			var err error
+			res, err = planner.Plan(flow, bind)
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(len(res.Alternatives)), "alternatives")
+		once("fig3", func() {
+			fmt.Printf("[Fig.3] planner pipeline on %q: %d candidates -> %d generated -> %d evaluated -> %d skyline\n",
+				flow.Name, res.Stats.CandidatesSeen, res.Stats.Generated,
+				res.Stats.Evaluated, len(res.SkylineIdx))
+		})
+	})
 }
 
 // -----------------------------------------------------------------------
@@ -686,53 +676,6 @@ func BenchmarkA5DeltaEval(b *testing.B) {
 			b.ReportMetric(float64(len(res.Alternatives)), "alternatives")
 			once("a5:"+mode.name, func() {
 				fmt.Printf("[A5] %s: %d alternatives evaluated, skyline %d\n",
-					mode.name, len(res.Alternatives), len(res.SkylineIdx))
-			})
-		})
-	}
-}
-
-// -----------------------------------------------------------------------
-// A8 — columnar engine ablation: the simulator over typed column batches
-// with selection vectors and column-wise hashing vs the row-at-a-time
-// oracle. Both modes run full evaluation (DeltaOff) so the comparison
-// isolates the operator data path rather than cache hit rates; identical
-// results are enforced by core's TestColumnarEquivalenceMatrix.
-
-func BenchmarkA8Columnar(b *testing.B) {
-	flow := tpcds.SalesETL()
-	bind := tpcds.Binding(flow, 300, 1)
-	for _, mode := range []struct {
-		name string
-		m    core.ColumnarMode
-	}{
-		{"columnar=on", core.ColumnarOn},
-		{"columnar=off", core.ColumnarOff},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			planner := core.NewPlanner(nil, core.Options{
-				Policy:          policy.Exhaustive{},
-				Depth:           2,
-				MaxAlternatives: 4096,
-				Sim:             benchSim(300),
-				DeltaEval:       core.DeltaOff,
-				Columnar:        mode.m,
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = planner.Plan(flow, bind)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(res.Alternatives)), "alternatives")
-			once("a8:"+mode.name, func() {
-				fmt.Printf("[A8] %s: %d alternatives evaluated, skyline %d\n",
 					mode.name, len(res.Alternatives), len(res.SkylineIdx))
 			})
 		})

@@ -18,10 +18,11 @@
 //
 //	poiesis-bench [-qps 50] [-duration 5s] [-mix get=5,plan=3,...] [-seed 1]
 //	              [-url URL | -backends LIST] [-out BENCH.json] [-error-budget 0.01]
-//	              [-row-engine]
 //
-// Record labels carry the engine mode ("LoadHTTP/<target>/columnar" or
-// ".../row") so BENCH trajectories distinguish simulation-engine ablations.
+// Records are named "LoadHTTP/<target>/columnar/<op>". The "columnar"
+// segment is a constant kept from when the simulation engine was
+// selectable, so the report schema and the committed BENCH trajectories
+// stay comparable.
 package main
 
 import (
@@ -55,7 +56,6 @@ func run(args []string) error {
 	duration := fs.Duration("duration", 5*time.Second, "arrival window per run")
 	mixSpec := fs.String("mix", "", "traffic mix as op=weight[,op=weight...] over create,plan,select,get,sse,delete (empty = default mix)")
 	seed := fs.Int64("seed", 1, "arrival-schedule seed (same seed = same schedule)")
-	rowEngine := fs.Bool("row-engine", false, "plan with the row-at-a-time simulation engine instead of the columnar default")
 	out := fs.String("out", "", "write benchjson-format records to this file ('-' = stdout)")
 	budget := fs.Float64("error-budget", 0.01, "fail when any run's error rate exceeds this fraction")
 	if err := fs.Parse(args); err != nil {
@@ -94,21 +94,16 @@ func run(args []string) error {
 		}
 	}
 
-	engine := "columnar"
-	if *rowEngine {
-		engine = "row"
-	}
 	var records []loadgen.Record
 	exceeded := false
 	for _, tgt := range targets {
 		fmt.Fprintf(os.Stderr, "== %s ==\n", tgt.name)
 		report, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:   tgt.url,
-			QPS:       *qps,
-			Duration:  *duration,
-			Mix:       mix,
-			Seed:      *seed,
-			RowEngine: *rowEngine,
+			BaseURL:  tgt.url,
+			QPS:      *qps,
+			Duration: *duration,
+			Mix:      mix,
+			Seed:     *seed,
 		})
 		if tgt.close != nil {
 			tgt.close()
@@ -117,7 +112,7 @@ func run(args []string) error {
 			return fmt.Errorf("run against %s: %w", tgt.name, err)
 		}
 		report.WriteText(os.Stderr)
-		records = append(records, report.Records("LoadHTTP/"+tgt.name+"/"+engine)...)
+		records = append(records, report.Records("LoadHTTP/"+tgt.name+"/columnar")...)
 		if rate := report.ErrorRate(); rate > *budget {
 			fmt.Fprintf(os.Stderr, "error budget exceeded on %s: %.4f > %.4f\n", tgt.name, rate, *budget)
 			exceeded = true

@@ -103,7 +103,7 @@ func main() {
 	case "measures":
 		err = cmdMeasures(os.Args[2:])
 	case "plan":
-		err = cmdPlan(os.Args[2:])
+		err = cmdPlan(os.Args[2:], os.Stdout)
 	case "convert":
 		err = cmdConvert(os.Args[2:])
 	case "export":
@@ -223,7 +223,7 @@ func cmdMeasures(args []string) error {
 	return nil
 }
 
-func cmdPlan(args []string) error {
+func cmdPlan(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
 	in := fs.String("in", "", "initial flow (.xlm/.ktr/built-in)")
 	depth := fs.Int("depth", 2, "pattern-combination depth")
@@ -237,9 +237,6 @@ func cmdPlan(args []string) error {
 	svg := fs.String("svg", "", "write the Fig. 4 scatter to this SVG file")
 	xlmOut := fs.String("select", "", "write the best-utility design to this .xlm file")
 	bars := fs.Bool("bars", true, "print Fig. 5 relative-change bars for the best design")
-	sequential := fs.Bool("sequential", false, "disable the streaming pipeline (ignored with -config)")
-	fullEval := fs.Bool("full-eval", false, "disable delta evaluation: re-simulate every alternative from its sources (ignored with -config)")
-	rowEngine := fs.Bool("row-engine", false, "disable the columnar simulation engine: execute flows row-at-a-time (ignored with -config)")
 	progress := fs.Bool("progress", false, "stream per-alternative progress to stderr")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -266,15 +263,6 @@ func cmdPlan(args []string) error {
 			Depth:           *depth,
 			MaxAlternatives: *maxAlts,
 		}
-		if *sequential {
-			opts.Streaming = poiesis.StreamingOff
-		}
-		if *fullEval {
-			opts.DeltaEval = poiesis.DeltaOff
-		}
-		if *rowEngine {
-			opts.Columnar = poiesis.ColumnarOff
-		}
 		if *exhaustive {
 			opts.Policy = poiesis.ExhaustivePolicy{}
 		} else {
@@ -286,9 +274,6 @@ func cmdPlan(args []string) error {
 		planner = poiesis.NewPlanner(nil, opts)
 	}
 	if *progress {
-		if planner.Options().Streaming == poiesis.StreamingOff {
-			fmt.Fprintln(os.Stderr, "plan: -progress has no effect on the sequential path (only the streaming pipeline emits events)")
-		}
 		planner.WithProgress(func(e poiesis.ProgressEvent) {
 			// \x1b[K clears to end of line: counters can shrink (a frontier
 			// eviction drops SkylineSize), leaving stale trailing characters.
@@ -309,15 +294,15 @@ func cmdPlan(args []string) error {
 		return err
 	}
 
-	fmt.Printf("flow %q: %d nodes, %d edges\n", g.Name, g.Len(), g.EdgeCount())
-	fmt.Printf("generated %d designs (%d duplicates removed, %d evaluated, %d constraint-rejected)\n",
-		res.Stats.Generated, res.Stats.Deduped, res.Stats.Evaluated, res.Stats.ConstraintRejected)
-	fmt.Printf("skyline: %d of %d alternatives\n\n", len(res.SkylineIdx), len(res.Alternatives))
+	fmt.Fprintf(w, "flow %q: %d nodes, %d edges\n", g.Name, g.Len(), g.EdgeCount())
+	fmt.Fprintf(w, "generated %d designs (%d duplicates removed, %d statically pruned, %d evaluated, %d constraint-rejected)\n",
+		res.Stats.Generated, res.Stats.Deduped, res.Stats.StaticPruned, res.Stats.Evaluated, res.Stats.ConstraintRejected)
+	fmt.Fprintf(w, "skyline: %d of %d alternatives\n\n", len(res.SkylineIdx), len(res.Alternatives))
 
-	fmt.Print(poiesis.RenderScatterASCII(res, poiesis.ScatterOptions{
+	fmt.Fprint(w, poiesis.RenderScatterASCII(res, poiesis.ScatterOptions{
 		Title: "Alternative ETL flows (Fig. 4)",
 	}))
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Skyline table, best utility first under equal goals.
 	goals := poiesis.NewGoals(map[poiesis.Characteristic]float64{
@@ -337,40 +322,40 @@ func cmdPlan(args []string) error {
 		})
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].utility > rows[j].utility })
-	fmt.Printf("%-70s %10s %10s %10s\n", "skyline design", "perf", "dq", "rel")
+	fmt.Fprintf(w, "%-70s %10s %10s %10s\n", "skyline design", "perf", "dq", "rel")
 	for _, r := range rows {
-		fmt.Printf("%-70s %10.4f %10.4f %10.4f\n", clip(r.label, 70), r.scores[0], r.scores[1], r.scores[2])
+		fmt.Fprintf(w, "%-70s %10.4f %10.4f %10.4f\n", clip(r.label, 70), r.scores[0], r.scores[1], r.scores[2])
 	}
 
-	fmt.Println("\nwhy each design is on the frontier:")
+	fmt.Fprintln(w, "\nwhy each design is on the frontier:")
 	for _, e := range poiesis.ExplainSkyline(res) {
-		fmt.Printf("  %s\n", e)
+		fmt.Fprintf(w, "  %s\n", e)
 	}
 
-	fmt.Println("\npattern usage (skyline presence first):")
+	fmt.Fprintln(w, "\npattern usage (skyline presence first):")
 	for _, u := range poiesis.AnalyzePatternUsage(res) {
-		fmt.Printf("  %-26s %4d applications, %2d in skyline designs\n",
+		fmt.Fprintf(w, "  %-26s %4d applications, %2d in skyline designs\n",
 			u.Pattern, u.Applications, u.InSkyline)
 	}
 
 	best := res.Best(goals)
-	fmt.Printf("\nbest design by equal-weight goals: %s\n", best.Label())
+	fmt.Fprintf(w, "\nbest design by equal-weight goals: %s\n", best.Label())
 	if *bars && best.Report != res.Initial.Report {
-		fmt.Println("\nrelative change vs initial flow (Fig. 5):")
-		fmt.Print(poiesis.RenderRelativeBars(best, res, map[string]bool{"*": true}))
+		fmt.Fprintln(w, "\nrelative change vs initial flow (Fig. 5):")
+		fmt.Fprint(w, poiesis.RenderRelativeBars(best, res, map[string]bool{"*": true}))
 	}
 	if *svg != "" {
 		doc := poiesis.RenderScatterSVG(res, poiesis.ScatterOptions{Title: "Alternative ETL flows"})
 		if err := os.WriteFile(*svg, []byte(doc), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %s\n", *svg)
+		fmt.Fprintf(w, "\nwrote %s\n", *svg)
 	}
 	if *xlmOut != "" {
 		if err := poiesis.SaveXLM(*xlmOut, best.Graph); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *xlmOut)
+		fmt.Fprintf(w, "wrote %s\n", *xlmOut)
 	}
 	return nil
 }

@@ -56,9 +56,6 @@ func cmdSession(args []string) error {
 	// exploration outcome, or stdout overprints the leftover stderr line.
 	endProgressLine := func() {}
 	if *progress {
-		if planner.Options().Streaming == poiesis.StreamingOff {
-			fmt.Fprintln(os.Stderr, "session: -progress has no effect on the sequential path (only the streaming pipeline emits events)")
-		}
 		planner.WithProgress(func(e poiesis.ProgressEvent) {
 			fmt.Fprintf(os.Stderr, "\rexploring: %d generated, %d evaluated, %d on the frontier\x1b[K",
 				e.Generated, e.Evaluated, e.SkylineSize)

@@ -52,24 +52,6 @@ type Document struct {
 
 	// Sim tunes the execution engine.
 	Sim *SimDoc `json:"sim,omitempty"`
-
-	// FullEval disables delta evaluation: every alternative is re-simulated
-	// from its sources instead of reusing memoized upstream cones. Results
-	// are identical either way; the switch exists for ablations and
-	// debugging.
-	FullEval bool `json:"fullEval,omitempty"`
-
-	// RowEngine disables the columnar simulation engine: flows execute
-	// row-at-a-time instead of over typed column batches. Results are
-	// identical either way; the switch exists for ablations and debugging.
-	RowEngine bool `json:"rowEngine,omitempty"`
-
-	// NoPrune disables static achievability pruning: alternatives that
-	// provably violate a structural Max constraint are evaluated and then
-	// constraint-rejected instead of being dropped pre-evaluation.
-	// Alternatives and the skyline are identical either way; the switch
-	// exists for ablations and debugging.
-	NoPrune bool `json:"noPrune,omitempty"`
 }
 
 // ConstraintDoc is one measure constraint: exactly one of Max/Min/MinScore
@@ -135,15 +117,6 @@ func (d *Document) Options() (core.Options, error) {
 		Palette:         append([]string(nil), d.Palette...),
 		Depth:           d.Depth,
 		MaxAlternatives: d.MaxAlternatives,
-	}
-	if d.FullEval {
-		opts.DeltaEval = core.DeltaOff
-	}
-	if d.RowEngine {
-		opts.Columnar = core.ColumnarOff
-	}
-	if d.NoPrune {
-		opts.StaticPrune = core.PruneOff
 	}
 	goals, err := d.GoalSet()
 	if err != nil {

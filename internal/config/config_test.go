@@ -1,6 +1,10 @@
 package config
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"poiesis/internal/core"
@@ -155,24 +159,83 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestFullEvalOption(t *testing.T) {
-	d, err := Parse([]byte(`{"policy": "greedy", "fullEval": true}`))
-	if err != nil {
-		t.Fatal(err)
+// TestRetiredModeKeysIgnored pins backward compatibility for documents
+// written when the planner had selectable modes: the retired keys fullEval,
+// rowEngine and noPrune still parse, and a document carrying them plans
+// exactly like the same document without them — same options, same plan
+// cache key, byte-identical result.
+func TestRetiredModeKeysIgnored(t *testing.T) {
+	const docBody = `"policy": "greedy", "topK": 2, "depth": 2, "sim": {"runs": 8, "defaultRows": 200},
+	  "constraints": [{"characteristic": "manageability", "measure": "flow_size", "max": %d}]`
+	g := tpcds.PurchasesFlow()
+	bind := tpcds.Binding(g, 300, 1)
+	// The flow may grow by one node, so depth-2 designs are statically
+	// pruned and noPrune would have made a difference.
+	base := fmt.Sprintf(docBody, g.Len()+1)
+	plan := func(t *testing.T, doc string) (core.Options, string, []byte) {
+		t.Helper()
+		d, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := d.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, ok := core.PlanKey(g, bind, opts)
+		if !ok {
+			t.Fatal("document options are not cacheable")
+		}
+		res, err := core.NewPlanner(nil, opts).Plan(g, bind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := core.SnapshotResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.StaticPruned == 0 {
+			t.Error("nothing statically pruned; the noPrune case is vacuous")
+		}
+		return opts, key, body
 	}
-	opts, err := d.Options()
-	if err != nil {
-		t.Fatal(err)
+	wantOpts, wantKey, wantBody := plan(t, "{"+base+"}")
+	for name, retired := range map[string]string{
+		"fullEval":  `"fullEval": true`,
+		"rowEngine": `"rowEngine": true`,
+		"noPrune":   `"noPrune": true`,
+		"all":       `"fullEval": true, "rowEngine": true, "noPrune": true`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts, key, body := plan(t, "{"+base+", "+retired+"}")
+			if !sameOptions(opts, wantOpts) {
+				t.Errorf("options differ:\n got %+v\nwant %+v", opts, wantOpts)
+			}
+			if key != wantKey {
+				t.Error("plan cache key differs")
+			}
+			if !bytes.Equal(body, wantBody) {
+				t.Error("result JSON differs")
+			}
+		})
 	}
-	if opts.DeltaEval != core.DeltaOff {
-		t.Errorf("fullEval=true should select DeltaOff, got %v", opts.DeltaEval)
+}
+
+// sameOptions compares options field by field, constraints by name (they
+// hold predicate closures).
+func sameOptions(a, b core.Options) bool {
+	if len(a.Constraints) != len(b.Constraints) {
+		return false
 	}
-	d2, _ := Parse([]byte(`{"policy": "greedy"}`))
-	opts2, err := d2.Options()
-	if err != nil {
-		t.Fatal(err)
+	for i := range a.Constraints {
+		if a.Constraints[i].Name() != b.Constraints[i].Name() {
+			return false
+		}
 	}
-	if opts2.DeltaEval != core.DeltaOn {
-		t.Errorf("delta evaluation should default on, got %v", opts2.DeltaEval)
-	}
+	a.Constraints, b.Constraints = nil, nil
+	return reflect.DeepEqual(a, b)
 }

@@ -21,11 +21,9 @@ import (
 // session's result to another.
 //
 // Components that do not influence the result are excluded from the key:
-// Workers, Progress, Streaming (the streaming and sequential pipelines
-// produce identical alternative sets, stats and skylines), DeltaEval (delta
-// evaluation is enforced byte-identical to full evaluation, so both modes may
-// share cached results) and Columnar (the columnar engine is enforced
-// byte-identical to the row oracle).
+// Workers, Progress and DeltaEval (delta evaluation is enforced
+// byte-identical to full evaluation, so both modes may share cached
+// results).
 //
 // ok is false when the options contain components the canonicalization
 // cannot see through — custom measures, or a Policy implementation other

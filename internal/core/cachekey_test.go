@@ -101,7 +101,7 @@ func TestPlanKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// Workers, Streaming and Progress do not influence results, so they must not
+// Workers and Progress do not influence results, so they must not
 // influence the key either — otherwise identical requests from differently
 // sized clients would miss the cache.
 func TestPlanKeyIgnoresExecutionKnobs(t *testing.T) {
@@ -111,14 +111,13 @@ func TestPlanKeyIgnoresExecutionKnobs(t *testing.T) {
 
 	o := smallOptions()
 	o.Workers = 1
-	o.Streaming = StreamingOff
 	o.Progress = func(ProgressEvent) {}
 	k, ok := PlanKey(g, bind, o)
 	if !ok {
 		t.Fatal("execution knobs must not block caching")
 	}
 	if k != base {
-		t.Error("Workers/Streaming/Progress changed the key")
+		t.Error("Workers/Progress changed the key")
 	}
 }
 

@@ -1,115 +1,73 @@
 package core
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
-	"poiesis/internal/fcp"
 	"poiesis/internal/policy"
 	"poiesis/internal/sim"
 	"poiesis/internal/workloads"
 )
 
-// TestColumnarEquivalenceMatrix is the acceptance oracle for the columnar
-// engine: over every builtin workload × every registry pattern × depths 1–2,
-// planning with the columnar engine and with the row oracle must produce
-// identical Results — same stats, same alternatives with byte-identical
-// measure reports, same skyline.
+// TestColumnarEquivalenceMatrix anchors the columnar engine to the row
+// engine it replaced: over every builtin workload × every registry pattern ×
+// depths 1–2, the sequential oracle with full evaluation must reproduce the
+// result digest frozen in testdata/plan_golden.json, which the row engine
+// produced too when the fixture was written.
 func TestColumnarEquivalenceMatrix(t *testing.T) {
-	patterns := fcp.DefaultRegistry().Names()
-	for _, wl := range workloads.Names() {
-		for _, pat := range patterns {
-			for depth := 1; depth <= 2; depth++ {
-				wl, pat, depth := wl, pat, depth
-				t.Run(fmt.Sprintf("%s/%s/depth=%d", wl, pat, depth), func(t *testing.T) {
-					t.Parallel()
-					flow, ok := workloads.Get(wl)
-					if !ok {
-						t.Fatalf("unknown workload %s", wl)
-					}
-					bind := sim.AutoBinding(flow, 80, 1)
-					run := func(mode ColumnarMode) *Result {
-						planner := NewPlanner(nil, Options{
-							Palette:         []string{pat},
-							Policy:          policy.Exhaustive{},
-							Depth:           depth,
-							MaxAlternatives: 48,
-							Sim:             deltaMatrixSim(),
-							Streaming:       StreamingOff,
-							Columnar:        mode,
-						})
-						res, err := planner.Plan(flow, bind)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					}
-					on, off := run(ColumnarOn), run(ColumnarOff)
-					if !reflect.DeepEqual(signatureOf(on), signatureOf(off)) {
-						t.Errorf("ColumnarOn and ColumnarOff disagree:\non:  %+v\noff: %+v",
-							signatureOf(on), signatureOf(off))
-					}
-				})
-			}
+	want := frozenDigests(t)
+	for _, tc := range goldenCases(t) {
+		if tc.opts.Palette == nil {
+			continue // the option cases; TestPlanGolden covers them
 		}
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			opts := tc.opts
+			opts.DeltaEval = DeltaOff
+			if got := resultDigest(t, planSequential(t, tc.flow, tc.bind, opts)); got != want[tc.name] {
+				t.Errorf("full columnar evaluation digests %s, frozen %s", got, want[tc.name])
+			}
+		})
 	}
 }
 
-// TestColumnarEquivalenceStreaming closes the 2x2x2: the production default
-// (streaming, delta evaluation, columnar engine) equals the sequential full
-// row-engine evaluation (the triple oracle) on a multi-pattern space.
+// TestColumnarEquivalenceStreaming closes the 2x2 on a multi-pattern space:
+// the streaming pipeline and the sequential oracle, each with delta and with
+// full evaluation, all reproduce the digest the row engine produced for the
+// exhaustive depth-2 golden case.
 func TestColumnarEquivalenceStreaming(t *testing.T) {
-	flow, _ := workloads.Get("tpcds-purchases")
-	bind := sim.AutoBinding(flow, 120, 1)
-	run := func(s StreamingMode, d DeltaMode, c ColumnarMode) *Result {
-		planner := NewPlanner(nil, Options{
-			Policy:    policy.Exhaustive{},
-			Depth:     2,
-			Sim:       deltaMatrixSim(),
-			Streaming: s,
-			DeltaEval: d,
-			Columnar:  c,
-		})
-		res, err := planner.Plan(flow, bind)
-		if err != nil {
-			t.Fatal(err)
+	var tc goldenCase
+	for _, c := range goldenCases(t) {
+		if c.name == "options/exhaustive/tpcds" {
+			tc = c
 		}
-		return res
 	}
-	want := signatureOf(run(StreamingOff, DeltaOff, ColumnarOff))
-	for _, c := range []struct {
-		name string
-		s    StreamingMode
-		d    DeltaMode
-		c    ColumnarMode
-	}{
-		{"stream+delta+columnar", StreamingOn, DeltaOn, ColumnarOn},
-		{"stream+full+columnar", StreamingOn, DeltaOff, ColumnarOn},
-		{"sequential+delta+columnar", StreamingOff, DeltaOn, ColumnarOn},
-		{"stream+delta+row", StreamingOn, DeltaOn, ColumnarOff},
-	} {
-		if got := signatureOf(run(c.s, c.d, c.c)); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s differs from sequential full row-engine evaluation", c.name)
+	want := frozenDigests(t)[tc.name]
+	for _, d := range []DeltaMode{DeltaOn, DeltaOff} {
+		opts := tc.opts
+		opts.DeltaEval = d
+		if got := planDigest(t, tc, opts); got != want {
+			t.Errorf("streaming, delta=%v: digest %s, frozen %s", d, got, want)
+		}
+		if got := resultDigest(t, planSequential(t, tc.flow, tc.bind, opts)); got != want {
+			t.Errorf("sequential, delta=%v: digest %s, frozen %s", d, got, want)
 		}
 	}
 }
 
 // TestColumnarSharedCacheRace drives the default streaming pipeline — whose
-// evaluation workers share one sim.EvalCache, now holding columnar cone
-// records — with more workers than cores repeatedly; the CI -race run of this
-// package is the actual assertion.
+// evaluation workers share one sim.EvalCache of columnar cone records — with
+// more workers than cores repeatedly; the CI -race run of this package is
+// the actual assertion.
 func TestColumnarSharedCacheRace(t *testing.T) {
 	flow, _ := workloads.Get("tpch-revenue")
 	bind := sim.AutoBinding(flow, 60, 1)
 	for rep := 0; rep < 3; rep++ {
 		planner := NewPlanner(nil, Options{
-			Policy:    policy.Exhaustive{},
-			Depth:     2,
-			Workers:   16,
-			Sim:       deltaMatrixSim(),
-			DeltaEval: DeltaOn,
-			Columnar:  ColumnarOn,
+			Policy:  policy.Exhaustive{},
+			Depth:   2,
+			Workers: 16,
+			Sim:     deltaMatrixSim(),
 		})
 		if _, err := planner.Plan(flow, bind); err != nil {
 			t.Fatal(err)

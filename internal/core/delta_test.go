@@ -72,7 +72,6 @@ func TestDeltaEquivalenceMatrix(t *testing.T) {
 							Depth:           depth,
 							MaxAlternatives: 48,
 							Sim:             deltaMatrixSim(),
-							Streaming:       StreamingOff,
 							DeltaEval:       mode,
 						})
 						res, err := planner.Plan(flow, bind)
@@ -93,37 +92,29 @@ func TestDeltaEquivalenceMatrix(t *testing.T) {
 }
 
 // TestDeltaEquivalenceStreaming closes the 2x2: the streaming pipeline with
-// delta evaluation (the production default) equals the sequential full
-// evaluation (the double oracle) on a multi-pattern space.
+// delta evaluation (the production default) equals the sequential oracle
+// with full evaluation on a multi-pattern space.
 func TestDeltaEquivalenceStreaming(t *testing.T) {
 	flow, _ := workloads.Get("tpcds-purchases")
 	bind := sim.AutoBinding(flow, 120, 1)
-	run := func(s StreamingMode, d DeltaMode) *Result {
-		planner := NewPlanner(nil, Options{
-			Policy:    policy.Exhaustive{},
-			Depth:     2,
-			Sim:       deltaMatrixSim(),
-			Streaming: s,
-			DeltaEval: d,
-		})
-		res, err := planner.Plan(flow, bind)
+	opts := func(d DeltaMode) Options {
+		return Options{Policy: policy.Exhaustive{}, Depth: 2, Sim: deltaMatrixSim(), DeltaEval: d}
+	}
+	stream := func(d DeltaMode) *Result {
+		res, err := NewPlanner(nil, opts(d)).Plan(flow, bind)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	want := signatureOf(run(StreamingOff, DeltaOff))
-	for _, c := range []struct {
-		name string
-		s    StreamingMode
-		d    DeltaMode
-	}{
-		{"stream+delta", StreamingOn, DeltaOn},
-		{"stream+full", StreamingOn, DeltaOff},
-		{"sequential+delta", StreamingOff, DeltaOn},
+	want := signatureOf(planSequential(t, flow, bind, opts(DeltaOff)))
+	for name, res := range map[string]*Result{
+		"stream+delta":     stream(DeltaOn),
+		"stream+full":      stream(DeltaOff),
+		"sequential+delta": planSequential(t, flow, bind, opts(DeltaOn)),
 	} {
-		if got := signatureOf(run(c.s, c.d)); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s differs from sequential full evaluation", c.name)
+		if got := signatureOf(res); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s differs from sequential full evaluation", name)
 		}
 	}
 }

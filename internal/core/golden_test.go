@@ -120,7 +120,8 @@ func resultDigest(t *testing.T, res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// planDigest plans one golden case and digests the result.
+// planDigest plans one golden case through the pipeline and digests the
+// result.
 func planDigest(t *testing.T, tc goldenCase, opts Options) string {
 	t.Helper()
 	res, err := NewPlanner(nil, opts).Plan(tc.flow, tc.bind)
@@ -130,23 +131,35 @@ func planDigest(t *testing.T, tc goldenCase, opts Options) string {
 	return resultDigest(t, res)
 }
 
+// frozenDigests reads testdata/plan_golden.json: golden case name → result
+// digest.
+func frozenDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(planGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/core -run TestPlanGolden -regen` to create it)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestPlanGolden pins the planner's results: every golden case must digest
-// to the value frozen in testdata/plan_golden.json. With -regen it rewrites
-// the fixture, after first checking that every planner configuration
-// (streaming and sequential pipelines, columnar and row engines) agrees.
+// to the value frozen in testdata/plan_golden.json. The fixture was written
+// when the planner still had a sequential pipeline and a row-at-a-time
+// engine, after checking that all four combinations with the streaming
+// pipeline and the columnar engine agreed on every case. With -regen the
+// test rewrites the fixture, after checking that the pipeline agrees with
+// the sequential oracle (planSequential) on every case.
 //
 //	go test ./internal/core -run TestPlanGolden -regen
 func TestPlanGolden(t *testing.T) {
 	cases := goldenCases(t)
 	var want map[string]string
 	if !*regen {
-		raw, err := os.ReadFile(planGoldenPath)
-		if err != nil {
-			t.Fatalf("%v (run `go test ./internal/core -run TestPlanGolden -regen` to create it)", err)
-		}
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatal(err)
-		}
+		want = frozenDigests(t)
 		if len(want) != len(cases) {
 			t.Errorf("fixture has %d cases, the test plans %d", len(want), len(cases))
 		}
@@ -160,16 +173,8 @@ func TestPlanGolden(t *testing.T) {
 				t.Parallel()
 				d := planDigest(t, tc, tc.opts)
 				if *regen {
-					for _, mode := range []struct {
-						s StreamingMode
-						c ColumnarMode
-					}{{StreamingOn, ColumnarOff}, {StreamingOff, ColumnarOn}, {StreamingOff, ColumnarOff}} {
-						opts := tc.opts
-						opts.Streaming, opts.Columnar = mode.s, mode.c
-						if other := planDigest(t, tc, opts); other != d {
-							t.Fatalf("streaming=%v columnar=%v digests %s, default digests %s",
-								mode.s, mode.c, other, d)
-						}
+					if seq := resultDigest(t, planSequential(t, tc.flow, tc.bind, tc.opts)); seq != d {
+						t.Fatalf("pipeline digests %s, sequential oracle %s", d, seq)
 					}
 					mu.Lock()
 					got[tc.name] = d

@@ -1,0 +1,114 @@
+package core
+
+import (
+	"testing"
+
+	"poiesis/internal/etl"
+	"poiesis/internal/fcp"
+	"poiesis/internal/measures"
+	"poiesis/internal/policy"
+	"poiesis/internal/sim"
+	"poiesis/internal/skyline"
+)
+
+// planSequential is the behavioural oracle for the streaming pipeline: the
+// three planner stages run strictly in order on one goroutine — breadth-first
+// generation of the whole space, then evaluation of every alternative, then
+// constraint filtering and one O(n²) skyline pass (skyline.Compute). It
+// honours every result-relevant option, including DeltaEval and StaticPrune,
+// and reports no stage timings.
+func planSequential(t testing.TB, initial *etl.Graph, bind sim.Binding, opts Options) *Result {
+	t.Helper()
+	p := NewPlanner(nil, opts)
+	opts = p.opts
+	palette, err := p.reg.Palette(opts.Palette...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := newEvaluator(sim.NewEngine(opts.Sim), opts.DeltaEval)
+	baseProfile, baseBatch, err := ev.evaluate(initial, bind, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := measures.NewEstimator(measures.BaselineConfig(initial, baseProfile, baseBatch))
+	for _, cm := range opts.CustomMeasures {
+		est.WithCustomMeasure(cm)
+	}
+	res := &Result{
+		Dims:    opts.Dims,
+		Initial: Alternative{Graph: initial, Report: est.Estimate(initial, baseProfile, baseBatch)},
+	}
+
+	// Generation: each round applies every proposed candidate to every
+	// frontier design, deduplicated by fingerprint, statically pruned after
+	// dedup.
+	seen := map[string]bool{initial.Fingerprint(): true}
+	frontier := []Alternative{{Graph: initial}}
+	pruner := newStaticPruner(opts)
+	var alts []Alternative
+generate:
+	for round := 0; round < opts.Depth; round++ {
+		var next []Alternative
+		for _, cur := range frontier {
+			cands := opts.Policy.Propose(cur.Graph, palette)
+			res.Stats.CandidatesSeen += len(cands)
+			for _, c := range cands {
+				if len(alts) >= opts.MaxAlternatives {
+					res.Stats.Capped = true
+					break generate
+				}
+				clone := cur.Graph.Clone()
+				app, err := c.Pattern.Apply(clone, c.Point)
+				if err != nil {
+					continue
+				}
+				res.Stats.Generated++
+				if !opts.DisableDedup {
+					fp := clone.Fingerprint()
+					if seen[fp] {
+						res.Stats.Deduped++
+						continue
+					}
+					seen[fp] = true
+				}
+				if pruner.prune(clone) {
+					res.Stats.StaticPruned++
+					continue
+				}
+				alt := Alternative{
+					Graph:        clone,
+					Applications: append(append([]fcp.Application(nil), cur.Applications...), app),
+				}
+				next = append(next, alt)
+				alts = append(alts, alt)
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		frontier = next
+	}
+
+	// Evaluation and constraint filtering.
+	for _, a := range alts {
+		profile, batch, err := ev.evaluate(a.Graph, bind, nil)
+		if err != nil {
+			continue
+		}
+		a.Report = est.Estimate(a.Graph, profile, batch)
+		res.Stats.Evaluated++
+		if ok, _ := policy.CheckAll(a.Report, opts.Constraints); !ok {
+			res.Stats.ConstraintRejected++
+			continue
+		}
+		res.Alternatives = append(res.Alternatives, a)
+	}
+
+	// One skyline pass over the chosen dimensions.
+	vecs := make([][]float64, len(res.Alternatives))
+	for i := range res.Alternatives {
+		vecs[i] = res.Alternatives[i].Report.Vector(opts.Dims)
+	}
+	res.SkylineIdx = skyline.Compute(vecs)
+	return res
+}

@@ -16,14 +16,14 @@
 //	                      a bounded worker pool (substituting the paper's
 //	                      background cloud nodes) and score it.
 //
-// By default the three stages run as one concurrent streaming pipeline
-// (Options.Streaming): candidate application feeds a bounded channel of
-// freshly woven alternatives, the evaluation pool consumes them as they
-// appear — so estimation overlaps generation instead of waiting for the
-// complete space — constraint filtering happens in-stream, and the Pareto
-// frontier is maintained incrementally (skyline.Incremental) rather than in
-// one O(n²) pass at the end. StreamingOff restores the strictly sequential
-// stage order for ablations; both paths produce identical results.
+// The three stages run as one concurrent streaming pipeline: candidate
+// application feeds a bounded channel of freshly woven alternatives, the
+// evaluation pool consumes them as they appear — so estimation overlaps
+// generation instead of waiting for the complete space — constraint
+// filtering happens in-stream, and the Pareto frontier is maintained
+// incrementally (skyline.Incremental) rather than in one O(n²) pass at the
+// end. Results are deterministic: the pipeline commits alternatives in
+// generation order, whatever the worker scheduling.
 //
 // PlanContext supports cancellation mid-run, and Options.Progress streams
 // one event per processed alternative to the caller.
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"poiesis/internal/etl"
@@ -44,7 +43,6 @@ import (
 	"poiesis/internal/obs"
 	"poiesis/internal/policy"
 	"poiesis/internal/sim"
-	"poiesis/internal/skyline"
 	"poiesis/internal/trace"
 )
 
@@ -75,23 +73,12 @@ type Options struct {
 	// CustomMeasures extends the estimator with user-defined quality
 	// metrics (P3); they appear in every report of the run.
 	CustomMeasures []measures.CustomMeasure
-	// Streaming selects the execution pipeline. The zero value (StreamingOn)
-	// runs the concurrent streaming pipeline; StreamingOff keeps the
-	// sequential three-stage path for the A-series ablations. Both produce
-	// identical alternative sets, stats and skylines.
-	Streaming StreamingMode
 	// DeltaEval selects the per-alternative evaluation strategy. The zero
 	// value (DeltaOn) shares one sim.EvalCache across the run, so each
 	// candidate re-simulates only the dirty cone downstream of its pattern
 	// application point; DeltaOff re-executes every flow from its sources
 	// (the oracle for the A5 ablation). Both produce identical results.
 	DeltaEval DeltaMode
-	// Columnar selects the simulation engine's data representation. The zero
-	// value (ColumnarOn) executes flows over typed column batches with
-	// selection vectors and column-wise hashing; ColumnarOff keeps the
-	// row-at-a-time oracle engine (the A8 ablation baseline). Both produce
-	// byte-identical results, and both representations share one EvalCache.
-	Columnar ColumnarMode
 	// StaticPrune selects constraint-achievability pruning. The zero value
 	// (PruneOn) statically drops generated flows — and their whole
 	// pattern-combination subtrees — that provably violate a Max bound on a
@@ -102,8 +89,8 @@ type Options struct {
 	// why PlanKey keys on the mode. PruneOff is the oracle/ablation path.
 	StaticPrune PruneMode
 	// Progress, when non-nil, receives one event per alternative as the
-	// streaming pipeline finishes processing it, in generation order from a
-	// single goroutine. The sequential path does not emit events.
+	// pipeline finishes processing it, in generation order from a single
+	// goroutine.
 	Progress func(ProgressEvent)
 }
 
@@ -287,11 +274,7 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 	if err != nil {
 		return nil, err
 	}
-	engine := sim.NewEngine(p.opts.Sim)
-	if p.opts.Columnar == ColumnarOff {
-		engine = sim.NewRowEngine(p.opts.Sim)
-	}
-	ev := newEvaluator(engine, p.opts.DeltaEval)
+	ev := newEvaluator(sim.NewEngine(p.opts.Sim), p.opts.DeltaEval)
 	clock := &stageClock{}
 
 	// Baseline evaluation anchors the measure normalisation and Fig. 5
@@ -323,19 +306,12 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 		Report: est.Estimate(initial, baseProfile, baseBatch),
 	}
 
-	if p.opts.Streaming == StreamingOff {
-		err = p.planSequential(ctx, initial, bind, palette, ev, est, res, clock)
-	} else {
-		err = p.planStream(ctx, initial, bind, palette, ev, est, res, clock)
-	}
-	if err != nil {
+	if err := p.planStream(ctx, initial, bind, palette, ev, est, res, clock); err != nil {
 		return nil, err
 	}
 	res.Stages = clock.timings()
 	if span != nil {
-		span.SetBool("streaming", p.opts.Streaming == StreamingOn)
 		span.SetBool("delta", p.opts.DeltaEval == DeltaOn)
-		span.SetBool("columnar", p.opts.Columnar == ColumnarOn)
 		span.SetInt("candidates_seen", int64(res.Stats.CandidatesSeen))
 		span.SetInt("generated", int64(res.Stats.Generated))
 		span.SetInt("deduped", int64(res.Stats.Deduped))
@@ -416,167 +392,6 @@ func shortFingerprint(g *etl.Graph) string {
 		fp = fp[:16]
 	}
 	return fp
-}
-
-// planSequential runs the three stages strictly in order: full generation,
-// then pooled evaluation, then constraint filtering and one skyline pass.
-// It is the behavioural oracle for the streaming pipeline.
-func (p *Planner) planSequential(ctx context.Context, initial *etl.Graph, bind sim.Binding, palette []fcp.Pattern, ev *evaluator, est *measures.Estimator, res *Result, clock *stageClock) error {
-	// Pattern generation + application: breadth-first over rounds.
-	applyStart := time.Now()
-	alts, stats, err := p.generate(ctx, initial, palette)
-	clock.observe(siApply, applyStart)
-	if err != nil {
-		return err
-	}
-	res.Stats = stats
-
-	// Measures estimation on the worker pool.
-	if err := p.evaluate(ctx, alts, bind, ev, est, &res.Stats, clock); err != nil {
-		return err
-	}
-
-	// Constraint filtering.
-	filterStart := time.Now()
-	kept := alts[:0]
-	for i := range alts {
-		a := alts[i]
-		if a.Err != nil || a.Report == nil {
-			continue
-		}
-		if ok, _ := policy.CheckAll(a.Report, p.opts.Constraints); !ok {
-			res.Stats.ConstraintRejected++
-			continue
-		}
-		kept = append(kept, a)
-	}
-	res.Alternatives = kept
-	clock.observe(siFilter, filterStart)
-
-	// Skyline over the chosen dimensions.
-	mergeStart := time.Now()
-	vecs := make([][]float64, len(res.Alternatives))
-	for i := range res.Alternatives {
-		vecs[i] = res.Alternatives[i].Report.Vector(p.opts.Dims)
-	}
-	res.SkylineIdx = skyline.Compute(vecs)
-	clock.observe(siMerge, mergeStart)
-	return nil
-}
-
-// generate builds the alternative space: each round applies every proposed
-// candidate to every frontier design.
-func (p *Planner) generate(ctx context.Context, initial *etl.Graph, palette []fcp.Pattern) ([]Alternative, Stats, error) {
-	var stats Stats
-	seen := map[string]bool{initial.Fingerprint(): true}
-	frontier := []Alternative{{Graph: initial}}
-	pruner := newStaticPruner(p.opts)
-	var out []Alternative
-
-	for round := 0; round < p.opts.Depth; round++ {
-		var next []Alternative
-		for _, cur := range frontier {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-			cands := p.opts.Policy.Propose(cur.Graph, palette)
-			stats.CandidatesSeen += len(cands)
-			for _, c := range cands {
-				if len(out) >= p.opts.MaxAlternatives {
-					stats.Capped = true
-					return out, stats, nil
-				}
-				clone := cur.Graph.Clone()
-				app, err := c.Pattern.Apply(clone, c.Point)
-				if err != nil {
-					// The candidate was valid at proposal time; application
-					// can only fail on programming errors, which tests catch.
-					continue
-				}
-				stats.Generated++
-				if !p.opts.DisableDedup {
-					fp := clone.Fingerprint()
-					if seen[fp] {
-						stats.Deduped++
-						continue
-					}
-					seen[fp] = true
-				}
-				// After dedup, before evaluation: a statically infeasible
-				// flow is dropped together with its whole subtree (it joins
-				// neither the output nor the next frontier).
-				if pruner.prune(clone) {
-					stats.StaticPruned++
-					continue
-				}
-				alt := Alternative{
-					Graph:        clone,
-					Applications: append(append([]fcp.Application(nil), cur.Applications...), app),
-				}
-				next = append(next, alt)
-				out = append(out, alt)
-			}
-		}
-		if len(next) == 0 {
-			break
-		}
-		frontier = next
-	}
-	return out, stats, nil
-}
-
-// evaluate estimates measures for all alternatives on a bounded worker pool
-// — the stand-in for the paper's elastic cloud evaluation nodes. Results
-// land at their input index, keeping the output deterministic regardless of
-// scheduling. On cancellation the remaining jobs are drained without work
-// and ctx's error is returned.
-func (p *Planner) evaluate(ctx context.Context, alts []Alternative, bind sim.Binding, ev *evaluator, est *measures.Estimator, stats *Stats, clock *stageClock) error {
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := p.opts.Workers
-	if workers > len(alts) && len(alts) > 0 {
-		workers = len(alts)
-	}
-	sp := obs.SpanFrom(ctx)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				a := &alts[idx]
-				start := time.Now()
-				var es *sim.ExecStats
-				if sp != nil {
-					es = &sim.ExecStats{}
-				}
-				profile, batch, err := ev.evaluate(a.Graph, bind, es)
-				if err != nil {
-					a.Err = err
-				} else {
-					a.Report = est.Estimate(a.Graph, profile, batch)
-				}
-				clock.observe(siEval, start)
-				recordAlternative(sp, a, ev.cache != nil, es, start)
-			}
-		}()
-	}
-	for i := range alts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i := range alts {
-		if alts[i].Err == nil && alts[i].Report != nil {
-			stats.Evaluated++
-		}
-	}
-	return nil
 }
 
 // CountApplicationPoints returns, per pattern name, how many valid

@@ -15,7 +15,7 @@ import (
 // bound tight enough to reject part of the generated space: the flow may
 // grow by at most one inserted node, so every depth-2 double-insertion
 // subtree is statically infeasible.
-func pruneOptions(g *etl.Graph, mode PruneMode, streaming StreamingMode) Options {
+func pruneOptions(g *etl.Graph, mode PruneMode) Options {
 	return Options{
 		Policy: policy.Greedy{TopK: 2},
 		Depth:  2,
@@ -24,7 +24,6 @@ func pruneOptions(g *etl.Graph, mode PruneMode, streaming StreamingMode) Options
 		},
 		Sim:         fastSim(),
 		StaticPrune: mode,
-		Streaming:   streaming,
 	}
 }
 
@@ -46,16 +45,8 @@ func TestStaticPruneSkylineUnchanged(t *testing.T) {
 			}
 			bind := sim.AutoBinding(g, 400, 1)
 
-			on := NewPlanner(nil, pruneOptions(g, PruneOn, StreamingOff))
-			resOn, err := on.Plan(g, bind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			off := NewPlanner(nil, pruneOptions(g, PruneOff, StreamingOff))
-			resOff, err := off.Plan(g, bind)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resOn := planSequential(t, g, bind, pruneOptions(g, PruneOn))
+			resOff := planSequential(t, g, bind, pruneOptions(g, PruneOff))
 
 			assertSameSpace(t, resOn, resOff)
 
@@ -74,7 +65,7 @@ func TestStaticPruneSkylineUnchanged(t *testing.T) {
 
 			// Streaming path places the prune at the same pipeline position;
 			// its result must match the sequential pruned run.
-			stream := NewPlanner(nil, pruneOptions(g, PruneOn, StreamingOn))
+			stream := NewPlanner(nil, pruneOptions(g, PruneOn))
 			resStream, err := stream.Plan(g, bind)
 			if err != nil {
 				t.Fatal(err)

@@ -15,21 +15,6 @@ import (
 	"poiesis/internal/skyline"
 )
 
-// StreamingMode selects the planner's execution pipeline.
-type StreamingMode int
-
-const (
-	// StreamingOn (the zero value, hence the default) runs the concurrent
-	// streaming pipeline: candidate application feeds a bounded channel,
-	// evaluation workers consume it as alternatives appear, and the Pareto
-	// frontier is maintained incrementally in-stream.
-	StreamingOn StreamingMode = iota
-	// StreamingOff runs the sequential three-stage path — full generation,
-	// then pooled evaluation, then one skyline pass — kept for the A-series
-	// ablations and as the behavioural oracle for the streaming pipeline.
-	StreamingOff
-)
-
 // DeltaMode selects the planner's per-alternative evaluation strategy
 // (Options.DeltaEval).
 type DeltaMode int
@@ -46,22 +31,6 @@ const (
 	// oracle delta evaluation is tested against, and the baseline of the A5
 	// ablation benchmark.
 	DeltaOff
-)
-
-// ColumnarMode selects the simulation engine's data representation
-// (Options.Columnar).
-type ColumnarMode int
-
-const (
-	// ColumnarOn (the zero value, hence the default) runs the columnar
-	// engine: node outputs are typed column batches with selection vectors,
-	// operator kernels are per-column loops, and dedup/partition hashing is
-	// column-wise. Profiles are byte-identical to the row engine's.
-	ColumnarOn ColumnarMode = iota
-	// ColumnarOff runs the row-at-a-time engine — the behavioural oracle the
-	// columnar path is validated against, and the baseline of the A8
-	// ablation benchmark.
-	ColumnarOff
 )
 
 // ProgressEvent describes one alternative as the streaming pipeline finishes
@@ -111,8 +80,10 @@ type streamItem struct {
 //	           constraint filter in-stream, feeds the incremental skyline,
 //	           and fires the progress callback.
 //
-// The committed order equals the sequential path's, so the resulting
-// alternative set, stats and skyline are identical to StreamingOff.
+// The committed order is the breadth-first candidate order, so the resulting
+// alternative set, stats and skyline do not depend on worker scheduling: they
+// equal a strictly sequential generate-evaluate-skyline pass (the test
+// oracle in oracle_test.go).
 func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.Binding, palette []fcp.Pattern, ev *evaluator, est *measures.Estimator, res *Result, clock *stageClock) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -231,11 +202,12 @@ func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.B
 	return nil
 }
 
-// streamGenerate is the generation stage: breadth-first over rounds like the
-// sequential path, but the clone+apply+fingerprint work runs on parallel
-// apply workers in chunks, with the next chunk prefetched while the current
-// one's dedup decisions are committed in candidate order — preserving the
-// sequential path's alternative set, labels and stats exactly. Chunking also
+// streamGenerate is the generation stage: breadth-first over rounds, each
+// round applying every proposed candidate to every frontier design. The
+// clone+apply+fingerprint work runs on parallel apply workers in chunks, with
+// the next chunk prefetched while the current one's dedup decisions are
+// committed in candidate order — so the alternative set, labels and stats
+// are those of applying the candidates one by one. Chunking also
 // bounds the work wasted when MaxAlternatives stops a round mid-batch.
 // Accepted alternatives are emitted immediately so evaluation overlaps
 // generation.
@@ -306,8 +278,9 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 							continue
 						}
 					}
-					// Same position as the sequential path: after dedup,
-					// before emission, so both pipelines prune identically.
+					// After dedup, before emission: a statically infeasible
+					// flow is dropped together with its whole subtree (it
+					// joins neither the output nor the next frontier).
 					if pruner.prune(r.graph) {
 						stats.StaticPruned++
 						continue

@@ -25,17 +25,11 @@ func planBoth(t *testing.T, flow string, opts Options) (stream, seq *Result) {
 		g = tpch.RevenueETL()
 		bind = tpch.Binding(g, 800, 1)
 	}
-	opts.Streaming = StreamingOn
 	stream, err := NewPlanner(nil, opts).Plan(g, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Streaming = StreamingOff
-	seq, err = NewPlanner(nil, opts).Plan(g, bind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stream, seq
+	return stream, planSequential(t, g, bind, opts)
 }
 
 // requireEquivalent asserts the streaming planner reproduced the sequential
@@ -105,44 +99,41 @@ func TestPlanContextCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := tpcds.PurchasesFlow()
-	for _, mode := range []StreamingMode{StreamingOn, StreamingOff} {
-		opts := smallOptions()
-		opts.Streaming = mode
-		p := NewPlanner(nil, opts)
-		res, err := p.PlanContext(ctx, g, tpcds.Binding(g, 800, 1))
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("mode %v: err = %v, want context.Canceled", mode, err)
-		}
-		if res != nil {
-			t.Errorf("mode %v: result returned despite cancellation", mode)
-		}
+	p := NewPlanner(nil, smallOptions())
+	res, err := p.PlanContext(ctx, g, tpcds.Binding(g, 800, 1))
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Error("result returned despite cancellation")
 	}
 }
 
+// TestPlanContextCancelMidRun cancels a running plan two ways: mode 0 from
+// inside the first progress event, which proves work was in flight when the
+// context died, and mode 1 from a timer, independent of the progress
+// callback.
 func TestPlanContextCancelMidRun(t *testing.T) {
 	g := tpcds.PurchasesFlow()
 	bind := tpcds.Binding(g, 800, 1)
-	for _, mode := range []StreamingMode{StreamingOn, StreamingOff} {
+	for mode := 0; mode < 2; mode++ {
 		mode := mode
 		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
-			opts := Options{Policy: policy.Exhaustive{}, Depth: 2, Sim: fastSim(), Streaming: mode}
+			opts := Options{Policy: policy.Exhaustive{}, Depth: 2, Sim: fastSim()}
 			var once sync.Once
-			// Cancel from inside the run: the first progress event (streaming)
-			// proves work was in flight when the context died.
-			opts.Progress = func(ProgressEvent) { once.Do(cancel) }
-			if mode == StreamingOff {
-				// The sequential path emits no events; cancel on a timer tuned
-				// well below the full run time instead.
+			if mode == 0 {
+				opts.Progress = func(ProgressEvent) { once.Do(cancel) }
+			} else {
 				time.AfterFunc(10*time.Millisecond, func() { once.Do(cancel) })
 			}
 			p := NewPlanner(nil, opts)
 			start := time.Now()
 			res, err := p.PlanContext(ctx, g, bind)
 			if !errors.Is(err, context.Canceled) {
-				// A fast machine may legitimately finish before the timer on
-				// the sequential path; only the streaming path is strict.
-				if mode == StreamingOn || err != nil {
+				// A fast machine may legitimately finish before the timer;
+				// only the progress-triggered cancel is strict.
+				if mode == 0 || err != nil {
 					t.Fatalf("err = %v, res = %v after %v", err, res != nil, time.Since(start))
 				}
 			}

@@ -68,16 +68,6 @@ const DefaultSessionBody = `{
 	"config": {"policy": "greedy", "topK": 1, "depth": 1, "sim": {"runs": 4, "defaultRows": 100}}
 }`
 
-// RowEngineSessionBody is DefaultSessionBody with the columnar simulation
-// engine disabled ("rowEngine": true), so a load run can measure the
-// row-at-a-time ablation under identical traffic.
-const RowEngineSessionBody = `{
-	"name": "loadgen",
-	"flow": {"builtin": "tpcds-purchases"},
-	"scale": 100,
-	"config": {"policy": "greedy", "topK": 1, "depth": 1, "sim": {"runs": 4, "defaultRows": 100}, "rowEngine": true}
-}`
-
 // Config parameterizes one run.
 type Config struct {
 	// BaseURL roots every request, e.g. "http://127.0.0.1:8080".
@@ -93,11 +83,8 @@ type Config struct {
 	// Mix weights the operations; nil uses DefaultMix.
 	Mix Mix
 	// SessionBody is the JSON create-session request; empty uses
-	// DefaultSessionBody (or RowEngineSessionBody when RowEngine is set).
+	// DefaultSessionBody.
 	SessionBody string
-	// RowEngine selects the row-at-a-time session body when SessionBody is
-	// empty, so BENCH trajectories can compare simulation-engine modes.
-	RowEngine bool
 	// Seed fixes the arrival schedule and op choices; 0 means seed 1, so
 	// runs are reproducible by default.
 	Seed int64
@@ -140,9 +127,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.SessionBody == "" {
 		cfg.SessionBody = DefaultSessionBody
-		if cfg.RowEngine {
-			cfg.SessionBody = RowEngineSessionBody
-		}
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1

@@ -2,344 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 
 	"poiesis/internal/data"
 	"poiesis/internal/etl"
 )
-
-// apply executes one operation on its input batches and returns the output
-// batches (one logical output stream; routing to successors happens later).
-func (e *Engine) apply(g *etl.Graph, n *etl.Node, in [][]etl.Row, bind Binding, ar *batchArena) ([][]etl.Row, error) {
-	switch n.Kind {
-	case etl.OpExtract:
-		spec, ok := bind[n.ID]
-		if !ok {
-			spec = e.defaultSpec(n)
-		}
-		rs := data.Generate(spec)
-		return [][]etl.Row{rs.Rows}, nil
-
-	case etl.OpRecovery:
-		// During profiling the recovery source is inert (it only feeds rows
-		// after a failure); contribute no rows.
-		return [][]etl.Row{nil}, nil
-
-	case etl.OpLoad:
-		return in, nil
-
-	case etl.OpFilter:
-		return [][]etl.Row{e.filter(g, n, flatten(in, ar), ar)}, nil
-
-	case etl.OpFilterNull:
-		return [][]etl.Row{filterNulls(g, n, flatten(in, ar), ar)}, nil
-
-	case etl.OpDedup:
-		return [][]etl.Row{dedup(g, n, flatten(in, ar), ar)}, nil
-
-	case etl.OpCrosscheck:
-		return [][]etl.Row{crosscheck(n, in, ar)}, nil
-
-	case etl.OpDerive:
-		return [][]etl.Row{derive(g, n, flatten(in, ar))}, nil
-
-	case etl.OpProject:
-		return [][]etl.Row{project(g, n, flatten(in, ar))}, nil
-
-	case etl.OpConvert, etl.OpEncrypt, etl.OpNoop, etl.OpCheckpoint,
-		etl.OpSplit, etl.OpPartition, etl.OpMerge, etl.OpUnion, etl.OpSort:
-		// Pass-through for data purposes (sort order is irrelevant to the
-		// measures; checkpoint persists a snapshot which costs time, modelled
-		// in the cost model).
-		return [][]etl.Row{flatten(in, ar)}, nil
-
-	case etl.OpSurrogate:
-		return [][]etl.Row{surrogate(g, n, flatten(in, ar))}, nil
-
-	case etl.OpJoin, etl.OpLookup:
-		if len(in) < 2 {
-			// Degenerate join with a single input behaves as pass-through.
-			return [][]etl.Row{flatten(in, ar)}, nil
-		}
-		out, err := join(g, n, in[0], in[1])
-		if err != nil {
-			return nil, err
-		}
-		return [][]etl.Row{out}, nil
-
-	case etl.OpAggregate:
-		return [][]etl.Row{aggregate(g, n, flatten(in, ar), ar)}, nil
-
-	default:
-		return nil, fmt.Errorf("unsupported operation kind %s (inputs %s)", n.Kind, describe(in))
-	}
-}
-
-// filter drops rows according to the node's selectivity, deterministically
-// (hash of the row ordinal), keeping erroneous rows in the stream so that
-// downstream cleaning patterns still have work to do.
-func (e *Engine) filter(g *etl.Graph, n *etl.Node, rows []etl.Row, ar *batchArena) []etl.Row {
-	sel := n.Cost.Selectivity
-	if sel >= 1 {
-		return rows
-	}
-	out := scratchFor(ar, rows)
-	for i, r := range rows {
-		// Deterministic pseudo-random keep decision per row.
-		h := hashRow(r, i) % 10000
-		if float64(h) < sel*10000 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// filterNulls drops rows that carry NULL in any attribute named in the
-// "attrs" parameter (comma-separated), or in any attribute when unset. This
-// is the FilterNullValues pattern's operation: "a filter that deletes
-// entries with null values from its input".
-func filterNulls(g *etl.Graph, n *etl.Node, rows []etl.Row, ar *batchArena) []etl.Row {
-	schema := g.InputSchema(n.ID)
-	positions := attrPositions(schema, n.Param("attrs"))
-	out := scratchFor(ar, rows)
-	for _, r := range rows {
-		null := false
-		if len(positions) == 0 {
-			for i := range schema.Attrs {
-				if r.IsNullAt(i) {
-					null = true
-					break
-				}
-			}
-		} else {
-			for _, i := range positions {
-				if r.IsNullAt(i) {
-					null = true
-					break
-				}
-			}
-		}
-		if !null {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// dedup removes duplicate rows by key attributes (or all attributes when the
-// schema has no keys): the RemoveDuplicateEntries pattern's operation.
-func dedup(g *etl.Graph, n *etl.Node, rows []etl.Row, ar *batchArena) []etl.Row {
-	schema := g.InputSchema(n.ID)
-	positions := keyOrAllPositions(schema)
-	seen := make(map[string]bool, len(rows))
-	out := scratchFor(ar, rows)
-	for _, r := range rows {
-		k := r.KeyString(positions)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-// crosscheck validates the primary input (in[0]) against an alternative
-// source (in[1], when present): rows whose values look erroneous are dropped
-// when the alternative disagrees. Detection power comes from the oracle on
-// injected defects, mirroring how a real crosscheck would catch out-of-domain
-// values.
-func crosscheck(n *etl.Node, in [][]etl.Row, ar *batchArena) []etl.Row {
-	primary := in[0]
-	out := scratchFor(ar, primary)
-	for _, r := range primary {
-		bad := false
-		for _, v := range r {
-			if data.IsErroneous(v) {
-				bad = true
-				break
-			}
-		}
-		if !bad {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// derive appends computed values for every output attribute that the input
-// schema lacks. The computation itself is synthetic (a numeric expression
-// over existing fields) but burns the per-tuple cost that makes DERIVE
-// VALUES the expensive operation of Fig. 2.
-func derive(g *etl.Graph, n *etl.Node, rows []etl.Row) []etl.Row {
-	in := g.InputSchema(n.ID)
-	var newAttrs []etl.Attribute
-	for _, a := range n.Out.Attrs {
-		if !in.Has(a.Name) {
-			newAttrs = append(newAttrs, a)
-		}
-	}
-	if len(newAttrs) == 0 {
-		return rows
-	}
-	numPos := numericPositions(in)
-	out := make([]etl.Row, len(rows))
-	for i, r := range rows {
-		nr := make(etl.Row, len(r), len(r)+len(newAttrs))
-		copy(nr, r)
-		for _, a := range newAttrs {
-			nr = append(nr, computeDerived(a, r, numPos))
-		}
-		out[i] = nr
-	}
-	return out
-}
-
-func computeDerived(a etl.Attribute, r etl.Row, numPos []int) etl.Value {
-	acc := 0.0
-	for _, p := range numPos {
-		if p < len(r) && r[p] != nil {
-			switch v := r[p].(type) {
-			case int64:
-				acc += float64(v)
-			case float64:
-				acc += v
-			}
-		}
-	}
-	switch a.Type {
-	case etl.TypeInt:
-		return int64(acc)
-	case etl.TypeFloat:
-		return acc * 1.1
-	case etl.TypeString:
-		return "d" + strconv.FormatFloat(acc, 'f', 0, 64)
-	case etl.TypeBool:
-		return acc > 0
-	case etl.TypeDate:
-		return int64(17000)
-	default:
-		return nil
-	}
-}
-
-// project keeps only the attributes of the node's output schema, in order.
-func project(g *etl.Graph, n *etl.Node, rows []etl.Row) []etl.Row {
-	in := g.InputSchema(n.ID)
-	positions := make([]int, 0, n.Out.Len())
-	for _, a := range n.Out.Attrs {
-		positions = append(positions, in.Index(a.Name))
-	}
-	out := make([]etl.Row, len(rows))
-	for i, r := range rows {
-		nr := make(etl.Row, len(positions))
-		for j, p := range positions {
-			if p >= 0 && p < len(r) {
-				nr[j] = r[p]
-			}
-		}
-		out[i] = nr
-	}
-	return out
-}
-
-// surrogate assigns a dense surrogate key in the first integer key position
-// of the output schema (appending when absent).
-func surrogate(g *etl.Graph, n *etl.Node, rows []etl.Row) []etl.Row {
-	in := g.InputSchema(n.ID)
-	pos := -1
-	for _, a := range n.Out.Attrs {
-		if a.Key && a.Type == etl.TypeInt && !in.Has(a.Name) {
-			pos = n.Out.Index(a.Name)
-			break
-		}
-	}
-	out := make([]etl.Row, len(rows))
-	for i, r := range rows {
-		nr := r.Clone()
-		if pos >= 0 {
-			for len(nr) <= pos {
-				nr = append(nr, nil)
-			}
-			nr[pos] = int64(i + 1)
-		}
-		out[i] = nr
-	}
-	return out
-}
-
-// join hash-joins left and right on their shared key attributes (falling
-// back to the first shared attribute name).
-func join(g *etl.Graph, n *etl.Node, left, right []etl.Row) ([]etl.Row, error) {
-	preds := g.Pred(n.ID)
-	if len(preds) < 2 {
-		return left, nil
-	}
-	ls := g.Node(preds[0]).Out
-	rs := g.Node(preds[1]).Out
-	lpos, rpos := sharedKeyPositions(ls, rs)
-	if len(lpos) == 0 {
-		// No shared attributes: degenerate to the left input (cross products
-		// would explode and teach the measures nothing).
-		return left, nil
-	}
-	idx := make(map[string]etl.Row, len(right))
-	for _, r := range right {
-		idx[r.KeyString(rpos)] = r
-	}
-	// Output: left row extended by the right row's non-shared attributes.
-	extra := nonSharedPositions(rs, ls)
-	out := make([]etl.Row, 0, len(left))
-	for _, l := range left {
-		r, ok := idx[l.KeyString(lpos)]
-		if !ok {
-			if n.Kind == etl.OpLookup {
-				// Lookup keeps unmatched rows with NULL enrichment.
-				nr := l.Clone()
-				for range extra {
-					nr = append(nr, nil)
-				}
-				out = append(out, nr)
-			}
-			continue
-		}
-		nr := l.Clone()
-		for _, p := range extra {
-			if p < len(r) {
-				nr = append(nr, r[p])
-			} else {
-				nr = append(nr, nil)
-			}
-		}
-		out = append(out, nr)
-	}
-	return out, nil
-}
-
-// aggregate groups rows by the "group_by" parameter attributes (or key
-// attributes, or the first attribute) and emits one representative row per
-// group.
-func aggregate(g *etl.Graph, n *etl.Node, rows []etl.Row, ar *batchArena) []etl.Row {
-	in := g.InputSchema(n.ID)
-	positions := attrPositions(in, n.Param("group_by"))
-	if len(positions) == 0 {
-		positions = keyOrAllPositions(in)
-		if len(positions) > 1 {
-			positions = positions[:1]
-		}
-	}
-	seen := make(map[string]bool, len(rows)/4)
-	out := scratchFor(ar, rows)
-	for _, r := range rows {
-		k := r.KeyString(positions)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
 
 func attrPositions(s etl.Schema, csv string) []int {
 	if csv == "" {
@@ -428,10 +94,10 @@ func nonSharedPositions(from, other etl.Schema) []int {
 	return out
 }
 
-// applyCols executes one operation on its columnar input batches — the same
-// dispatch and per-operation semantics as apply, expressed as per-column
-// kernels over selection vectors.
-func (e *Engine) applyCols(g *etl.Graph, n *etl.Node, in []*colBatch, bind Binding, ar *batchArena) ([]*colBatch, error) {
+// apply executes one operation on its input batches and returns the output
+// batches (one logical output stream; routing to successors happens later).
+// Kernels are per-column loops over selection vectors.
+func (e *Engine) apply(g *etl.Graph, n *etl.Node, in []*colBatch, bind Binding, ar *batchArena) ([]*colBatch, error) {
 	switch n.Kind {
 	case etl.OpExtract:
 		spec, ok := bind[n.ID]
@@ -486,7 +152,7 @@ func (e *Engine) applyCols(g *etl.Graph, n *etl.Node, in []*colBatch, bind Bindi
 		return []*colBatch{colAggregate(g, n, colFlatten(in, ar), ar)}, nil
 
 	default:
-		return nil, fmt.Errorf("unsupported operation kind %s (inputs %s)", n.Kind, colDescribe(in))
+		return nil, fmt.Errorf("unsupported operation kind %s (inputs %s)", n.Kind, describe(in))
 	}
 }
 

@@ -24,8 +24,8 @@ import (
 // planning run, which pins both).
 //
 // Cached outputs are immutable once stored. Operations never mutate their
-// input rows, and pass-through operations alias rather than copy, so records
-// freely share row storage with one another.
+// input batches, and pass-through operations alias rather than copy, so
+// records freely share column storage with one another.
 type EvalCache struct {
 	mu sync.RWMutex
 	m  map[etl.ConeKey]*coneRecord
@@ -51,18 +51,8 @@ type EvalCache struct {
 // Routing to concrete successors is recomputed per graph (it depends on
 // downstream wiring, which the cone key deliberately excludes), as is all
 // timing. Sink nodes additionally memoize their output-quality scan.
-//
-// The output is representation-independent: it is stored in whichever form
-// the producing engine ran (row batches or column batches) and converted —
-// once, memoized — when an engine of the other representation looks the cone
-// up, so row and columnar evaluations can share one cache. The cardinalities
-// and sink statistics are plain values, identical whichever path computed
-// them.
 type coneRecord struct {
-	rows atomic.Pointer[[][]etl.Row]
-	cols atomic.Pointer[[]*colBatch]
-	conv sync.Mutex
-
+	out    []*colBatch
 	rowsIn int
 	flat   int
 
@@ -70,60 +60,6 @@ type coneRecord struct {
 	sinkStats data.Stats
 	sinkRows  int
 	sinkCells int
-}
-
-// newRowRecord wraps a row-engine node output.
-func newRowRecord(out [][]etl.Row, rowsIn, flat int) *coneRecord {
-	rec := &coneRecord{rowsIn: rowsIn, flat: flat}
-	rec.rows.Store(&out)
-	return rec
-}
-
-// newColRecord wraps a columnar-engine node output.
-func newColRecord(out []*colBatch, rowsIn, flat int) *coneRecord {
-	rec := &coneRecord{rowsIn: rowsIn, flat: flat}
-	rec.cols.Store(&out)
-	return rec
-}
-
-// rowBatches returns the output as row batches, lazily converting (and
-// memoizing) from the columnar representation when needed.
-func (rec *coneRecord) rowBatches() [][]etl.Row {
-	if p := rec.rows.Load(); p != nil {
-		return *p
-	}
-	rec.conv.Lock()
-	defer rec.conv.Unlock()
-	if p := rec.rows.Load(); p != nil {
-		return *p
-	}
-	cb := *rec.cols.Load()
-	out := make([][]etl.Row, len(cb))
-	for i, b := range cb {
-		out[i] = b.toRows()
-	}
-	rec.rows.Store(&out)
-	return out
-}
-
-// colBatches returns the output as column batches, lazily converting (and
-// memoizing) from the row representation when needed.
-func (rec *coneRecord) colBatches() []*colBatch {
-	if p := rec.cols.Load(); p != nil {
-		return *p
-	}
-	rec.conv.Lock()
-	defer rec.conv.Unlock()
-	if p := rec.cols.Load(); p != nil {
-		return *p
-	}
-	rows := *rec.rows.Load()
-	out := make([]*colBatch, len(rows))
-	for i, b := range rows {
-		out[i] = colFromRows(b, nil)
-	}
-	rec.cols.Store(&out)
-	return out
 }
 
 // DefaultEvalCacheRows is the default row budget of an evaluation cache
@@ -160,7 +96,7 @@ func (c *EvalCache) lookup(k etl.ConeKey) *coneRecord {
 // the same cone simultaneously, and since equal keys imply equal results the
 // duplicates are interchangeable. Stores past the row budget are dropped.
 // The canonical record for the key is returned (the already-stored one when
-// this store lost the race), maximizing representation-conversion sharing.
+// this store lost the race).
 func (c *EvalCache) store(k etl.ConeKey, rec *coneRecord) *coneRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,9 +1,9 @@
-// Columnar batch representation: the default data path of the engine.
+// Columnar batch representation: the engine's data path.
 //
 // A colBatch stores one typed slice per attribute position (int64, float64,
 // string, bool — with a []etl.Value fallback for mixed or unknown types) plus
-// a packed null bitmap per column, built from the binding's generators and
-// converted back to rows only at cache/representation boundaries. Operators
+// a packed null bitmap per column, built once from the binding's generated
+// rows at extract. Operators
 // run as tight per-column loops and communicate row subsets through selection
 // vectors (a []int32 of physical row indices) instead of materializing
 // filtered copies, so a chain of filters over one extract shares a single set
@@ -13,9 +13,10 @@
 // aggregate, join build keys: one typed pass per key column folds value
 // hashes into a per-row key hash, verified by typed equality on collision so
 // grouping semantics stay exactly "group by value") and byte-compatible with
-// hashRow where the hash value itself decides simulation results (filter keep
-// decisions, hash-split routing) — that is what keeps the columnar engine
-// byte-identical to the row oracle.
+// the row oracle's per-row hash where the hash value itself decides
+// simulation results (filter keep decisions, hash-split routing) — that is
+// what keeps the engine byte-identical to the row-at-a-time reference
+// implementation its tests compare against.
 package sim
 
 import (
@@ -367,10 +368,11 @@ func (b *colBatch) keyHashes(positions []int, dst []uint64) {
 	}
 }
 
-// selectHashes fills dst with, per logical row i, exactly the hash the row
-// oracle's hashRow(row, i) produces — the value that decides filter keeps and
-// hash-split routing, so it must be byte-compatible, not merely consistent.
-// The type switch is hoisted out of the row loop.
+// selectHashes fills dst with, per logical row i, hashOrdinal(i) with the
+// row's first cell folded in by hashValue (nothing folded for NULL) — the
+// value that decides filter keeps and hash-split routing, so every typed fast
+// path must produce exactly hashValue's bytes. The type switch is hoisted out
+// of the row loop.
 func (b *colBatch) selectHashes(dst []uint64) {
 	n := b.len()
 	if b == nil || len(b.cols) == 0 {
@@ -694,7 +696,7 @@ func (b *colBatch) compact(ar *batchArena) *colBatch {
 
 // colFlatten merges output batches into one logical stream; a single batch is
 // returned as-is (selection intact). Multi-input merges pad narrower batches
-// with NULL columns, mirroring how the row path's ragged rows read as NULL
+// with NULL columns, mirroring how the row oracle's ragged rows read as NULL
 // beyond their width.
 func colFlatten(batches []*colBatch, ar *batchArena) *colBatch {
 	if len(batches) == 1 {
@@ -888,32 +890,9 @@ func anyColumnFromRows(rows []etl.Row, j int) column {
 	return column{kind: colAny, anys: vals}
 }
 
-// toRows materializes the batch back into rows (full batch width, explicit
-// nils for NULL cells) — the representation boundary for cross-engine cache
-// sharing.
-func (b *colBatch) toRows() []etl.Row {
-	n := b.len()
-	if n == 0 {
-		return nil
-	}
-	w := len(b.cols)
-	cells := make([]etl.Value, n*w)
-	out := make([]etl.Row, n)
-	for i := 0; i < n; i++ {
-		out[i] = etl.Row(cells[i*w : (i+1)*w : (i+1)*w])
-	}
-	for j := range b.cols {
-		c := &b.cols[j]
-		for i := 0; i < n; i++ {
-			out[i][j] = c.value(b.phys(i))
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
-// Quality measurement: measureColumns mirrors data.Measure cell for cell,
-// without materializing rows.
+// Quality measurement: measureColumns counts what a row-wise scan would, cell
+// for cell, without materializing rows.
 
 func (b *colBatch) nullCountAt(j int) int {
 	n := b.len()
@@ -1000,8 +979,8 @@ func schemaKeyPositions(s etl.Schema) []int {
 	return out
 }
 
-// measureColumns is the columnar data.Measure: same Stats from the same
-// logical rows, produced by per-column scans.
+// measureColumns counts the NULL cells, erroneous rows and duplicate keys of
+// the batch's logical rows against the schema, by per-column scans.
 func measureColumns(schema etl.Schema, b *colBatch) data.Stats {
 	n := b.len()
 	if n == 0 {
@@ -1037,7 +1016,7 @@ func measureColumns(schema etl.Schema, b *colBatch) data.Stats {
 
 // ---------------------------------------------------------------------------
 // Typed scratch: arena-backed during full executions, freshly allocated when
-// results may be retained by an EvalCache (ar == nil), mirroring scratchFor.
+// results may be retained by an EvalCache (ar == nil).
 
 func selScratch(ar *batchArena, n int) []int32 {
 	if ar != nil {

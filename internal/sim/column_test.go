@@ -110,7 +110,7 @@ func columnFixtures(t *testing.T) []columnFixture {
 
 // TestColumnarRowEquivalence is the engine-level oracle: for every fixture
 // flow, the columnar engine's profile and trace batch must be byte-identical
-// to the row engine's.
+// to the row oracle's.
 func TestColumnarRowEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Runs = 16
@@ -120,13 +120,13 @@ func TestColumnarRowEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowP, rowB, err := NewRowEngine(cfg).Evaluate(fx.g, fx.bind)
+			rowP, rowB, err := NewEngine(cfg).rowEvaluate(fx.g, fx.bind)
 			if err != nil {
 				t.Fatal(err)
 			}
 			profilesEqual(t, rowP, colP)
 			if !reflect.DeepEqual(rowB, colB) {
-				t.Error("trace batches differ between columnar and row engines")
+				t.Error("trace batches differ between the columnar engine and the row oracle")
 			}
 		})
 	}
@@ -140,7 +140,6 @@ func TestColumnarDeltaEquivalence(t *testing.T) {
 	bind := binding(base, 500, data.Defects{NullRate: 0.1, DupRate: 0.1, ErrorRate: 0.05})
 	cfg := DefaultConfig()
 	e := NewEngine(cfg)
-	row := NewRowEngine(cfg)
 	cache := NewEvalCache()
 	if _, err := e.ExecuteDelta(base, bind, cache); err != nil {
 		t.Fatal(err)
@@ -154,7 +153,7 @@ func TestColumnarDeltaEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		oracle, err := row.Execute(g, bind)
+		oracle, err := e.rowExecute(g, bind)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -163,45 +162,9 @@ func TestColumnarDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrossRepresentationCacheSharing shares one EvalCache between a row and
-// a columnar engine in both directions: records stored by one representation
-// must splice correctly (via lazy conversion) into executions of the other.
-func TestCrossRepresentationCacheSharing(t *testing.T) {
-	base := simpleFlow(t)
-	bind := binding(base, 500, data.Defects{NullRate: 0.1, DupRate: 0.1, ErrorRate: 0.05})
-	cfg := DefaultConfig()
-	col := NewEngine(cfg)
-	row := NewRowEngine(cfg)
-
-	for _, first := range []struct {
-		name         string
-		seed, splice *Engine
-	}{
-		{"row-then-columnar", row, col},
-		{"columnar-then-row", col, row},
-	} {
-		t.Run(first.name, func(t *testing.T) {
-			cache := NewEvalCache()
-			if _, err := first.seed.ExecuteDelta(base, bind, cache); err != nil {
-				t.Fatal(err)
-			}
-			for name, g := range deltaMutations(t, base) {
-				delta, err := first.splice.ExecuteDelta(g, bind, cache)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				oracle, err := row.Execute(g, bind)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				profilesEqual(t, oracle, delta)
-			}
-		})
-	}
-}
-
-// TestColumnarSharedCacheRace runs concurrent columnar and row evaluations of
-// flow variants against one shared cache (run with -race).
+// TestColumnarSharedCacheRace runs concurrent delta evaluations of flow
+// variants against one shared cache and checks each against the row oracle
+// (run with -race).
 func TestColumnarSharedCacheRace(t *testing.T) {
 	base := simpleFlow(t)
 	bind := binding(base, 300, data.Defects{NullRate: 0.1, DupRate: 0.1, ErrorRate: 0.05})
@@ -212,9 +175,9 @@ func TestColumnarSharedCacheRace(t *testing.T) {
 		variants = append(variants, g)
 	}
 	want := make([]*Profile, len(variants))
-	row := NewRowEngine(cfg)
+	e := NewEngine(cfg)
 	for i, g := range variants {
-		p, err := row.Execute(g, bind)
+		p, err := e.rowExecute(g, bind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,12 +188,8 @@ func TestColumnarSharedCacheRace(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
-		e := NewEngine(cfg)
-		if w%4 == 3 {
-			e = NewRowEngine(cfg)
-		}
 		wg.Add(1)
-		go func(w int, e *Engine) {
+		go func(w int) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				for i, g := range variants {
@@ -245,7 +204,7 @@ func TestColumnarSharedCacheRace(t *testing.T) {
 					}
 				}
 			}
-		}(w, e)
+		}(w)
 	}
 	wg.Wait()
 	close(errs)
@@ -290,7 +249,7 @@ func TestHashValueTypeTags(t *testing.T) {
 	}
 }
 
-// TestColumnarConversionRoundTrip checks the representation boundary: rows →
+// TestColumnarConversionRoundTrip checks the extract boundary: rows →
 // columns → rows is lossless, including NULLs, short rows and mixed-type
 // fallback columns.
 func TestColumnarConversionRoundTrip(t *testing.T) {

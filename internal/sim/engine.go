@@ -193,14 +193,11 @@ func (p *Profile) RestartsFromCheckpoint(id etl.NodeID) bool {
 // use with distinct arguments.
 type Engine struct {
 	cfg Config
-	// row selects the row-at-a-time oracle data path instead of the default
-	// columnar one. The two paths produce byte-identical profiles.
-	row bool
 }
 
-// NewEngine returns an engine with the given configuration, running the
-// columnar data path (typed column batches, selection vectors, column-wise
-// hashing).
+// NewEngine returns an engine with the given configuration. It executes flows
+// over typed column batches with selection vectors and column-wise hashing
+// (see column.go).
 func NewEngine(cfg Config) *Engine {
 	if cfg.DefaultRows <= 0 {
 		cfg.DefaultRows = 1000
@@ -219,18 +216,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	return &Engine{cfg: cfg}
 }
-
-// NewRowEngine returns an engine that executes row-at-a-time — the oracle the
-// columnar path is validated against. Profiles are byte-identical to
-// NewEngine's; only the internal representation (and its cost) differs.
-func NewRowEngine(cfg Config) *Engine {
-	e := NewEngine(cfg)
-	e.row = true
-	return e
-}
-
-// Columnar reports whether the engine runs the columnar data path.
-func (e *Engine) Columnar() bool { return !e.row }
 
 // subPool recycles backing arrays of one element type inside a batchArena.
 // get hands out zero-length buffers; reset makes every buffer reusable.
@@ -261,18 +246,16 @@ func (p *subPool[T]) get(n int) []T {
 func (p *subPool[T]) reset() { p.next = 0 }
 
 // batchArena recycles the backing arrays the engine uses for routing,
-// flattening and per-operator scratch: row batches for the row oracle, plus
-// typed sub-pools (selection vectors, hash scratch, column storage) for the
-// columnar path. Arenas are pooled via sync.Pool: a full (uncached) execution
-// borrows one, hands out buffers as needed and returns the arena — with all
-// its buffers — when the execution's profile has been assembled, so
-// steady-state full evaluations allocate no new batch arrays.
+// flattening and per-operator scratch: typed sub-pools for selection vectors,
+// hash scratch and column storage. Arenas are pooled via sync.Pool: a full
+// (uncached) execution borrows one, hands out buffers as needed and returns
+// the arena — with all its buffers — when the execution's profile has been
+// assembled, so steady-state full evaluations allocate no new batch arrays.
 //
 // Arenas are only used when no EvalCache is in play: cached node outputs (and
 // everything they alias through pass-through operations) outlive the
 // execution, so delta evaluation allocates its batches normally.
 type batchArena struct {
-	rows  subPool[etl.Row]
 	sels  subPool[int32]
 	u64s  subPool[uint64]
 	i64s  subPool[int64]
@@ -284,16 +267,10 @@ type batchArena struct {
 
 var arenaPool = sync.Pool{New: func() any { return &batchArena{} }}
 
-// get returns a zero-length row buffer with at least the given capacity.
-func (a *batchArena) get(n int) []etl.Row {
-	return a.rows.get(n)
-}
-
 // release makes every buffer reusable and returns the arena to the pool. Cell
 // pointers linger in the backing arrays until the next reuse or pool GC; the
 // data is per-execution synthetic scratch, so the retention window is short.
 func (a *batchArena) release() {
-	a.rows.reset()
 	a.sels.reset()
 	a.u64s.reset()
 	a.i64s.reset()
@@ -302,16 +279,6 @@ func (a *batchArena) release() {
 	a.bools.reset()
 	a.anys.reset()
 	arenaPool.Put(a)
-}
-
-// scratchFor returns an output buffer for a row-dropping operation over rows:
-// arena-backed during full executions, freshly allocated (zero-cap append)
-// when results may be retained by an EvalCache.
-func scratchFor(ar *batchArena, rows []etl.Row) []etl.Row {
-	if ar != nil {
-		return ar.get(len(rows))
-	}
-	return rows[:0:0]
 }
 
 // ExecStats reports how one execution's data path was served: ConeHits
@@ -328,10 +295,7 @@ type ExecStats struct {
 
 // Execute runs the data path of the flow once and returns its profile.
 func (e *Engine) Execute(g *etl.Graph, bind Binding) (*Profile, error) {
-	if e.row {
-		return e.execute(g, bind, nil, nil)
-	}
-	return e.executeCols(g, bind, nil, nil)
+	return e.execute(g, bind, nil, nil)
 }
 
 // ExecuteDelta runs the data path reusing (and populating) the per-node
@@ -352,111 +316,7 @@ func (e *Engine) ExecuteDelta(g *etl.Graph, bind Binding, cache *EvalCache) (*Pr
 // (ignored when nil). Collection is a few integer increments; callers that
 // do not need the numbers pass nil and pay nothing.
 func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
-	if e.row {
-		return e.execute(g, bind, cache, stats)
-	}
-	return e.executeCols(g, bind, cache, stats)
-}
-
-func (e *Engine) execute(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	p := newProfile(g.Name, order)
-	nn := len(order)
-
-	var keys []etl.ConeKey
-	var recs []*coneRecord
-	if cache != nil {
-		keys = g.ConeKeys(order)
-		recs = make([]*coneRecord, nn)
-	}
-	var ar *batchArena
-	if cache == nil {
-		ar = arenaPool.Get().(*batchArena)
-		defer ar.release()
-	}
-
-	// outs[i] holds node i's pre-routing output batches; routing to specific
-	// successors is derived lazily, only when a (dirty) consumer needs it.
-	outs := make([][][]etl.Row, nn)
-	flat := make([]int, nn)
-	var routed []map[etl.NodeID][]etl.Row
-	routedFor := func(i int) map[etl.NodeID][]etl.Row {
-		if routed == nil {
-			routed = make([]map[etl.NodeID][]etl.Row, nn)
-		}
-		if routed[i] == nil {
-			id := order[i]
-			routed[i] = route(g.Node(id), outs[i], g.SuccView(id), ar)
-		}
-		return routed[i]
-	}
-
-	if stats != nil {
-		stats.Nodes += nn
-	}
-	for i, id := range order {
-		n := g.Node(id)
-		nsucc := len(g.SuccView(id))
-		if cache != nil {
-			if rec := cache.lookup(keys[i]); rec != nil {
-				if stats != nil {
-					stats.ConeHits++
-				}
-				recs[i] = rec
-				outs[i], flat[i] = rec.rowBatches(), rec.flat
-				p.RowsIn[i] = rec.rowsIn
-				e.finishNode(p, n, i, flat[i], nsucc)
-				continue
-			}
-		}
-		if stats != nil {
-			stats.Executed++
-		}
-
-		var in [][]etl.Row
-		rowsIn := 0
-		for _, pred := range g.PredView(id) {
-			b := routedFor(p.pos[pred])[id]
-			in = append(in, b)
-			rowsIn += len(b)
-		}
-		out, err := e.apply(g, n, in, bind, ar)
-		if err != nil {
-			return nil, fmt.Errorf("sim: executing %s: %w", n, err)
-		}
-		outs[i] = out
-		f := 0
-		for _, b := range out {
-			f += len(b)
-		}
-		flat[i] = f
-		if n.Kind.IsSource() {
-			rowsIn = f
-		}
-		p.RowsIn[i] = rowsIn
-		e.finishNode(p, n, i, f, nsucc)
-
-		if cache != nil {
-			rec := newRowRecord(out, rowsIn, f)
-			if n.Kind.IsSink() && nsucc == 0 {
-				rows := flatten(out, nil)
-				schema := g.InputSchema(id)
-				rec.sink = true
-				rec.sinkStats = data.Measure(schema, rows)
-				rec.sinkRows = len(rows)
-				rec.sinkCells = rec.sinkStats.Rows * schema.Len()
-			}
-			recs[i] = cache.store(keys[i], rec)
-		}
-	}
-
-	e.computeSchedule(g, p)
-	e.computeRecovery(g, p)
-	e.measureOutputs(g, p, outs, recs)
-	return p, nil
+	return e.execute(g, bind, cache, stats)
 }
 
 // finishNode derives the routing-dependent profile values of node i from its
@@ -486,108 +346,6 @@ func (e *Engine) finishNode(p *Profile, n *etl.Node, i, flat, nsucc int) {
 	if n.Kind.IsBlocking() && p.RowsIn[i] > p.MemRowsPeak {
 		p.MemRowsPeak = p.RowsIn[i]
 	}
-}
-
-// flatten merges output batches into one stream; a single batch is returned
-// as-is. With an arena the merge buffer is recycled scratch.
-func flatten(batches [][]etl.Row, ar *batchArena) []etl.Row {
-	if len(batches) == 1 {
-		return batches[0]
-	}
-	total := 0
-	for _, b := range batches {
-		total += len(b)
-	}
-	var out []etl.Row
-	if ar != nil {
-		out = ar.get(total)
-	} else if total > 0 {
-		out = make([]etl.Row, 0, total)
-	}
-	for _, b := range batches {
-		out = append(out, b...)
-	}
-	return out
-}
-
-// route distributes a node's output rows across its successors according to
-// the node's routing semantics.
-func route(n *etl.Node, out [][]etl.Row, succs []etl.NodeID, ar *batchArena) map[etl.NodeID][]etl.Row {
-	m := make(map[etl.NodeID][]etl.Row, len(succs))
-	if len(succs) == 0 {
-		return m
-	}
-	all := flatten(out, ar)
-	switch n.Kind {
-	case etl.OpPartition:
-		// Horizontal partition: round-robin across branches.
-		k := len(succs)
-		dests := make([][]etl.Row, k)
-		for j := range dests {
-			cnt := len(all) / k
-			if j < len(all)%k {
-				cnt++
-			}
-			if ar != nil {
-				dests[j] = ar.get(cnt)
-			} else if cnt > 0 {
-				dests[j] = make([]etl.Row, 0, cnt)
-			}
-		}
-		for i, r := range all {
-			j := i % k
-			dests[j] = append(dests[j], r)
-		}
-		for j, s := range succs {
-			m[s] = dests[j]
-		}
-	case etl.OpSplit:
-		if n.Param("route") == "hash" && len(succs) > 1 {
-			k := len(succs)
-			dests := make([][]etl.Row, k)
-			if ar != nil {
-				for j := range dests {
-					dests[j] = ar.get(len(all)/k + 8)
-				}
-			}
-			for i, r := range all {
-				j := int(hashRow(r, i) % uint64(k))
-				dests[j] = append(dests[j], r)
-			}
-			for j, s := range succs {
-				m[s] = dests[j]
-			}
-		} else {
-			// Copy semantics: each branch receives the full stream (vertical
-			// split of required attributes happens in downstream projects).
-			for _, s := range succs {
-				m[s] = all
-			}
-		}
-	default:
-		if len(succs) == 1 {
-			m[succs[0]] = all
-		} else {
-			for _, s := range succs {
-				m[s] = all
-			}
-		}
-	}
-	return m
-}
-
-// hashRow hashes the row's first value (FNV-1a over its rendered form) mixed
-// with the row ordinal. The common value types take allocation-free fast
-// paths that hash exactly the bytes fmt.Sprintf("%v", ...) would produce, so
-// routing decisions are unchanged while hash-split flows stop paying one
-// allocation per routed row. It is the oracle the columnar path's
-// selectHashes reproduces byte for byte.
-func hashRow(r etl.Row, i int) uint64 {
-	h := hashOrdinal(i)
-	if len(r) > 0 && r[0] != nil {
-		h = hashValue(h, r[0])
-	}
-	return h
 }
 
 // hashOrdinal seeds the row hash with the row ordinal, FNV-mixed before any
@@ -741,41 +499,6 @@ func (e *Engine) computeRecovery(g *etl.Graph, p *Profile) {
 	}
 }
 
-// measureOutputs scans the rows delivered to the sinks and records quality
-// statistics. Sinks whose upstream cone hit the cache contribute their
-// memoized statistics without re-scanning rows.
-func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, outs [][][]etl.Row, recs []*coneRecord) {
-	var sinks []int
-	for i, id := range p.Order {
-		if g.Node(id).Kind.IsSink() && len(g.SuccView(id)) == 0 {
-			sinks = append(sinks, i)
-		}
-	}
-	sort.Slice(sinks, func(a, b int) bool { return p.Order[sinks[a]] < p.Order[sinks[b]] })
-	for _, i := range sinks {
-		if recs != nil && recs[i] != nil && recs[i].sink {
-			rec := recs[i]
-			p.RowsLoaded += rec.sinkRows
-			p.OutRows += rec.sinkStats.Rows
-			p.OutNullCells += rec.sinkStats.NullCells
-			p.OutCells += rec.sinkCells
-			p.OutDupRows += rec.sinkStats.Duplicates
-			p.OutErrRows += rec.sinkStats.Errors
-			continue
-		}
-		id := p.Order[i]
-		rows := flatten(outs[i], nil)
-		schema := g.InputSchema(id)
-		st := data.Measure(schema, rows)
-		p.RowsLoaded += len(rows)
-		p.OutRows += st.Rows
-		p.OutNullCells += st.NullCells
-		p.OutCells += st.Rows * schema.Len()
-		p.OutDupRows += st.Duplicates
-		p.OutErrRows += st.Errors
-	}
-}
-
 // defaultSpec synthesises a binding for an unbound extract node.
 func (e *Engine) defaultSpec(n *etl.Node) data.SourceSpec {
 	return data.SourceSpec{
@@ -820,21 +543,12 @@ func (e *Engine) SourceUpdatesPerHour(g *etl.Graph, bind Binding) float64 {
 	return max
 }
 
-// describe is used in error paths and tests.
-func describe(batches [][]etl.Row) string {
-	parts := make([]string, len(batches))
-	for i, b := range batches {
-		parts[i] = strconv.Itoa(len(b))
-	}
-	return "[" + strings.Join(parts, ",") + "]"
-}
-
-// executeCols is the columnar twin of execute: identical control flow, cache
-// protocol and profile formulas, with node outputs held as column batches
-// instead of row slices. Both paths go through finishNode, computeSchedule
-// and computeRecovery, and the data kernels are value-equivalent, so the
-// resulting profile is byte-identical to the row oracle's.
-func (e *Engine) executeCols(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
+// execute runs the data path in topological order. Each node either splices
+// its memoized output from the cache (when its cone key hits) or applies its
+// operation to the routed outputs of its predecessors; timing and recovery
+// are then derived from the cardinalities, and the sinks' output quality is
+// scanned.
+func (e *Engine) execute(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -882,7 +596,7 @@ func (e *Engine) executeCols(g *etl.Graph, bind Binding, cache *EvalCache, stats
 					stats.ConeHits++
 				}
 				recs[i] = rec
-				outs[i], flat[i] = rec.colBatches(), rec.flat
+				outs[i], flat[i] = rec.out, rec.flat
 				p.RowsIn[i] = rec.rowsIn
 				e.finishNode(p, n, i, flat[i], nsucc)
 				continue
@@ -899,7 +613,7 @@ func (e *Engine) executeCols(g *etl.Graph, bind Binding, cache *EvalCache, stats
 			in = append(in, b)
 			rowsIn += b.len()
 		}
-		out, err := e.applyCols(g, n, in, bind, ar)
+		out, err := e.apply(g, n, in, bind, ar)
 		if err != nil {
 			return nil, fmt.Errorf("sim: executing %s: %w", n, err)
 		}
@@ -916,7 +630,7 @@ func (e *Engine) executeCols(g *etl.Graph, bind Binding, cache *EvalCache, stats
 		e.finishNode(p, n, i, f, nsucc)
 
 		if cache != nil {
-			rec := newColRecord(out, rowsIn, f)
+			rec := &coneRecord{out: out, rowsIn: rowsIn, flat: f}
 			if n.Kind.IsSink() && nsucc == 0 {
 				all := colFlatten(out, nil)
 				schema := g.InputSchema(id)
@@ -931,13 +645,15 @@ func (e *Engine) executeCols(g *etl.Graph, bind Binding, cache *EvalCache, stats
 
 	e.computeSchedule(g, p)
 	e.computeRecovery(g, p)
-	e.measureOutputsCols(g, p, outs, recs)
+	e.measureOutputs(g, p, outs, recs)
 	return p, nil
 }
 
-// colRoute distributes a node's output batches across its successors with the
-// same semantics as route, but partition and hash-split emit selection
-// vectors over the shared flattened batch instead of copying rows.
+// colRoute distributes a node's output batches across its successors:
+// partition deals rows round-robin, hash-split routes by selectHashes, and
+// everything else copies the full stream to every successor. Partition and
+// hash-split emit selection vectors over the shared flattened batch instead
+// of copying rows.
 func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) map[etl.NodeID]*colBatch {
 	m := make(map[etl.NodeID]*colBatch, len(succs))
 	if len(succs) == 0 {
@@ -1001,9 +717,10 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 	return m
 }
 
-// measureOutputsCols is measureOutputs over columnar sink outputs: the same
-// statistics, produced by per-column scans instead of row materialization.
-func (e *Engine) measureOutputsCols(g *etl.Graph, p *Profile, outs [][]*colBatch, recs []*coneRecord) {
+// measureOutputs scans the batches delivered to the sinks and records quality
+// statistics. Sinks whose upstream cone hit the cache contribute their
+// memoized statistics without re-scanning.
+func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, outs [][]*colBatch, recs []*coneRecord) {
 	var sinks []int
 	for i, id := range p.Order {
 		if g.Node(id).Kind.IsSink() && len(g.SuccView(id)) == 0 {
@@ -1035,8 +752,8 @@ func (e *Engine) measureOutputsCols(g *etl.Graph, p *Profile, outs [][]*colBatch
 	}
 }
 
-// colDescribe is describe for columnar batches (error paths).
-func colDescribe(batches []*colBatch) string {
+// describe renders batch cardinalities for error messages.
+func describe(batches []*colBatch) string {
 	parts := make([]string, len(batches))
 	for i, b := range batches {
 		parts[i] = strconv.Itoa(b.len())

@@ -17,12 +17,12 @@
 //	result, err := planner.Plan(flow, poiesis.AutoBinding(flow, 5000, 1))
 //	for _, alt := range result.Skyline() { fmt.Println(alt.Label()) }
 //
-// Planning runs as a concurrent streaming pipeline by default: pattern
-// application feeds a bounded channel, the evaluation worker pool consumes
-// alternatives as they are generated, constraints filter in-stream, and the
-// Pareto frontier is maintained incrementally. Options.Streaming =
-// StreamingOff restores the strictly sequential three-stage path; both
-// produce identical results. Long runs can be cancelled mid-flight with
+// Planning runs as a concurrent streaming pipeline: pattern application
+// feeds a bounded channel, the evaluation worker pool consumes alternatives
+// as they are generated, constraints filter in-stream, and the Pareto
+// frontier is maintained incrementally. Each alternative is simulated on a
+// columnar engine that re-executes only the part of the flow its pattern
+// application changed. Long runs can be cancelled mid-flight with
 // Planner.PlanContext (or Session.ExploreContext), and Options.Progress —
 // also installable late via Planner.WithProgress — receives one ProgressEvent
 // per alternative as the pipeline processes it.
@@ -116,46 +116,8 @@ type Alternative = core.Alternative
 // Session drives the iterative explore-select loop.
 type Session = core.Session
 
-// StreamingMode selects the planner's execution pipeline (Options.Streaming).
-type StreamingMode = core.StreamingMode
-
-// Pipeline modes: StreamingOn (the zero value, hence the default) overlaps
-// generation, evaluation and skyline maintenance; StreamingOff runs the
-// stages strictly in sequence.
-const (
-	StreamingOn  = core.StreamingOn
-	StreamingOff = core.StreamingOff
-)
-
-// DeltaMode selects the per-alternative evaluation strategy
-// (Options.DeltaEval).
-type DeltaMode = core.DeltaMode
-
-// Evaluation modes: DeltaOn (the zero value, hence the default) memoizes
-// per-node simulation results by upstream-cone fingerprint so each candidate
-// re-simulates only the region its pattern application changed; DeltaOff
-// re-executes every alternative from its sources. Both produce identical
-// results.
-const (
-	DeltaOn  = core.DeltaOn
-	DeltaOff = core.DeltaOff
-)
-
-// ColumnarMode selects the simulation engine's data representation
-// (Options.Columnar).
-type ColumnarMode = core.ColumnarMode
-
-// Engine modes: ColumnarOn (the zero value, hence the default) executes
-// flows over typed column batches with selection vectors and column-wise
-// hashing; ColumnarOff keeps the row-at-a-time oracle engine. Both produce
-// byte-identical results.
-const (
-	ColumnarOn  = core.ColumnarOn
-	ColumnarOff = core.ColumnarOff
-)
-
 // ProgressEvent is delivered to Options.Progress once per alternative as the
-// streaming pipeline finishes processing it.
+// pipeline finishes processing it.
 type ProgressEvent = core.ProgressEvent
 
 // Binding connects extract operations to synthetic sources.
