@@ -295,7 +295,7 @@ type ExecStats struct {
 
 // Execute runs the data path of the flow once and returns its profile.
 func (e *Engine) Execute(g *etl.Graph, bind Binding) (*Profile, error) {
-	return e.execute(g, bind, nil, nil)
+	return e.ExecuteDeltaStats(g, bind, nil, nil)
 }
 
 // ExecuteDelta runs the data path reusing (and populating) the per-node
@@ -310,13 +310,6 @@ func (e *Engine) Execute(g *etl.Graph, bind Binding) (*Profile, error) {
 // planning run). Sharing a cache across concurrent goroutines is safe.
 func (e *Engine) ExecuteDelta(g *etl.Graph, bind Binding, cache *EvalCache) (*Profile, error) {
 	return e.ExecuteDeltaStats(g, bind, cache, nil)
-}
-
-// ExecuteDeltaStats is ExecuteDelta reporting splice accounting into stats
-// (ignored when nil). Collection is a few integer increments; callers that
-// do not need the numbers pass nil and pay nothing.
-func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
-	return e.execute(g, bind, cache, stats)
 }
 
 // finishNode derives the routing-dependent profile values of node i from its
@@ -543,12 +536,16 @@ func (e *Engine) SourceUpdatesPerHour(g *etl.Graph, bind Binding) float64 {
 	return max
 }
 
-// execute runs the data path in topological order. Each node either splices
-// its memoized output from the cache (when its cone key hits) or applies its
+// ExecuteDeltaStats is ExecuteDelta reporting splice accounting into stats
+// (ignored when nil). Collection is a few integer increments; callers that
+// do not need the numbers pass nil and pay nothing.
+//
+// The data path runs in topological order. Each node either splices its
+// memoized output from the cache (when its cone key hits) or applies its
 // operation to the routed outputs of its predecessors; timing and recovery
 // are then derived from the cardinalities, and the sinks' output quality is
 // scanned.
-func (e *Engine) execute(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
+func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
