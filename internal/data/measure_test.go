@@ -1,6 +1,10 @@
 package data
 
-import "poiesis/internal/etl"
+import (
+	"fmt"
+
+	"poiesis/internal/etl"
+)
 
 // Measure scans rows and counts observable defects against the schema. It is
 // the row-wise reference the generator tests measure injected defects with;
@@ -11,7 +15,7 @@ func Measure(schema etl.Schema, rows []etl.Row) Stats {
 	seen := make(map[string]bool, len(rows))
 	for _, r := range rows {
 		for i := range schema.Attrs {
-			if r.IsNullAt(i) {
+			if i >= len(r) || r[i] == nil {
 				st.NullCells++
 			}
 		}
@@ -22,7 +26,7 @@ func Measure(schema etl.Schema, rows []etl.Row) Stats {
 			}
 		}
 		if len(keyPos) > 0 {
-			k := r.KeyString(keyPos)
+			k := fmt.Sprintf("%#v", keyCells(r, keyPos))
 			if seen[k] {
 				st.Duplicates++
 			}
@@ -37,6 +41,18 @@ func keyPositions(s etl.Schema) []int {
 	for i, a := range s.Attrs {
 		if a.Key {
 			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// keyCells picks the row's cells at the key positions, NULL beyond its
+// width; their Go-syntax rendering is the duplicate-detection key.
+func keyCells(r etl.Row, positions []int) []any {
+	out := make([]any, len(positions))
+	for i, p := range positions {
+		if p < len(r) {
+			out[i] = r[p]
 		}
 	}
 	return out

@@ -102,25 +102,27 @@ func (g *Graph) CyclomaticComplexity() int {
 	return g.EdgeCount() - g.Len() + 2*g.Components()
 }
 
-// Components returns the number of weakly connected components.
+// Components returns the number of weakly connected components: a
+// union-find over insertion positions, one union per edge.
 func (g *Graph) Components() int {
-	seen := map[NodeID]bool{}
-	n := 0
-	for _, id := range g.order {
-		if seen[id] {
-			continue
+	pos := g.positions()
+	parent := make([]int32, len(g.order))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		n++
-		stack := []NodeID{id}
-		seen[id] = true
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range append(g.Succ(cur), g.Pred(cur)...) {
-				if !seen[nb] {
-					seen[nb] = true
-					stack = append(stack, nb)
-				}
+		return x
+	}
+	n := len(g.order)
+	for i, id := range g.order {
+		for _, s := range g.succ[id] {
+			if a, b := find(int32(i)), find(pos[s]); a != b {
+				parent[a] = b
+				n--
 			}
 		}
 	}
@@ -241,6 +243,19 @@ func (g *Graph) InputSchema(id NodeID) Schema {
 		s = s.Union(g.nodes[p].Out)
 	}
 	return s
+}
+
+// InputSchemaView is InputSchema without the copy when the node has a single
+// predecessor whose attribute names are distinct: that predecessor's output
+// schema is then the input schema as is. The result shares storage with the
+// graph and must be treated as read-only.
+func (g *Graph) InputSchemaView(id NodeID) Schema {
+	if preds := g.pred[id]; len(preds) == 1 {
+		if out := g.nodes[preds[0]].Out; out.distinctNames() {
+			return out
+		}
+	}
+	return g.InputSchema(id)
 }
 
 // SortedNodeIDs returns node IDs sorted lexicographically; used where a

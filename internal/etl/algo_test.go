@@ -2,6 +2,7 @@ package etl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,30 @@ func TestInputSchema(t *testing.T) {
 	}
 	if got := g.InputSchema("src"); !got.IsEmpty() {
 		t.Errorf("source input schema = %v", got)
+	}
+}
+
+// InputSchemaView must equal InputSchema everywhere, including a single
+// predecessor whose output repeats an attribute name (Union drops the
+// repeat, so the view must fall back to it).
+func TestInputSchemaView(t *testing.T) {
+	g := diamondFlow(t)
+	dup := NewNode("dup", "dup", OpDerive, NewSchema(
+		Attribute{Name: "id", Type: TypeInt},
+		Attribute{Name: "v", Type: TypeFloat},
+		Attribute{Name: "id", Type: TypeString},
+	))
+	g.MustAddNode(dup)
+	g.MustAddNode(NewNode("after", "after", OpFilter, dup.Out))
+	g.MustAddEdge("src", "dup")
+	g.MustAddEdge("dup", "after")
+	for _, id := range g.NodeIDs() {
+		if got, want := g.InputSchemaView(id), g.InputSchema(id); !reflect.DeepEqual(got.Attrs, want.Attrs) {
+			t.Errorf("%s: view %v, InputSchema %v", id, got, want)
+		}
+	}
+	if got := g.InputSchemaView("after"); got.Len() != 2 {
+		t.Errorf("duplicate-name input schema has %d attributes, want 2", got.Len())
 	}
 }
 

@@ -3,7 +3,6 @@ package etl
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -437,32 +436,29 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 	return out, nil
 }
 
+// topoSortUncached is Kahn's algorithm over insertion positions: ready is a
+// min-heap of the positions whose predecessors have all been emitted, so
+// each step emits the ready node inserted earliest.
 func (g *Graph) topoSortUncached() ([]NodeID, error) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for _, id := range g.order {
-		indeg[id] = len(g.pred[id])
-	}
-	// ready is kept sorted by insertion position for determinism.
-	pos := make(map[NodeID]int, len(g.order))
+	pos := g.positions()
+	indeg := make([]int32, len(g.order))
+	ready := make(posHeap, 0, len(g.order))
 	for i, id := range g.order {
-		pos[id] = i
-	}
-	var ready []NodeID
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+		indeg[i] = int32(len(g.pred[id]))
+		if indeg[i] == 0 {
+			// Ascending positions already satisfy the heap order.
+			ready = append(ready, int32(i))
 		}
 	}
-	var out []NodeID
+	out := make([]NodeID, 0, len(g.order))
 	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return pos[ready[i]] < pos[ready[j]] })
-		id := ready[0]
-		ready = ready[1:]
+		id := g.order[ready.pop()]
 		out = append(out, id)
 		for _, s := range g.succ[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
+			j := pos[s]
+			indeg[j]--
+			if indeg[j] == 0 {
+				ready.push(j)
 			}
 		}
 	}
@@ -470,6 +466,55 @@ func (g *Graph) topoSortUncached() ([]NodeID, error) {
 		return nil, ErrCycle
 	}
 	return out, nil
+}
+
+// positions maps every node to its insertion position.
+func (g *Graph) positions() map[NodeID]int32 {
+	pos := make(map[NodeID]int32, len(g.order))
+	for i, id := range g.order {
+		pos[id] = int32(i)
+	}
+	return pos
+}
+
+// posHeap is a binary min-heap of node positions.
+type posHeap []int32
+
+func (h *posHeap) push(x int32) {
+	a := append(*h, x)
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p] <= a[i] {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+	*h = a
+}
+
+func (h *posHeap) pop() int32 {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		l, m := 2*i+1, i
+		if l < len(a) && a[l] < a[m] {
+			m = l
+		}
+		if r := l + 1; r < len(a) && a[r] < a[m] {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		a[i], a[m] = a[m], a[i]
+		i = m
+	}
+	*h = a
+	return top
 }
 
 // Validate checks structural well-formedness: the graph is a non-empty DAG,

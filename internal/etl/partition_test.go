@@ -53,6 +53,28 @@ func TestFingerprintPartitionOnWorkloads(t *testing.T) {
 	}
 }
 
+// The heap topological sort and the union-find Components must agree with
+// their oracles on every depth-1 and depth-2 alternative of every builtin
+// workload.
+func TestGraphPassOraclesOnWorkloads(t *testing.T) {
+	palette, err := fcp.DefaultRegistry().Palette()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range workloads.Names() {
+		t.Run(name, func(t *testing.T) {
+			g, _ := workloads.Get(name)
+			depth1 := expand(t, []*etl.Graph{g}, palette)
+			flows := append(append([]*etl.Graph{g}, depth1...), expand(t, depth1, palette)...)
+			for i, f := range flows {
+				if err := etl.CheckGraphPassOracles(f); err != nil {
+					t.Fatalf("flow %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
 var fingerprintSink string
 
 // BenchmarkFingerprintFig4Candidates times what the planner pays per

@@ -11,7 +11,6 @@
 package etl
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -164,6 +163,18 @@ func (s Schema) Index(name string) int {
 		}
 	}
 	return -1
+}
+
+// distinctNames reports whether no two attributes share a name.
+func (s Schema) distinctNames() bool {
+	for i := 1; i < len(s.Attrs); i++ {
+		for j := 0; j < i; j++ {
+			if s.Attrs[i].Name == s.Attrs[j].Name {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Has reports whether the schema contains an attribute with the given name.
@@ -329,22 +340,3 @@ type Row []Value
 
 // Clone returns a copy of the row.
 func (r Row) Clone() Row { return append(Row(nil), r...) }
-
-// IsNullAt reports whether the cell at position i is NULL.
-func (r Row) IsNullAt(i int) bool { return i < 0 || i >= len(r) || r[i] == nil }
-
-// KeyString renders the values at the given positions as a composite key.
-func (r Row) KeyString(positions []int) string {
-	var b strings.Builder
-	for i, p := range positions {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		if p >= 0 && p < len(r) && r[p] != nil {
-			fmt.Fprintf(&b, "%v", r[p])
-		} else {
-			b.WriteString("\x00NULL")
-		}
-	}
-	return b.String()
-}

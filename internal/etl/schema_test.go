@@ -189,25 +189,10 @@ func TestSchemaCanonicalOrderIndependent(t *testing.T) {
 
 func TestRowHelpers(t *testing.T) {
 	r := Row{int64(1), nil, "x"}
-	if !r.IsNullAt(1) || r.IsNullAt(0) {
-		t.Error("IsNullAt misbehaves")
-	}
-	if !r.IsNullAt(99) || !r.IsNullAt(-1) {
-		t.Error("IsNullAt should treat out-of-range as null")
-	}
 	c := r.Clone()
 	c[0] = int64(2)
 	if r[0] != int64(1) {
 		t.Error("Clone shares storage")
-	}
-	k1 := r.KeyString([]int{0, 2})
-	k2 := Row{int64(1), "y", "x"}.KeyString([]int{0, 2})
-	if k1 != k2 {
-		t.Errorf("KeyString mismatch: %q vs %q", k1, k2)
-	}
-	empty := Row{Value("")}
-	if r.KeyString([]int{1}) == empty.KeyString([]int{0}) {
-		t.Error("NULL key must differ from empty string key")
 	}
 }
 

@@ -68,7 +68,7 @@ func BaselineConfig(g *etl.Graph, p *sim.Profile, b *trace.Batch) Config {
 		DeadlineMs:   1.5 * b.MeanCycleTime(),
 		RefCycleMs:   b.MeanCycleTime(),
 		RefWorkMs:    totalWork(p),
-		RefMgmtUnits: mgmtUnits(g),
+		RefMgmtUnits: mgmtUnits(g, g.LongestPath()),
 	}
 }
 
@@ -191,7 +191,8 @@ func (e *Estimator) dataQuality(g *etl.Graph, p *sim.Profile, b *trace.Batch) Ch
 }
 
 func (e *Estimator) manageability(g *etl.Graph) CharacteristicReport {
-	units := mgmtUnits(g)
+	longest := g.LongestPath()
+	units := mgmtUnits(g, longest)
 	ref := e.cfg.RefMgmtUnits
 	if ref <= 0 {
 		ref = units
@@ -200,7 +201,7 @@ func (e *Estimator) manageability(g *etl.Graph) CharacteristicReport {
 		Characteristic: Manageability,
 		Score:          ratioScore(units, ref),
 		Measures: []Measure{
-			{Name: MLongestPath, Value: float64(g.LongestPath()), Unit: "ops"},
+			{Name: MLongestPath, Value: float64(longest), Unit: "ops"},
 			{Name: MCoupling, Value: g.Coupling(), Unit: "edges/node"},
 			{Name: MMergeCount, Value: float64(g.MergeCount()), Unit: "ops"},
 			{
@@ -216,9 +217,9 @@ func (e *Estimator) manageability(g *etl.Graph) CharacteristicReport {
 }
 
 // mgmtUnits folds the Fig. 1 manageability measures into one structural
-// complexity magnitude (lower is better).
-func mgmtUnits(g *etl.Graph) float64 {
-	return float64(g.LongestPath()) +
+// complexity magnitude (lower is better); longest is g.LongestPath().
+func mgmtUnits(g *etl.Graph, longest int) float64 {
+	return float64(longest) +
 		4*g.Coupling() +
 		2*float64(g.MergeCount()) +
 		0.1*float64(g.Len())

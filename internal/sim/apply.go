@@ -136,7 +136,7 @@ func (e *Engine) apply(g *etl.Graph, n *etl.Node, in []*colBatch, bind Binding, 
 		return []*colBatch{colFlatten(in, ar)}, nil
 
 	case etl.OpSurrogate:
-		return []*colBatch{colSurrogate(g, n, colFlatten(in, ar), ar)}, nil
+		return []*colBatch{colSurrogate(g, n, colFlatten(in, ar))}, nil
 
 	case etl.OpJoin, etl.OpLookup:
 		if len(in) < 2 {
@@ -165,16 +165,16 @@ func (e *Engine) colFilter(n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
 		return b
 	}
 	nrows := b.len()
-	hashes := u64Scratch(ar, nrows)
+	hashes := ar.hashes(nrows)
 	b.selectHashes(hashes)
-	keep := selScratch(ar, nrows)
+	keep := ar.idx(nrows)
 	thresh := sel * 10000
 	for i := 0; i < nrows; i++ {
 		if float64(hashes[i]%10000) < thresh {
 			keep = append(keep, int32(b.phys(i)))
 		}
 	}
-	return withSel(b, keep)
+	return withSel(b, ownedSel(keep))
 }
 
 // colFilterNulls drops rows with a NULL in the named (or all) attributes: one
@@ -185,7 +185,7 @@ func colFilterNulls(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *col
 	if nrows == 0 {
 		return b
 	}
-	schema := g.InputSchema(n.ID)
+	schema := g.InputSchemaView(n.ID)
 	positions := attrPositions(schema, n.Param("attrs"))
 	if len(positions) == 0 {
 		for i := range schema.Attrs {
@@ -195,17 +195,17 @@ func colFilterNulls(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *col
 			return b
 		}
 	}
-	null := zeroedBools(ar, nrows)
+	null := ar.zeroedBools(nrows)
 	for _, j := range positions {
 		b.markNullRows(j, null)
 	}
-	keep := selScratch(ar, nrows)
+	keep := ar.idx(nrows)
 	for i := 0; i < nrows; i++ {
 		if !null[i] {
 			keep = append(keep, int32(b.phys(i)))
 		}
 	}
-	return withSel(b, keep)
+	return withSel(b, ownedSel(keep))
 }
 
 // colDedup keeps the first row of every distinct key without rendering keys:
@@ -214,7 +214,7 @@ func colDedup(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch 
 	if b.len() == 0 {
 		return b
 	}
-	return firstByKey(b, keyOrAllPositions(g.InputSchema(n.ID)), ar)
+	return firstByKey(b, keyOrAllPositions(g.InputSchemaView(n.ID)), ar)
 }
 
 // colCrosscheck drops rows carrying an injected defect in any cell, using the
@@ -224,17 +224,17 @@ func colCrosscheck(b *colBatch, ar *batchArena) *colBatch {
 	if nrows == 0 {
 		return b
 	}
-	bad := zeroedBools(ar, nrows)
+	bad := ar.zeroedBools(nrows)
 	for j := range b.cols {
 		b.cols[j].markErroneous(b, bad)
 	}
-	keep := selScratch(ar, nrows)
+	keep := ar.idx(nrows)
 	for i := 0; i < nrows; i++ {
 		if !bad[i] {
 			keep = append(keep, int32(b.phys(i)))
 		}
 	}
-	return withSel(b, keep)
+	return withSel(b, ownedSel(keep))
 }
 
 // colDerive appends computed columns: the numeric accumulator is built by one
@@ -242,7 +242,7 @@ func colCrosscheck(b *colBatch, ar *batchArena) *colBatch {
 // a dense column. The input compacts first so new and shared columns index
 // identically.
 func colDerive(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
-	in := g.InputSchema(n.ID)
+	in := g.InputSchemaView(n.ID)
 	var newAttrs []etl.Attribute
 	for _, a := range n.Out.Attrs {
 		if !in.Has(a.Name) {
@@ -252,15 +252,15 @@ func colDerive(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch
 	if len(newAttrs) == 0 || b.len() == 0 {
 		return b
 	}
-	d := b.compact(ar)
-	acc := zeroedFloats(ar, d.n)
+	d := b.compact()
+	acc := ar.zeroedFloats(d.n)
 	for _, p := range numericPositions(in) {
 		d.addNumeric(p, acc)
 	}
 	cols := make([]column, len(d.cols), len(d.cols)+len(newAttrs))
 	copy(cols, d.cols)
 	for _, a := range newAttrs {
-		cols = append(cols, derivedColumn(a, acc, ar))
+		cols = append(cols, derivedColumn(a, acc))
 	}
 	return &colBatch{cols: cols, n: d.n}
 }
@@ -271,7 +271,7 @@ func colProject(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
 	if b.len() == 0 {
 		return b
 	}
-	in := g.InputSchema(n.ID)
+	in := g.InputSchemaView(n.ID)
 	cols := make([]column, 0, n.Out.Len())
 	for _, a := range n.Out.Attrs {
 		if p := in.Index(a.Name); p >= 0 && p < len(b.cols) {
@@ -284,8 +284,8 @@ func colProject(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
 }
 
 // colSurrogate writes the dense surrogate key as one int64 column.
-func colSurrogate(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
-	in := g.InputSchema(n.ID)
+func colSurrogate(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
+	in := g.InputSchemaView(n.ID)
 	pos := -1
 	for _, a := range n.Out.Attrs {
 		if a.Key && a.Type == etl.TypeInt && !in.Has(a.Name) {
@@ -296,14 +296,14 @@ func colSurrogate(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBa
 	if pos < 0 || b.len() == 0 {
 		return b
 	}
-	d := b.compact(ar)
+	d := b.compact()
 	width := len(d.cols)
 	if pos+1 > width {
 		width = pos + 1
 	}
 	cols := make([]column, width)
 	copy(cols, d.cols)
-	ids := i64Scratch(ar, d.n)
+	ids := make([]int64, 0, d.n)
 	for i := 0; i < d.n; i++ {
 		ids = append(ids, int64(i+1))
 	}
@@ -316,7 +316,7 @@ func colSurrogate(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBa
 // row oracle's map build), the left side probes with typed cross-batch
 // equality, and the output gathers both sides by match vectors.
 func colJoin(g *etl.Graph, n *etl.Node, left, right *colBatch, ar *batchArena) (*colBatch, error) {
-	preds := g.Pred(n.ID)
+	preds := g.PredView(n.ID)
 	if len(preds) < 2 {
 		return left, nil
 	}
@@ -332,18 +332,18 @@ func colJoin(g *etl.Graph, n *etl.Node, left, right *colBatch, ar *batchArena) (
 		return left, nil
 	}
 	rn := right.len()
-	jt := &joinTable{left: left, right: right, lpos: lpos, rpos: rpos, m: make(map[uint64][]int32, rn)}
+	jt := ar.joinTable(left, right, lpos, rpos, rn)
 	if rn > 0 {
-		rh := u64Scratch(ar, rn)
+		rh := ar.hashes(rn)
 		right.keyHashes(rpos, rh)
 		for i := 0; i < rn; i++ {
 			jt.put(int32(right.phys(i)), rh[i])
 		}
 	}
 	extra := nonSharedPositions(rs, ls)
-	lidx := selScratch(ar, ln)
-	ridx := selScratch(ar, ln)
-	lh := u64Scratch(ar, ln)
+	lidx := ar.idx(ln)
+	ridx := ar.idx(ln)
+	lh := ar.hashes(ln)
 	left.keyHashes(lpos, lh)
 	lookup := n.Kind == etl.OpLookup
 	for i := 0; i < ln; i++ {
@@ -366,11 +366,11 @@ func colJoin(g *etl.Graph, n *etl.Node, left, right *colBatch, ar *batchArena) (
 	}
 	out := &colBatch{n: len(lidx), cols: make([]column, 0, len(left.cols)+len(extra))}
 	for j := range left.cols {
-		out.cols = append(out.cols, gatherColumn(&left.cols[j], lidx, ar))
+		out.cols = append(out.cols, gatherColumn(&left.cols[j], lidx))
 	}
 	for _, p := range extra {
 		if p < rw {
-			out.cols = append(out.cols, gatherColumn(&right.cols[p], ridx, ar))
+			out.cols = append(out.cols, gatherColumn(&right.cols[p], ridx))
 		} else {
 			out.cols = append(out.cols, column{})
 		}
@@ -383,7 +383,7 @@ func colAggregate(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBa
 	if b.len() == 0 {
 		return b
 	}
-	in := g.InputSchema(n.ID)
+	in := g.InputSchemaView(n.ID)
 	positions := attrPositions(in, n.Param("group_by"))
 	if len(positions) == 0 {
 		positions = keyOrAllPositions(in)

@@ -195,7 +195,7 @@ func (c *column) cell(p int) cellRef {
 }
 
 // colCell views the cell at (column j, physical row p); out-of-range columns
-// are NULL, mirroring Row.IsNullAt for rows shorter than the schema.
+// are NULL, as cells beyond a row's width are for the row oracle.
 func colCell(b *colBatch, j, p int) cellRef {
 	if j < 0 || j >= len(b.cols) {
 		return cellRef{}
@@ -470,60 +470,86 @@ func (b *colBatch) keyEqualAt(p, q int, positions []int) bool {
 	return true
 }
 
-// groupTable deduplicates rows of one batch by key positions in first-seen
-// order. m maps key hash to the first physical row with that hash; true
-// 64-bit collisions between distinct keys spill into over.
-type groupTable struct {
-	b    *colBatch
-	pos  []int
-	m    map[uint64]int32
-	over map[uint64][]int32
+// keyTable is a chained hash table from key hashes to physical rows, the
+// storage shared by the group and join tables. Buckets are picked by the top
+// bits of the hash; heads holds, per bucket, 1 + its newest entry (0 when
+// empty) and next chains each entry to the one inserted before it. Callers
+// verify keys by typed equality, so colliding hashes never merge distinct
+// keys. A table lives in a batchArena and is cleared and reused by the next
+// kernel.
+type keyTable struct {
+	shift uint
+	heads []int32
+	next  []int32
+	hash  []uint64
+	row   []int32
 }
 
-func newGroupTable(b *colBatch, pos []int, capHint int) *groupTable {
-	return &groupTable{b: b, pos: pos, m: make(map[uint64]int32, capHint)}
+// reset empties the table and sizes it for up to n entries at load <= 1/2.
+func (t *keyTable) reset(n int) {
+	lg := 1
+	for 1<<lg < 2*n {
+		lg++
+	}
+	size := 1 << lg
+	if cap(t.heads) < size {
+		t.heads = make([]int32, size)
+	} else {
+		t.heads = t.heads[:size]
+		clear(t.heads)
+	}
+	t.shift = uint(64 - lg)
+	t.next, t.hash, t.row = t.next[:0], t.hash[:0], t.row[:0]
+}
+
+// first returns 1 + the newest entry of h's bucket, 0 when it is empty.
+func (t *keyTable) first(h uint64) int32 { return t.heads[h>>t.shift] }
+
+func (t *keyTable) add(h uint64, p int32) {
+	b := h >> t.shift
+	t.next = append(t.next, t.heads[b])
+	t.hash = append(t.hash, h)
+	t.row = append(t.row, p)
+	t.heads[b] = int32(len(t.row))
+}
+
+// groupTable deduplicates rows of one batch by key positions in first-seen
+// order.
+type groupTable struct {
+	keyTable
+	b   *colBatch
+	pos []int
 }
 
 // insert reports whether physical row p is the first occurrence of its key.
 func (t *groupTable) insert(p int32, h uint64) bool {
-	q, ok := t.m[h]
-	if !ok {
-		t.m[h] = p
-		return true
-	}
-	if t.b.keyEqualAt(int(p), int(q), t.pos) {
-		return false
-	}
-	for _, r := range t.over[h] {
-		if t.b.keyEqualAt(int(p), int(r), t.pos) {
+	for e := t.first(h); e != 0; e = t.next[e-1] {
+		if t.hash[e-1] == h && t.b.keyEqualAt(int(p), int(t.row[e-1]), t.pos) {
 			return false
 		}
 	}
-	if t.over == nil {
-		t.over = make(map[uint64][]int32)
-	}
-	t.over[h] = append(t.over[h], p)
+	t.add(h, p)
 	return true
 }
 
 // firstByKey keeps the first logical row of every distinct key — the shared
-// kernel of dedup and aggregate (and the duplicate count of measureColumns).
+// kernel of dedup and aggregate.
 func firstByKey(b *colBatch, positions []int, ar *batchArena) *colBatch {
 	n := b.len()
 	if n == 0 {
 		return b
 	}
-	hashes := u64Scratch(ar, n)
+	hashes := ar.hashes(n)
 	b.keyHashes(positions, hashes)
-	t := newGroupTable(b, positions, n)
-	keep := selScratch(ar, n)
+	t := ar.groupTable(b, positions, n)
+	keep := ar.idx(n)
 	for i := 0; i < n; i++ {
 		p := int32(b.phys(i))
 		if t.insert(p, hashes[i]) {
 			keep = append(keep, p)
 		}
 	}
-	return withSel(b, keep)
+	return withSel(b, ownedSel(keep))
 }
 
 // crossKeyEqual compares left row lp (at lpos) with right row rp (at rpos).
@@ -537,28 +563,27 @@ func crossKeyEqual(lb *colBatch, lp int, lpos []int, rb *colBatch, rp int, rpos 
 }
 
 // joinTable indexes the right batch by key; like the row oracle's map build,
-// the last right row wins for duplicate keys. Buckets hold one slot per
+// the last right row wins for duplicate keys. The table holds one entry per
 // distinct key.
 type joinTable struct {
+	keyTable
 	left, right *colBatch
 	lpos, rpos  []int
-	m           map[uint64][]int32
 }
 
 func (t *joinTable) put(p int32, h uint64) {
-	bucket := t.m[h]
-	for k, q := range bucket {
-		if t.right.keyEqualAt(int(p), int(q), t.rpos) {
-			bucket[k] = p
+	for e := t.first(h); e != 0; e = t.next[e-1] {
+		if t.hash[e-1] == h && t.right.keyEqualAt(int(p), int(t.row[e-1]), t.rpos) {
+			t.row[e-1] = p
 			return
 		}
 	}
-	t.m[h] = append(bucket, p)
+	t.add(h, p)
 }
 
 func (t *joinTable) get(lp int32, h uint64) (int32, bool) {
-	for _, q := range t.m[h] {
-		if crossKeyEqual(t.left, int(lp), t.lpos, t.right, int(q), t.rpos) {
+	for e := t.first(h); e != 0; e = t.next[e-1] {
+		if q := t.row[e-1]; t.hash[e-1] == h && crossKeyEqual(t.left, int(lp), t.lpos, t.right, int(q), t.rpos) {
 			return q, true
 		}
 	}
@@ -577,19 +602,19 @@ type colBuilder struct {
 	total int
 }
 
-func newColBuilder(kind colKind, total int, ar *batchArena) *colBuilder {
+func newColBuilder(kind colKind, total int) *colBuilder {
 	w := &colBuilder{col: column{kind: kind}, total: total}
 	switch kind {
 	case colInt:
-		w.col.ints = i64Scratch(ar, total)
+		w.col.ints = make([]int64, 0, total)
 	case colFloat:
-		w.col.floats = f64Scratch(ar, total)
+		w.col.floats = make([]float64, 0, total)
 	case colStr:
-		w.col.strs = strScratch(ar, total)
+		w.col.strs = make([]string, 0, total)
 	case colBool:
-		w.col.bools = boolScratch(ar, total)
+		w.col.bools = make([]bool, 0, total)
 	case colAny:
-		w.col.anys = anyScratch(ar, total)
+		w.col.anys = make([]etl.Value, 0, total)
 	}
 	return w
 }
@@ -670,12 +695,12 @@ func (w *colBuilder) appendFrom(c *column, idx []int32) {
 func (w *colBuilder) build() column { return w.col }
 
 // gatherColumn materializes the cells of c at idx into a dense column.
-func gatherColumn(c *column, idx []int32, ar *batchArena) column {
+func gatherColumn(c *column, idx []int32) column {
 	kind := c.kind
 	if kind == colNull {
 		return column{kind: colNull}
 	}
-	w := newColBuilder(kind, len(idx), ar)
+	w := newColBuilder(kind, len(idx))
 	w.appendFrom(c, idx)
 	return w.build()
 }
@@ -683,13 +708,13 @@ func gatherColumn(c *column, idx []int32, ar *batchArena) column {
 // compact materializes the selection vector into dense columns. Operators
 // that add dense per-logical-row columns (derive, surrogate) compact first so
 // new and existing columns share indexing.
-func (b *colBatch) compact(ar *batchArena) *colBatch {
+func (b *colBatch) compact() *colBatch {
 	if b == nil || b.sel == nil {
 		return b
 	}
 	nb := &colBatch{n: len(b.sel), cols: make([]column, len(b.cols))}
 	for j := range b.cols {
-		nb.cols[j] = gatherColumn(&b.cols[j], b.sel, ar)
+		nb.cols[j] = gatherColumn(&b.cols[j], b.sel)
 	}
 	return nb
 }
@@ -734,7 +759,7 @@ func colFlatten(batches []*colBatch, ar *batchArena) *colBatch {
 		if kind == colNull {
 			continue
 		}
-		w := newColBuilder(kind, total, ar)
+		w := newColBuilder(kind, total)
 		for _, b := range batches {
 			n := b.len()
 			if n == 0 {
@@ -749,21 +774,12 @@ func colFlatten(batches []*colBatch, ar *batchArena) *colBatch {
 			if b.sel != nil {
 				w.appendFrom(&b.cols[j], b.sel)
 			} else {
-				w.appendFrom(&b.cols[j], identSel(ar, n))
+				w.appendFrom(&b.cols[j], ar.identSel(n))
 			}
 		}
 		out.cols[j] = w.build()
 	}
 	return out
-}
-
-// identSel returns the identity selection [0..n).
-func identSel(ar *batchArena, n int) []int32 {
-	s := selScratch(ar, n)
-	for i := 0; i < n; i++ {
-		s = append(s, int32(i))
-	}
-	return s
 }
 
 // colFromRows builds a batch from generated rows using the schema's physical
@@ -981,7 +997,7 @@ func schemaKeyPositions(s etl.Schema) []int {
 
 // measureColumns counts the NULL cells, erroneous rows and duplicate keys of
 // the batch's logical rows against the schema, by per-column scans.
-func measureColumns(schema etl.Schema, b *colBatch) data.Stats {
+func measureColumns(schema etl.Schema, b *colBatch, ar *batchArena) data.Stats {
 	n := b.len()
 	if n == 0 {
 		return data.Stats{}
@@ -991,7 +1007,7 @@ func measureColumns(schema etl.Schema, b *colBatch) data.Stats {
 		st.NullCells += b.nullCountAt(i)
 	}
 	if n > 0 {
-		bad := make([]bool, n)
+		bad := ar.zeroedBools(n)
 		for j := range b.cols {
 			b.cols[j].markErroneous(b, bad)
 		}
@@ -1001,9 +1017,9 @@ func measureColumns(schema etl.Schema, b *colBatch) data.Stats {
 			}
 		}
 		if keyPos := schemaKeyPositions(schema); len(keyPos) > 0 {
-			hashes := make([]uint64, n)
+			hashes := ar.hashes(n)
 			b.keyHashes(keyPos, hashes)
-			t := newGroupTable(b, keyPos, n)
+			t := ar.groupTable(b, keyPos, n)
 			for i := 0; i < n; i++ {
 				if !t.insert(int32(b.phys(i)), hashes[i]) {
 					st.Duplicates++
@@ -1014,83 +1030,13 @@ func measureColumns(schema etl.Schema, b *colBatch) data.Stats {
 	return st
 }
 
-// ---------------------------------------------------------------------------
-// Typed scratch: arena-backed during full executions, freshly allocated when
-// results may be retained by an EvalCache (ar == nil).
-
-func selScratch(ar *batchArena, n int) []int32 {
-	if ar != nil {
-		return ar.sels.get(n)
-	}
-	return make([]int32, 0, n)
-}
-
-// u64Scratch returns a length-n buffer; callers overwrite every element.
-func u64Scratch(ar *batchArena, n int) []uint64 {
-	if ar != nil {
-		b := ar.u64s.get(n)
-		return b[:n]
-	}
-	return make([]uint64, n)
-}
-
-func i64Scratch(ar *batchArena, n int) []int64 {
-	if ar != nil {
-		return ar.i64s.get(n)
-	}
-	return make([]int64, 0, n)
-}
-
-func f64Scratch(ar *batchArena, n int) []float64 {
-	if ar != nil {
-		return ar.f64s.get(n)
-	}
-	return make([]float64, 0, n)
-}
-
-func strScratch(ar *batchArena, n int) []string {
-	if ar != nil {
-		return ar.strs.get(n)
-	}
-	return make([]string, 0, n)
-}
-
-func boolScratch(ar *batchArena, n int) []bool {
-	if ar != nil {
-		return ar.bools.get(n)
-	}
-	return make([]bool, 0, n)
-}
-
-func anyScratch(ar *batchArena, n int) []etl.Value {
-	if ar != nil {
-		return ar.anys.get(n)
-	}
-	return make([]etl.Value, 0, n)
-}
-
-// zeroedBools returns an all-false length-n buffer.
-func zeroedBools(ar *batchArena, n int) []bool {
-	if ar == nil {
-		return make([]bool, n)
-	}
-	b := ar.bools.get(n)[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
-}
-
-// zeroedFloats returns an all-zero length-n buffer.
-func zeroedFloats(ar *batchArena, n int) []float64 {
-	if ar == nil {
-		return make([]float64, n)
-	}
-	b := ar.f64s.get(n)[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
+// ownedSel copies a selection vector built in arena scratch into a fresh,
+// exactly sized slice that may outlive the kernel. It is never nil: an empty
+// selection keeps no rows, while a nil one would keep them all.
+func ownedSel(keep []int32) []int32 {
+	out := make([]int32, len(keep))
+	copy(out, keep)
+	return out
 }
 
 // markNullRows sets dst[i] for logical rows whose cell in column j is NULL.
@@ -1165,23 +1111,23 @@ func (b *colBatch) addNumeric(j int, acc []float64) {
 // derivedColumn materializes one derived attribute from the accumulator,
 // matching computeDerived value for value (including the rendered form of
 // string derivations).
-func derivedColumn(a etl.Attribute, acc []float64, ar *batchArena) column {
+func derivedColumn(a etl.Attribute, acc []float64) column {
 	n := len(acc)
 	switch a.Type {
 	case etl.TypeInt:
-		vals := i64Scratch(ar, n)
+		vals := make([]int64, 0, n)
 		for _, x := range acc {
 			vals = append(vals, int64(x))
 		}
 		return column{kind: colInt, ints: vals}
 	case etl.TypeFloat:
-		vals := f64Scratch(ar, n)
+		vals := make([]float64, 0, n)
 		for _, x := range acc {
 			vals = append(vals, x*1.1)
 		}
 		return column{kind: colFloat, floats: vals}
 	case etl.TypeString:
-		vals := strScratch(ar, n)
+		vals := make([]string, 0, n)
 		var buf [40]byte
 		for _, x := range acc {
 			b := append(buf[:0], 'd')
@@ -1190,13 +1136,13 @@ func derivedColumn(a etl.Attribute, acc []float64, ar *batchArena) column {
 		}
 		return column{kind: colStr, strs: vals}
 	case etl.TypeBool:
-		vals := boolScratch(ar, n)
+		vals := make([]bool, 0, n)
 		for _, x := range acc {
 			vals = append(vals, x > 0)
 		}
 		return column{kind: colBool, bools: vals}
 	case etl.TypeDate:
-		vals := i64Scratch(ar, n)
+		vals := make([]int64, 0, n)
 		for range acc {
 			vals = append(vals, int64(17000))
 		}

@@ -245,40 +245,86 @@ func (p *subPool[T]) get(n int) []T {
 
 func (p *subPool[T]) reset() { p.next = 0 }
 
-// batchArena recycles the backing arrays the engine uses for routing,
-// flattening and per-operator scratch: typed sub-pools for selection vectors,
-// hash scratch and column storage. Arenas are pooled via sync.Pool: a full
-// (uncached) execution borrows one, hands out buffers as needed and returns
-// the arena — with all its buffers — when the execution's profile has been
-// assembled, so steady-state full evaluations allocate no new batch arrays.
-//
-// Arenas are only used when no EvalCache is in play: cached node outputs (and
-// everything they alias through pass-through operations) outlive the
-// execution, so delta evaluation allocates its batches normally.
+// batchArena holds the scratch of one execution: buffers that never escape
+// the kernel that takes them — key and routing hashes, join index vectors,
+// identity selections, per-row marks and accumulators — plus one group table
+// and one join table, cleared and reused by each kernel. Output columns and
+// selection vectors are always freshly allocated, because node outputs
+// outlive the execution in the EvalCache. Every execution borrows an arena
+// from a sync.Pool, resets it before each node and returns it when the
+// profile has been assembled, so steady-state evaluation allocates no
+// temporaries.
 type batchArena struct {
-	sels  subPool[int32]
-	u64s  subPool[uint64]
-	i64s  subPool[int64]
-	f64s  subPool[float64]
-	strs  subPool[string]
-	bools subPool[bool]
-	anys  subPool[etl.Value]
+	i32s   subPool[int32]
+	u64s   subPool[uint64]
+	f64s   subPool[float64]
+	bools  subPool[bool]
+	groups groupTable
+	joins  joinTable
 }
 
 var arenaPool = sync.Pool{New: func() any { return &batchArena{} }}
 
-// release makes every buffer reusable and returns the arena to the pool. Cell
-// pointers linger in the backing arrays until the next reuse or pool GC; the
-// data is per-execution synthetic scratch, so the retention window is short.
-func (a *batchArena) release() {
-	a.sels.reset()
+// reset makes every buffer reusable and drops the tables' batch references.
+func (a *batchArena) reset() {
+	a.i32s.reset()
 	a.u64s.reset()
-	a.i64s.reset()
 	a.f64s.reset()
-	a.strs.reset()
 	a.bools.reset()
-	a.anys.reset()
+	a.groups.b = nil
+	a.joins.left, a.joins.right = nil, nil
+}
+
+// release resets the arena and returns it to the pool.
+func (a *batchArena) release() {
+	a.reset()
 	arenaPool.Put(a)
+}
+
+// idx returns a zero-length index buffer with capacity n.
+func (a *batchArena) idx(n int) []int32 { return a.i32s.get(n) }
+
+// identSel returns the identity selection [0..n).
+func (a *batchArena) identSel(n int) []int32 {
+	s := a.i32s.get(n)
+	for i := 0; i < n; i++ {
+		s = append(s, int32(i))
+	}
+	return s
+}
+
+// hashes returns a length-n buffer; callers overwrite every element.
+func (a *batchArena) hashes(n int) []uint64 { return a.u64s.get(n)[:n] }
+
+// zeroedBools returns an all-false length-n buffer.
+func (a *batchArena) zeroedBools(n int) []bool {
+	b := a.bools.get(n)[:n]
+	clear(b)
+	return b
+}
+
+// zeroedFloats returns an all-zero length-n buffer.
+func (a *batchArena) zeroedFloats(n int) []float64 {
+	b := a.f64s.get(n)[:n]
+	clear(b)
+	return b
+}
+
+// groupTable returns the arena's group table, emptied for up to n rows of b
+// keyed by pos.
+func (a *batchArena) groupTable(b *colBatch, pos []int, n int) *groupTable {
+	t := &a.groups
+	t.reset(n)
+	t.b, t.pos = b, pos
+	return t
+}
+
+// joinTable returns the arena's join table, emptied for up to n right rows.
+func (a *batchArena) joinTable(left, right *colBatch, lpos, rpos []int, n int) *joinTable {
+	t := &a.joins
+	t.reset(n)
+	t.left, t.right, t.lpos, t.rpos = left, right, lpos, rpos
+	return t
 }
 
 // ExecStats reports how one execution's data path was served: ConeHits
@@ -559,11 +605,8 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		keys = g.ConeKeys(order)
 		recs = make([]*coneRecord, nn)
 	}
-	var ar *batchArena
-	if cache == nil {
-		ar = arenaPool.Get().(*batchArena)
-		defer ar.release()
-	}
+	ar := arenaPool.Get().(*batchArena)
+	defer ar.release()
 
 	// outs[i] holds node i's pre-routing output batches; routing to specific
 	// successors is derived lazily, only when a (dirty) consumer needs it.
@@ -580,6 +623,11 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		}
 		return routed[i]
 	}
+
+	// Every executed node's input list is carved from one backing array
+	// with room for every edge; the segments never overlap, so a load,
+	// whose output is its input list, may keep its segment.
+	var inbuf []*colBatch
 
 	if stats != nil {
 		stats.Nodes += nn
@@ -603,13 +651,19 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 			stats.Executed++
 		}
 
-		var in []*colBatch
+		ar.reset()
+		if inbuf == nil {
+			inbuf = make([]*colBatch, 0, g.EdgeCount())
+		}
+		preds := g.PredView(id)
+		start := len(inbuf)
 		rowsIn := 0
-		for _, pred := range g.PredView(id) {
+		for _, pred := range preds {
 			b := routedFor(p.pos[pred])[id]
-			in = append(in, b)
+			inbuf = append(inbuf, b)
 			rowsIn += b.len()
 		}
+		in := inbuf[start:len(inbuf):len(inbuf)]
 		out, err := e.apply(g, n, in, bind, ar)
 		if err != nil {
 			return nil, fmt.Errorf("sim: executing %s: %w", n, err)
@@ -629,10 +683,10 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		if cache != nil {
 			rec := &coneRecord{out: out, rowsIn: rowsIn, flat: f}
 			if n.Kind.IsSink() && nsucc == 0 {
-				all := colFlatten(out, nil)
-				schema := g.InputSchema(id)
+				all := colFlatten(out, ar)
+				schema := g.InputSchemaView(id)
 				rec.sink = true
-				rec.sinkStats = measureColumns(schema, all)
+				rec.sinkStats = measureColumns(schema, all, ar)
 				rec.sinkRows = all.len()
 				rec.sinkCells = rec.sinkStats.Rows * schema.Len()
 			}
@@ -642,7 +696,8 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 
 	e.computeSchedule(g, p)
 	e.computeRecovery(g, p)
-	e.measureOutputs(g, p, outs, recs)
+	ar.reset()
+	e.measureOutputs(g, p, outs, recs, ar)
 	return p, nil
 }
 
@@ -674,7 +729,7 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 			if j < nrows%k {
 				cnt++
 			}
-			dests[j] = selScratch(ar, cnt)
+			dests[j] = make([]int32, 0, cnt)
 		}
 		for i := 0; i < nrows; i++ {
 			j := i % k
@@ -687,11 +742,18 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 		if n.Param("route") == "hash" && len(succs) > 1 {
 			k := len(succs)
 			nrows := all.len()
-			hashes := u64Scratch(ar, nrows)
+			hashes := ar.hashes(nrows)
 			all.selectHashes(hashes)
+			// Count each branch's rows first so the selections, which
+			// outlive the execution, are allocated at their exact size.
+			counts := ar.idx(k)[:k]
+			clear(counts)
+			for i := 0; i < nrows; i++ {
+				counts[hashes[i]%uint64(k)]++
+			}
 			dests := make([][]int32, k)
 			for j := range dests {
-				dests[j] = selScratch(ar, nrows/k+8)
+				dests[j] = make([]int32, 0, counts[j])
 			}
 			for i := 0; i < nrows; i++ {
 				j := int(hashes[i] % uint64(k))
@@ -717,7 +779,7 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 // measureOutputs scans the batches delivered to the sinks and records quality
 // statistics. Sinks whose upstream cone hit the cache contribute their
 // memoized statistics without re-scanning.
-func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, outs [][]*colBatch, recs []*coneRecord) {
+func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, outs [][]*colBatch, recs []*coneRecord, ar *batchArena) {
 	var sinks []int
 	for i, id := range p.Order {
 		if g.Node(id).Kind.IsSink() && len(g.SuccView(id)) == 0 {
@@ -737,9 +799,9 @@ func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, outs [][]*colBatch, re
 			continue
 		}
 		id := p.Order[i]
-		all := colFlatten(outs[i], nil)
-		schema := g.InputSchema(id)
-		st := measureColumns(schema, all)
+		all := colFlatten(outs[i], ar)
+		schema := g.InputSchemaView(id)
+		st := measureColumns(schema, all, ar)
 		p.RowsLoaded += all.len()
 		p.OutRows += st.Rows
 		p.OutNullCells += st.NullCells

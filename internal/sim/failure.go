@@ -11,53 +11,42 @@ import (
 // re-executed: failures perturb timing (recovery re-execution) and success,
 // not row contents — the savepoints guarantee the same rows are reproduced
 // on restart, which is exactly what the AddCheckpoint pattern is for.
+//
+// Runs are sparse: the per-operation values are the same in every run (see
+// OpStats), so a run records only how many operations it reached and which
+// of them failed. All runs' failure lists share one backing array, and the
+// failure rates are gathered into one dense topo-ordered slice, so the
+// runs×nodes loop allocates nothing per node.
 func (e *Engine) Sample(g *etl.Graph, p *Profile, runs int) []trace.Run {
 	if runs <= 0 {
 		runs = e.cfg.Runs
 	}
 	root := data.NewRNG(e.cfg.Seed ^ hashString(p.Flow) ^ 0x5851F42D4C957F2D)
 	out := make([]trace.Run, 0, runs)
-	// One backing array serves every run's Ops slice: each run appends at
-	// most |V| entries into its own capacity-clamped segment, turning
-	// runs-many allocations into one. The per-node attributes the inner loop
-	// reads are gathered into dense topo-ordered columns once, so the
-	// runs×nodes hot loop does no graph map lookups.
-	nn := len(p.Order)
-	backing := make([]trace.OpStats, runs*nn)
-	nodes := nodeColumns{
-		kinds:    make([]etl.OpKind, nn),
-		rates:    make([]float64, nn),
-		blocking: make([]bool, nn),
-	}
+	rates := make([]float64, len(p.Order))
 	for i, id := range p.Order {
-		n := g.Node(id)
-		nodes.kinds[i] = n.Kind
-		nodes.rates[i] = n.Cost.FailureRate
-		nodes.blocking[i] = n.Kind.IsBlocking()
+		rates[i] = g.Node(id).Cost.FailureRate
 	}
+	var fails []trace.OpFailure
 	for i := 0; i < runs; i++ {
 		rng := root.Fork()
-		seg := backing[i*nn : i*nn : (i+1)*nn]
-		out = append(out, e.sampleOne(nodes, p, i, rng, seg))
+		var run trace.Run
+		run, fails = e.sampleOne(rates, p, i, rng, fails)
+		out = append(out, run)
 	}
 	return out
 }
 
-// nodeColumns carries the per-node attributes of the failure model in dense
-// topo-ordered slices, mirroring the profile's layout.
-type nodeColumns struct {
-	kinds    []etl.OpKind
-	rates    []float64
-	blocking []bool
-}
-
-func (e *Engine) sampleOne(nodes nodeColumns, p *Profile, seq int, rng *data.RNG, ops []trace.OpStats) trace.Run {
+// sampleOne samples run seq, appending its failures to fails; the run's
+// Failed list is the capacity-clamped tail it appended.
+func (e *Engine) sampleOne(rates []float64, p *Profile, seq int, rng *data.RNG, fails []trace.OpFailure) (trace.Run, []trace.OpFailure) {
 	run := trace.Run{
 		Flow:        p.Flow,
 		Seq:         seq,
 		FirstPassMs: p.FirstPassMs,
 		RowsLoaded:  p.RowsLoaded,
 		Succeeded:   true,
+		Reached:     len(rates),
 
 		OutRows:      p.OutRows,
 		OutNullCells: p.OutNullCells,
@@ -66,22 +55,13 @@ func (e *Engine) sampleOne(nodes nodeColumns, p *Profile, seq int, rng *data.RNG
 		OutCells:     p.OutCells,
 	}
 	budget := e.cfg.RetryBudget
-	run.Ops = ops
-	for i, id := range p.Order {
-		st := trace.OpStats{
-			Node:    id,
-			Kind:    nodes.kinds[i],
-			RowsIn:  p.RowsIn[i],
-			RowsOut: p.RowsOut[i],
-			TimeMs:  p.TimeMs[i],
-		}
-		if nodes.blocking[i] {
-			st.MemRows = p.RowsIn[i]
-		}
+	start := len(fails)
+	for i, rate := range rates {
 		// Each attempt of the operation may fail independently; a failed
 		// attempt forces re-execution from the nearest upstream savepoint.
-		for rng.Bool(nodes.rates[i]) {
-			st.Failures++
+		n := 0
+		for rng.Bool(rate) {
+			n++
 			run.FailureCount++
 			run.RecoveryMs += p.RestartMs[i]
 			if p.RestartFromCheckpoint[i] {
@@ -92,16 +72,42 @@ func (e *Engine) sampleOne(nodes nodeColumns, p *Profile, seq int, rng *data.RNG
 				break
 			}
 		}
-		run.Ops = append(run.Ops, st)
+		if n > 0 {
+			fails = append(fails, trace.OpFailure{Op: i, Failures: n})
+		}
 		if !run.Succeeded {
+			run.Reached = i + 1
 			break
 		}
+	}
+	if len(fails) > start {
+		run.Failed = fails[start:len(fails):len(fails)]
 	}
 	run.CycleTimeMs = run.FirstPassMs + run.RecoveryMs
 	if !run.Succeeded {
 		run.RowsLoaded = 0
 	}
-	return run
+	return run, fails
+}
+
+// OpStats returns the per-operation statistics of the profiled flow in
+// topological order: the values every sampled run shares (trace.Batch.Ops).
+func OpStats(g *etl.Graph, p *Profile) []trace.OpStats {
+	ops := make([]trace.OpStats, len(p.Order))
+	for i, id := range p.Order {
+		n := g.Node(id)
+		ops[i] = trace.OpStats{
+			Node:    id,
+			Kind:    n.Kind,
+			RowsIn:  p.RowsIn[i],
+			RowsOut: p.RowsOut[i],
+			TimeMs:  p.TimeMs[i],
+		}
+		if n.Kind.IsBlocking() {
+			ops[i].MemRows = p.RowsIn[i]
+		}
+	}
+	return ops
 }
 
 // Evaluate executes the flow once and samples its failure behaviour,
@@ -129,6 +135,7 @@ func (e *Engine) EvaluateDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache
 	}
 	batch := &trace.Batch{
 		Flow:                 g.Name,
+		Ops:                  OpStats(g, p),
 		Runs:                 e.Sample(g, p, e.cfg.Runs),
 		SourceUpdatesPerHour: e.SourceUpdatesPerHour(g, bind),
 		PeriodMinutes:        periodMinutes(g),

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -208,6 +210,62 @@ func TestSampleInvariants(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// chainFlow is extract -> n no-ops -> load. Only the extract can fail, so
+// every chain length samples the same failures.
+func chainFlow(t testing.TB, n int) *etl.Graph {
+	g := etl.New("chain")
+	s := purchasesSchema()
+	prev := etl.NodeID("src")
+	g.MustAddNode(etl.NewNode(prev, "src", etl.OpExtract, s))
+	for i := 0; i < n; i++ {
+		id := etl.NodeID(fmt.Sprintf("op%d", i))
+		g.MustAddNode(etl.NewNode(id, string(id), etl.OpNoop, s))
+		g.MustAddEdge(prev, id)
+		prev = id
+	}
+	g.MustAddNode(etl.NewNode("ld", "ld", etl.OpLoad, s))
+	g.MustAddEdge(prev, "ld")
+	for _, nd := range g.Nodes() {
+		nd.Cost.FailureRate = 0
+	}
+	g.Node("src").Cost.FailureRate = 0.5
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// Sample's allocations must not grow with the flow: runs are sparse, so a
+// longer chain costs one more failure rate per node, not a stats record per
+// node per run.
+func TestSampleAllocsFlatInNodeCount(t *testing.T) {
+	e := NewEngine(DefaultConfig())
+	measure := func(n int) (allocs float64, bytes int64) {
+		g := chainFlow(t, n)
+		p, err := e.Execute(g, binding(g, 50, data.Defects{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(20, func() { e.Sample(g, p, 32) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 50; i++ {
+			e.Sample(g, p, 32)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, int64(after.TotalAlloc-before.TotalAlloc) / 50
+	}
+	smallAllocs, smallBytes := measure(8)
+	bigAllocs, bigBytes := measure(256)
+	if smallAllocs != bigAllocs {
+		t.Errorf("Sample allocates %v times on 10 nodes, %v on 258", smallAllocs, bigAllocs)
+	}
+	// One float64 failure rate per node, with room for size-class rounding.
+	if grow := bigBytes - smallBytes; grow > 16*248 {
+		t.Errorf("Sample allocates %d bytes more on 258 nodes than on 10", grow)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
+	"testing"
 
 	"poiesis/internal/data"
 	"poiesis/internal/etl"
@@ -26,6 +28,7 @@ func (e *Engine) rowEvaluate(g *etl.Graph, bind Binding) (*Profile, *trace.Batch
 	}
 	batch := &trace.Batch{
 		Flow:                 g.Name,
+		Ops:                  OpStats(g, p),
 		Runs:                 e.Sample(g, p, e.cfg.Runs),
 		SourceUpdatesPerHour: e.SourceUpdatesPerHour(g, bind),
 		PeriodMinutes:        periodMinutes(g),
@@ -201,6 +204,45 @@ func (e *Engine) rowApply(g *etl.Graph, n *etl.Node, in [][]etl.Row, bind Bindin
 	}
 }
 
+// isNullAt reports whether the cell at position i of the row is NULL; cells
+// beyond the row's width are NULL.
+func isNullAt(r etl.Row, i int) bool { return i < 0 || i >= len(r) || r[i] == nil }
+
+// keyString renders the row's values at the given positions as a composite
+// key, the row oracle's grouping and join identity.
+func keyString(r etl.Row, positions []int) string {
+	var b strings.Builder
+	for i, p := range positions {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		if p >= 0 && p < len(r) && r[p] != nil {
+			fmt.Fprintf(&b, "%v", r[p])
+		} else {
+			b.WriteString("\x00NULL")
+		}
+	}
+	return b.String()
+}
+
+func TestOracleRowHelpers(t *testing.T) {
+	r := etl.Row{int64(1), nil, "x"}
+	if !isNullAt(r, 1) || isNullAt(r, 0) {
+		t.Error("isNullAt misbehaves")
+	}
+	if !isNullAt(r, 99) || !isNullAt(r, -1) {
+		t.Error("isNullAt should treat out-of-range as null")
+	}
+	k1 := keyString(r, []int{0, 2})
+	k2 := keyString(etl.Row{int64(1), "y", "x"}, []int{0, 2})
+	if k1 != k2 {
+		t.Errorf("keyString mismatch: %q vs %q", k1, k2)
+	}
+	if keyString(r, []int{1}) == keyString(etl.Row{etl.Value("")}, []int{0}) {
+		t.Error("NULL key must differ from empty string key")
+	}
+}
+
 // filter keeps a row when the hash of the row and its ordinal falls under the
 // node's selectivity.
 func filter(n *etl.Node, rows []etl.Row) []etl.Row {
@@ -231,7 +273,7 @@ func filterNulls(g *etl.Graph, n *etl.Node, rows []etl.Row) []etl.Row {
 next:
 	for _, r := range rows {
 		for _, i := range positions {
-			if r.IsNullAt(i) {
+			if isNullAt(r, i) {
 				continue next
 			}
 		}
@@ -245,7 +287,7 @@ func firstPerKey(rows []etl.Row, positions []int) []etl.Row {
 	seen := make(map[string]bool, len(rows))
 	var out []etl.Row
 	for _, r := range rows {
-		k := r.KeyString(positions)
+		k := keyString(r, positions)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, r)
@@ -387,12 +429,12 @@ func join(g *etl.Graph, n *etl.Node, left, right []etl.Row) []etl.Row {
 	}
 	idx := make(map[string]etl.Row, len(right))
 	for _, r := range right {
-		idx[r.KeyString(rpos)] = r
+		idx[keyString(r, rpos)] = r
 	}
 	extra := nonSharedPositions(rs, ls)
 	var out []etl.Row
 	for _, l := range left {
-		r, ok := idx[l.KeyString(lpos)]
+		r, ok := idx[keyString(l, lpos)]
 		if !ok && n.Kind != etl.OpLookup {
 			continue
 		}
@@ -431,7 +473,7 @@ func measureRows(schema etl.Schema, rows []etl.Row) data.Stats {
 	seen := make(map[string]bool, len(rows))
 	for _, r := range rows {
 		for i := range schema.Attrs {
-			if r.IsNullAt(i) {
+			if isNullAt(r, i) {
 				st.NullCells++
 			}
 		}
@@ -442,7 +484,7 @@ func measureRows(schema etl.Schema, rows []etl.Row) data.Stats {
 			}
 		}
 		if len(keyPos) > 0 {
-			k := r.KeyString(keyPos)
+			k := keyString(r, keyPos)
 			if seen[k] {
 				st.Duplicates++
 			}

@@ -13,7 +13,10 @@ import (
 	"poiesis/internal/etl"
 )
 
-// OpStats captures the runtime behaviour of one operation during one run.
+// OpStats captures the runtime behaviour of one operation. The data path is
+// deterministic, so these values are the same in every run of a batch; they
+// are stored once, in Batch.Ops, and each run records only how far it got and
+// what failed.
 type OpStats struct {
 	Node    etl.NodeID
 	Kind    etl.OpKind
@@ -23,9 +26,15 @@ type OpStats struct {
 	TimeMs float64
 	// MemRows is the peak number of rows materialised by blocking operations.
 	MemRows int
-	// Failures counts how many times this operation failed in the run
-	// (each failure triggers a retry from the nearest upstream recovery
-	// point).
+}
+
+// OpFailure records that one operation failed during a run. Each failure
+// triggers a retry from the nearest upstream recovery point.
+type OpFailure struct {
+	// Op is the operation's position in the flow's topological order (its
+	// index in Batch.Ops).
+	Op int
+	// Failures counts how many times the operation failed in the run.
 	Failures int
 }
 
@@ -50,8 +59,12 @@ type Run struct {
 	// CheckpointsUsed counts recoveries that could restart from a savepoint
 	// instead of from the sources.
 	CheckpointsUsed int
-	// Ops holds per-operation statistics keyed in flow topological order.
-	Ops []OpStats
+	// Reached is how many operations, in flow topological order, the run
+	// executed: all of them, unless a failure exhausted the retry budget.
+	Reached int
+	// Failed lists the operations that failed at least once, in
+	// topological order. Most runs have none.
+	Failed []OpFailure
 
 	// Output quality, observed at the sinks.
 	OutRows      int
@@ -67,6 +80,9 @@ type Run struct {
 // i.e. the "historical traces" for one design alternative.
 type Batch struct {
 	Flow string
+	// Ops holds the per-operation statistics, in flow topological order,
+	// shared by every run.
+	Ops  []OpStats
 	Runs []Run
 	// SourceUpdatesPerHour is the (max) refresh frequency of the flow's
 	// sources; the freshness measures need it.
@@ -194,38 +210,46 @@ type OpAgg struct {
 
 // OpSummary aggregates per-operation statistics across the batch, ordered by
 // descending mean busy time (bottlenecks first). Runs that ended early (after
-// a budget-exhausting failure) contribute the operations they reached.
+// a budget-exhausting failure) contribute the operations they reached;
+// operations no run reached are left out.
 func (b *Batch) OpSummary() []OpAgg {
-	type acc struct {
-		agg  OpAgg
-		n    int
-		time float64
-		rows float64
-	}
-	accs := map[etl.NodeID]*acc{}
-	var order []etl.NodeID
+	nops := len(b.Ops)
+	// reached[i] counts the runs that executed operation i: a histogram of
+	// Run.Reached, summed from the top.
+	reached := make([]int, nops+1)
+	fails := make([]int, nops)
 	for _, r := range b.Runs {
-		for _, op := range r.Ops {
-			a := accs[op.Node]
-			if a == nil {
-				a = &acc{agg: OpAgg{Node: op.Node, Kind: op.Kind}}
-				accs[op.Node] = a
-				order = append(order, op.Node)
-			}
-			a.n++
-			a.time += op.TimeMs
-			a.rows += float64(op.RowsIn)
-			a.agg.Failures += op.Failures
+		reached[min(r.Reached, nops)]++
+		for _, f := range r.Failed {
+			fails[f.Op] += f.Failures
 		}
 	}
+	for i := nops - 1; i >= 0; i-- {
+		reached[i] += reached[i+1]
+	}
 	total := 0.0
-	out := make([]OpAgg, 0, len(order))
-	for _, id := range order {
-		a := accs[id]
-		a.agg.MeanTimeMs = a.time / float64(a.n)
-		a.agg.MeanRowsIn = a.rows / float64(a.n)
-		total += a.agg.MeanTimeMs
-		out = append(out, a.agg)
+	out := make([]OpAgg, 0, nops)
+	for i, op := range b.Ops {
+		n := reached[i+1]
+		if n == 0 {
+			break
+		}
+		// The sums repeat the per-run additions, so the means round exactly
+		// as averaging n per-run records would.
+		time, rows := 0.0, 0.0
+		for k := 0; k < n; k++ {
+			time += op.TimeMs
+			rows += float64(op.RowsIn)
+		}
+		agg := OpAgg{
+			Node:       op.Node,
+			Kind:       op.Kind,
+			MeanTimeMs: time / float64(n),
+			MeanRowsIn: rows / float64(n),
+			Failures:   fails[i],
+		}
+		total += agg.MeanTimeMs
+		out = append(out, agg)
 	}
 	if total > 0 {
 		for i := range out {

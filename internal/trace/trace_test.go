@@ -98,29 +98,32 @@ func TestPercentileCycleTime(t *testing.T) {
 }
 
 func TestOpSummary(t *testing.T) {
-	b := &Batch{Runs: []Run{
-		{Ops: []OpStats{
+	b := &Batch{
+		Ops: []OpStats{
 			{Node: "a", Kind: 1, TimeMs: 10, RowsIn: 100},
-			{Node: "b", Kind: 2, TimeMs: 30, RowsIn: 90, Failures: 1},
-		}},
-		{Ops: []OpStats{
-			{Node: "a", Kind: 1, TimeMs: 20, RowsIn: 100},
-			{Node: "b", Kind: 2, TimeMs: 30, RowsIn: 90, Failures: 2},
-		}},
-	}}
+			{Node: "b", Kind: 2, TimeMs: 30, RowsIn: 90},
+			{Node: "c", Kind: 3, TimeMs: 5, RowsIn: 90},
+			{Node: "d", Kind: 3, TimeMs: 50, RowsIn: 90},
+		},
+		Runs: []Run{
+			{Reached: 3, Failed: []OpFailure{{Op: 1, Failures: 1}}},
+			{Reached: 2, Failed: []OpFailure{{Op: 0, Failures: 1}, {Op: 1, Failures: 2}}},
+		},
+	}
 	sum := b.OpSummary()
-	if len(sum) != 2 {
+	// d was reached by no run, so it is left out.
+	if len(sum) != 3 {
 		t.Fatalf("ops = %d", len(sum))
 	}
-	// Bottleneck first: b has mean 30 vs a's 15.
-	if sum[0].Node != "b" {
-		t.Errorf("bottleneck = %s", sum[0].Node)
+	// Bottleneck first: b (30) before a (10) before c (5).
+	if sum[0].Node != "b" || sum[1].Node != "a" || sum[2].Node != "c" {
+		t.Errorf("order = %s, %s, %s", sum[0].Node, sum[1].Node, sum[2].Node)
 	}
-	if sum[0].MeanTimeMs != 30 || sum[1].MeanTimeMs != 15 {
+	if sum[0].MeanTimeMs != 30 || sum[1].MeanTimeMs != 10 {
 		t.Errorf("means = %f, %f", sum[0].MeanTimeMs, sum[1].MeanTimeMs)
 	}
-	if sum[0].Failures != 3 {
-		t.Errorf("failures = %d", sum[0].Failures)
+	if sum[0].Failures != 3 || sum[1].Failures != 1 || sum[2].Failures != 0 {
+		t.Errorf("failures = %d, %d, %d", sum[0].Failures, sum[1].Failures, sum[2].Failures)
 	}
 	if sum[0].MeanRowsIn != 90 {
 		t.Errorf("rows = %f", sum[0].MeanRowsIn)
