@@ -533,7 +533,7 @@ func (t *groupTable) insert(p int32, h uint64) bool {
 }
 
 // firstByKey keeps the first logical row of every distinct key — the shared
-// kernel of dedup and aggregate.
+// kernel of dedup and aggregate (and the duplicate count of measureColumns).
 func firstByKey(b *colBatch, positions []int, ar *batchArena) *colBatch {
 	n := b.len()
 	if n == 0 {

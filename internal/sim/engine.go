@@ -624,11 +624,6 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		return routed[i]
 	}
 
-	// Every executed node's input list is carved from one backing array
-	// with room for every edge; the segments never overlap, so a load,
-	// whose output is its input list, may keep its segment.
-	var inbuf []*colBatch
-
 	if stats != nil {
 		stats.Nodes += nn
 	}
@@ -652,18 +647,13 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		}
 
 		ar.reset()
-		if inbuf == nil {
-			inbuf = make([]*colBatch, 0, g.EdgeCount())
-		}
-		preds := g.PredView(id)
-		start := len(inbuf)
+		var in []*colBatch
 		rowsIn := 0
-		for _, pred := range preds {
+		for _, pred := range g.PredView(id) {
 			b := routedFor(p.pos[pred])[id]
-			inbuf = append(inbuf, b)
+			in = append(in, b)
 			rowsIn += b.len()
 		}
-		in := inbuf[start:len(inbuf):len(inbuf)]
 		out, err := e.apply(g, n, in, bind, ar)
 		if err != nil {
 			return nil, fmt.Errorf("sim: executing %s: %w", n, err)
@@ -744,16 +734,9 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 			nrows := all.len()
 			hashes := ar.hashes(nrows)
 			all.selectHashes(hashes)
-			// Count each branch's rows first so the selections, which
-			// outlive the execution, are allocated at their exact size.
-			counts := ar.idx(k)[:k]
-			clear(counts)
-			for i := 0; i < nrows; i++ {
-				counts[hashes[i]%uint64(k)]++
-			}
 			dests := make([][]int32, k)
 			for j := range dests {
-				dests[j] = make([]int32, 0, counts[j])
+				dests[j] = make([]int32, 0, nrows/k+8)
 			}
 			for i := 0; i < nrows; i++ {
 				j := int(hashes[i] % uint64(k))

@@ -13,10 +13,10 @@ import (
 // on restart, which is exactly what the AddCheckpoint pattern is for.
 //
 // Runs are sparse: the per-operation values are the same in every run (see
-// OpStats), so a run records only how many operations it reached and which
-// of them failed. All runs' failure lists share one backing array, and the
-// failure rates are gathered into one dense topo-ordered slice, so the
-// runs×nodes loop allocates nothing per node.
+// trace.Batch.Ops), so a run records only how many operations it reached
+// and which of them failed. All runs' failure lists share one backing
+// array, and the failure rates are gathered into one dense topo-ordered
+// slice, so the runs×nodes loop allocates nothing per node.
 func (e *Engine) Sample(g *etl.Graph, p *Profile, runs int) []trace.Run {
 	if runs <= 0 {
 		runs = e.cfg.Runs
@@ -90,9 +90,9 @@ func (e *Engine) sampleOne(rates []float64, p *Profile, seq int, rng *data.RNG, 
 	return run, fails
 }
 
-// OpStats returns the per-operation statistics of the profiled flow in
+// opStats returns the per-operation statistics of the profiled flow in
 // topological order: the values every sampled run shares (trace.Batch.Ops).
-func OpStats(g *etl.Graph, p *Profile) []trace.OpStats {
+func opStats(g *etl.Graph, p *Profile) []trace.OpStats {
 	ops := make([]trace.OpStats, len(p.Order))
 	for i, id := range p.Order {
 		n := g.Node(id)
@@ -135,7 +135,7 @@ func (e *Engine) EvaluateDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache
 	}
 	batch := &trace.Batch{
 		Flow:                 g.Name,
-		Ops:                  OpStats(g, p),
+		Ops:                  opStats(g, p),
 		Runs:                 e.Sample(g, p, e.cfg.Runs),
 		SourceUpdatesPerHour: e.SourceUpdatesPerHour(g, bind),
 		PeriodMinutes:        periodMinutes(g),

@@ -104,12 +104,13 @@ var profileSink *sim.Profile
 func BenchmarkEvaluateFig4Alternatives(b *testing.B) {
 	cfg := fig4Sim(300)
 	flow, bind, alts := fig4Alternatives(b, 300, 4096, cfg)
+	flows := append([]*etl.Graph{flow}, alts...)
 	engine := sim.NewEngine(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cache := sim.NewEvalCache()
-		for _, g := range append([]*etl.Graph{flow}, alts...) {
+		for _, g := range flows {
 			p, _, err := engine.EvaluateDelta(g, bind, cache)
 			if err != nil {
 				b.Fatal(err)

@@ -28,7 +28,7 @@ func (e *Engine) rowEvaluate(g *etl.Graph, bind Binding) (*Profile, *trace.Batch
 	}
 	batch := &trace.Batch{
 		Flow:                 g.Name,
-		Ops:                  OpStats(g, p),
+		Ops:                  opStats(g, p),
 		Runs:                 e.Sample(g, p, e.cfg.Runs),
 		SourceUpdatesPerHour: e.SourceUpdatesPerHour(g, bind),
 		PeriodMinutes:        periodMinutes(g),
