@@ -33,6 +33,16 @@ func retryExhaustingSim() sim.Config {
 	return sim.Config{DefaultRows: 300, Seed: 3, RetryBudget: 3, Runs: 48, PipelineOverlap: 0.5}
 }
 
+// flakyPurchases is tpcds-purchases with every operation failing 30% of
+// the time.
+func flakyPurchases() *etl.Graph {
+	g, _ := workloads.Get("tpcds-purchases")
+	for _, id := range g.NodeIDs() {
+		g.MutableNode(id).Cost.FailureRate = 0.3
+	}
+	return g
+}
+
 // evaluateCases covers every builtin workload at the default simulation
 // configuration, plus one flow whose failure rates exhaust the retry budget.
 func evaluateCases(t *testing.T) []evaluateCase {
@@ -45,10 +55,7 @@ func evaluateCases(t *testing.T) []evaluateCase {
 		}
 		cases = append(cases, evaluateCase{name: wl, flow: flow, bind: poiesis.AutoBinding(flow, 400, 1)})
 	}
-	flaky, _ := workloads.Get("tpcds-purchases")
-	for _, id := range flaky.NodeIDs() {
-		flaky.MutableNode(id).Cost.FailureRate = 0.3
-	}
+	flaky := flakyPurchases()
 	cases = append(cases, evaluateCase{
 		name: "retry-exhausted/tpcds-purchases",
 		flow: flaky,
@@ -130,10 +137,7 @@ func TestEvaluateFlowGolden(t *testing.T) {
 // really has runs that stop before the last operation, so the fixture pins
 // how the bottleneck summary treats them.
 func TestEvaluateGoldenCoversEarlyEnds(t *testing.T) {
-	flaky, _ := workloads.Get("tpcds-purchases")
-	for _, id := range flaky.NodeIDs() {
-		flaky.MutableNode(id).Cost.FailureRate = 0.3
-	}
+	flaky := flakyPurchases()
 	_, batch, err := sim.NewEngine(retryExhaustingSim()).Evaluate(flaky, poiesis.AutoBinding(flaky, 300, 1))
 	if err != nil {
 		t.Fatal(err)
