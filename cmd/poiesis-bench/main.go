@@ -8,10 +8,10 @@
 // Two modes:
 //
 //	poiesis-bench -url http://host:8080        # against a running `poiesis serve`
-//	poiesis-bench -backends memory,disk,sql    # in-process: one run per backend
+//	poiesis-bench -backends memory,disk        # in-process: one run per backend
 //
 // In-process mode mounts the real service on a real loopback listener per
-// backend (fresh temp storage each), so the three session-persistence tiers
+// backend (fresh temp storage each), so the two session-persistence tiers
 // are compared under identical traffic.
 //
 // Usage:
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -51,7 +50,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("poiesis-bench", flag.ContinueOnError)
 	url := fs.String("url", "", "target a running service at this base URL (mutually exclusive with -backends)")
-	backendsSpec := fs.String("backends", "memory,disk,sql", "in-process mode: comma-separated session backends to compare")
+	backendsSpec := fs.String("backends", "memory,disk", "in-process mode: comma-separated session backends to compare")
 	qps := fs.Float64("qps", 50, "target arrival rate (open-loop Poisson)")
 	duration := fs.Duration("duration", 5*time.Second, "arrival window per run")
 	mixSpec := fs.String("mix", "", "traffic mix as op=weight[,op=weight...] over create,plan,select,get,sse,delete (empty = default mix)")
@@ -189,23 +188,8 @@ func startBackend(name string) (*inProcess, error) {
 		}
 		cfg.Backend = backend
 		cleanup = func() { os.RemoveAll(dir) }
-	case "sql":
-		dir, err := os.MkdirTemp("", "poiesis-bench-sql-")
-		if err != nil {
-			return nil, err
-		}
-		backend, err := poiesis.NewSQLSessionBackend("", filepath.Join(dir, "sessions.db"))
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		cfg.Backend = backend
-		cleanup = func() {
-			backend.Close()
-			os.RemoveAll(dir)
-		}
 	default:
-		return nil, fmt.Errorf("unknown backend %q (want memory, disk, or sql)", name)
+		return nil, fmt.Errorf("unknown backend %q (want memory or disk)", name)
 	}
 	handler := poiesis.NewServer(cfg)
 	srv := httptest.NewServer(handler)

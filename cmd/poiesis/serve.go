@@ -32,8 +32,6 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", 128, "plan cache capacity (entries, secondary bound)")
 	cacheMB := fs.Int("cache-mb", 64, "plan cache byte budget in MiB (entries weigh alternatives x dims)")
 	storeDir := fs.String("store-dir", "", "persist sessions as crash-safe JSON snapshots under this directory (empty = in-memory only)")
-	storeSQL := fs.String("store-sql", "", "persist sessions in a SQL database; the value is the DSN (built-in engine: a file path, or :memory:)")
-	storeSQLDriver := fs.String("store-sql-driver", "", "database/sql driver name for -store-sql (empty = built-in engine)")
 	cfgPath := fs.String("config", "", "serve configuration document (JSON); explicit flags override it")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown budget for in-flight requests")
 	nodeID := fs.String("node-id", "", "this replica's node ID within -peers (cluster mode)")
@@ -61,12 +59,6 @@ func cmdServe(args []string) error {
 		}
 		if doc.StoreDir != "" && !set["store-dir"] {
 			*storeDir = doc.StoreDir
-		}
-		if doc.StoreSQL != "" && !set["store-sql"] {
-			*storeSQL = doc.StoreSQL
-		}
-		if doc.StoreSQLDriver != "" && !set["store-sql-driver"] {
-			*storeSQLDriver = doc.StoreSQLDriver
 		}
 		if doc.MaxSessions > 0 && !set["max-sessions"] {
 			*maxSessions = doc.MaxSessions
@@ -129,25 +121,13 @@ func cmdServe(args []string) error {
 		TraceBuffer:   *traceBuffer,
 	}
 	persistence := "in-memory sessions"
-	switch {
-	case *storeDir != "" && *storeSQL != "":
-		return fmt.Errorf("serve: -store-dir and -store-sql are mutually exclusive")
-	case *storeDir != "":
+	if *storeDir != "" {
 		backend, err := poiesis.NewDiskSessionBackend(*storeDir)
 		if err != nil {
 			return err
 		}
 		cfg.Backend = backend
 		persistence = "sessions persisted in " + *storeDir
-	case *storeSQL != "":
-		backend, err := poiesis.NewSQLSessionBackend(*storeSQLDriver, *storeSQL)
-		if err != nil {
-			return err
-		}
-		cfg.Backend = backend
-		persistence = "sessions persisted via SQL in " + *storeSQL
-	case *storeSQLDriver != "":
-		return fmt.Errorf("serve: -store-sql-driver given without -store-sql")
 	}
 	clusterMode := "single node"
 	if len(members) > 0 {
@@ -209,15 +189,9 @@ func cmdServe(args []string) error {
 				return fmt.Errorf("serve: shutdown: %w", err)
 			}
 			// With no more requests in flight, drain the store's background
-			// eviction worker and release the backend (the SQL backend holds
-			// an open database pool).
+			// eviction worker.
 			if err := handler.Close(); err != nil {
 				return fmt.Errorf("serve: closing session store: %w", err)
-			}
-			if closer, ok := cfg.Backend.(interface{ Close() error }); ok {
-				if err := closer.Close(); err != nil {
-					return fmt.Errorf("serve: closing session backend: %w", err)
-				}
 			}
 			fmt.Fprintln(os.Stderr, "poiesis serve: drained, shut down")
 			return nil

@@ -18,15 +18,8 @@ type ServeDoc struct {
 	Addr string `json:"addr,omitempty"`
 	// StoreDir persists sessions as crash-safe JSON snapshots under this
 	// directory. Empty keeps the in-memory store (sessions die with the
-	// process). Mutually exclusive with StoreSQL.
+	// process).
 	StoreDir string `json:"storeDir,omitempty"`
-	// StoreSQL persists sessions in a SQL database; the value is the DSN
-	// handed to database/sql (for the built-in engine: a file path, or
-	// ":memory:" for an ephemeral store). Mutually exclusive with StoreDir.
-	StoreSQL string `json:"storeSQL,omitempty"`
-	// StoreSQLDriver selects the database/sql driver for StoreSQL. Empty
-	// uses the built-in dependency-free engine.
-	StoreSQLDriver string `json:"storeSQLDriver,omitempty"`
 	// SessionTTL evicts sessions idle longer than this (Go duration string,
 	// e.g. "45m"). "0" disables eviction.
 	SessionTTL string `json:"sessionTTL,omitempty"`
@@ -65,12 +58,6 @@ func ParseServe(b []byte) (*ServeDoc, error) {
 	}
 	if _, err := d.SessionTTLDuration(); err != nil {
 		return nil, err
-	}
-	if d.StoreDir != "" && d.StoreSQL != "" {
-		return nil, fmt.Errorf("config: serve document: storeDir and storeSQL are mutually exclusive")
-	}
-	if d.StoreSQLDriver != "" && d.StoreSQL == "" {
-		return nil, fmt.Errorf("config: serve document: storeSQLDriver requires storeSQL")
 	}
 	if _, err := d.DrainDuration(); err != nil {
 		return nil, err

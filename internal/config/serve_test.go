@@ -48,13 +48,15 @@ func TestParseServeAbsentDurationsAreNil(t *testing.T) {
 	}
 }
 
-func TestParseServeSQLStore(t *testing.T) {
-	doc, err := ParseServe([]byte(`{"storeSQL": "/var/lib/poiesis/sessions.db", "storeSQLDriver": "poiesis-sqlite"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.StoreSQL != "/var/lib/poiesis/sessions.db" || doc.StoreSQLDriver != "poiesis-sqlite" {
-		t.Errorf("SQL store fields wrong: %+v", doc)
+// TestParseServeRejectsSQLStoreKeys pins the removal of the SQL session
+// store: a document written for it must fail at startup on the unknown key,
+// not silently run with in-memory sessions.
+func TestParseServeRejectsSQLStoreKeys(t *testing.T) {
+	for _, key := range []string{"storeSQL", "storeSQLDriver"} {
+		_, err := ParseServe([]byte(`{"` + key + `": "x"}`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
+			t.Errorf("%s: want an unknown-field error, got %v", key, err)
+		}
 	}
 }
 
@@ -69,8 +71,6 @@ func TestParseServeRejectsMistakes(t *testing.T) {
 		"bad peer URL":      `{"peers": {"a": "not a url"}}`,
 		"peer URL scheme":   `{"peers": {"a": "ftp://x:1"}}`,
 		"empty peer ID":     `{"peers": {"": "http://x:1"}}`,
-		"two stores":        `{"storeDir": "/tmp/x", "storeSQL": "/tmp/y.db"}`,
-		"driver sans DSN":   `{"storeSQLDriver": "postgres"}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseServe([]byte(in)); err == nil {

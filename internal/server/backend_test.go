@@ -14,7 +14,7 @@ import (
 )
 
 // backends enumerates the SessionBackend implementations; every suite below
-// runs against all of them, so the memory, disk, and SQL paths stay
+// runs against both of them, so the memory and disk paths stay
 // behaviourally identical.
 func backends(t *testing.T) map[string]func(t *testing.T) SessionBackend {
 	t.Helper()
@@ -26,15 +26,6 @@ func backends(t *testing.T) map[string]func(t *testing.T) SessionBackend {
 				t.Fatal(err)
 			}
 			b.Logf = t.Logf
-			return b
-		},
-		"sql": func(t *testing.T) SessionBackend {
-			b, err := NewSQLBackend("", filepath.Join(t.TempDir(), "sessions.db"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Logf = t.Logf
-			t.Cleanup(func() { b.Close() })
 			return b
 		},
 	}
@@ -249,71 +240,6 @@ func TestRestartDurability(t *testing.T) {
 	}
 	// The restored session is live, not a read-only fossil: selecting from
 	// the restored skyline works and the explore-select loop continues.
-	if rr := do(t, s2, "POST", "/v1/sessions/"+id+"/select", `{"index":0}`, nil); rr.Code != 200 {
-		t.Fatalf("select after restart: %d %s", rr.Code, rr.Body.String())
-	}
-}
-
-// TestRestartDurabilitySQL is the SQL twin of TestRestartDurability: the
-// backend is closed (flushing the embedded engine's log) and reopened over
-// the same file, forcing a full replay, and the restored session must answer
-// identically and stay live.
-func TestRestartDurabilitySQL(t *testing.T) {
-	dsn := filepath.Join(t.TempDir(), "sessions.db")
-	clock := func() time.Time { return time.Unix(9000, 0) }
-	var b *SQLBackend
-	open := func() *Server {
-		var err error
-		b, err = NewSQLBackend("", dsn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Logf = t.Logf
-		return New(Config{Backend: b, Logf: t.Logf, Now: clock})
-	}
-
-	s1 := open()
-	id := createSession(t, s1, "durable")
-	for _, step := range []string{"/plan", "/select", "/plan"} {
-		body := ""
-		if step == "/select" {
-			body = `{"index":0}`
-		}
-		if rr := do(t, s1, "POST", "/v1/sessions/"+id+step, body, nil); rr.Code != 200 {
-			t.Fatalf("POST %s: %d %s", step, rr.Code, rr.Body.String())
-		}
-	}
-	paths := []string{
-		"/v1/sessions",
-		"/v1/sessions/" + id,
-		"/v1/sessions/" + id + "/result?reports=1",
-		"/v1/sessions/" + id + "/skyline",
-	}
-	before := map[string]string{}
-	for _, path := range paths {
-		rr := do(t, s1, "GET", path, "", nil)
-		if rr.Code != 200 {
-			t.Fatalf("GET %s: %d", path, rr.Code)
-		}
-		before[path] = rr.Body.String()
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := open()
-	if got := s2.RestoredSessions(); got != 1 {
-		t.Fatalf("restored %d sessions from SQL, want 1", got)
-	}
-	for _, path := range paths {
-		rr := do(t, s2, "GET", path, "", nil)
-		if rr.Code != 200 {
-			t.Fatalf("after restart GET %s: %d", path, rr.Code)
-		}
-		if got := rr.Body.String(); got != before[path] {
-			t.Errorf("GET %s differs after SQL restart:\nbefore %s\nafter  %s", path, before[path], got)
-		}
-	}
 	if rr := do(t, s2, "POST", "/v1/sessions/"+id+"/select", `{"index":0}`, nil); rr.Code != 200 {
 		t.Fatalf("select after restart: %d %s", rr.Code, rr.Body.String())
 	}

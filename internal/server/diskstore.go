@@ -152,13 +152,14 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs a directory so a rename within it survives a crash.
-// Filesystems that cannot sync directories (some network mounts) degrade to
-// best-effort.
+// syncDir fsyncs a directory so a rename within it survives a crash. A
+// directory that cannot be opened is an error: the caller's rename or unlink
+// is not durable. Filesystems that cannot sync directories (some network
+// mounts) degrade to best-effort.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return fmt.Errorf("server: opening session store dir: %w", err)
 	}
 	defer d.Close()
 	if err := d.Sync(); err != nil && !errors.Is(err, fs.ErrInvalid) {

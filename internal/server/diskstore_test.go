@@ -2,7 +2,9 @@ package server
 
 import (
 	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -77,5 +79,18 @@ func TestDiskSweepBestEffort(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].ID != "live" {
 		t.Fatalf("directory after sweeps: %v", recordIDs(recs))
+	}
+}
+
+// TestSyncDirReportsOpenFailure: a directory that cannot be opened must
+// fail the sync, not report a durable rename or unlink that never got its
+// directory fsync.
+func TestSyncDirReportsOpenFailure(t *testing.T) {
+	err := syncDir(filepath.Join(t.TempDir(), "missing"))
+	if err == nil || !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("syncDir on a missing directory: %v, want a wrapped not-exist error", err)
+	}
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatalf("syncDir on a real directory: %v", err)
 	}
 }

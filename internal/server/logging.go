@@ -1,5 +1,5 @@
 // Logging: every sink in the server tree — Config.Logf, the session
-// store, the disk/SQL backends' Logf views, and the old bare log.Printf
+// store, the disk backend's Logf view, and the old bare log.Printf
 // fallbacks — funnels through one obs.NewLogfLogger handler, so a warning
 // from any layer renders the same "msg key=val" shape and request-scoped
 // lines carry rid/trace_id/span_id.

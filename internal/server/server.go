@@ -159,7 +159,7 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
-	// A backend's own warnings (skipped snapshots or rows, temp-file
+	// The disk backend's own warnings (skipped snapshots, temp-file
 	// cleanup) must reach the same sink as the server's, unless the caller
 	// already routed them elsewhere. The logger is injected on a derived
 	// view sharing the backend's state — never written onto the caller's
@@ -167,9 +167,6 @@ func (c Config) withDefaults() Config {
 	// racing on one backend's Logf field).
 	if db, ok := c.Backend.(*DiskBackend); ok && db.Logf == nil {
 		c.Backend = db.WithLogf(c.Logf)
-	}
-	if sb, ok := c.Backend.(*SQLBackend); ok && sb.Logf == nil {
-		c.Backend = sb.WithLogf(c.Logf)
 	}
 	if c.Now == nil {
 		c.Now = time.Now

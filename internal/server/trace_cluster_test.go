@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"poiesis/internal/cluster"
 	"poiesis/internal/obs"
@@ -68,7 +70,7 @@ func TestClusterForwardedPlanSingleTrace(t *testing.T) {
 	// the owner each hold a fragment, n2 holds nothing and assembles the
 	// whole trace from its peers.
 	for i, url := range urls {
-		doc, code := fetchTrace(t, url, tid)
+		doc, code := fetchForwardedTrace(t, url, tid)
 		if code != http.StatusOK {
 			t.Fatalf("replica %d: GET /v1/traces/%s -> %d", i, tid, code)
 		}
@@ -76,6 +78,27 @@ func TestClusterForwardedPlanSingleTrace(t *testing.T) {
 			t.Fatalf("replica %d returned trace %s, want %s", i, doc.ID, tid)
 		}
 		assertForwardedTraceShape(t, i, doc)
+	}
+}
+
+// fetchForwardedTrace reads a forwarded request's trace once both the
+// proxy's (n1) and the owner's (n0) fragments are in it. Each replica
+// publishes its fragment when its local root span ends, in the deferred End
+// of Server.ServeHTTP, and cluster.Forward flushes every chunk, so the client
+// can hold the whole response before either fragment is published. The poll
+// is bounded: past the deadline the last read is returned as is and the
+// shape assertions report what is missing.
+func fetchForwardedTrace(t *testing.T, url, id string) (traceDoc, int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		doc, code := fetchTrace(t, url, id)
+		complete := code == http.StatusOK &&
+			slices.Contains(doc.Services, "n0") && slices.Contains(doc.Services, "n1")
+		if complete || time.Now().After(deadline) {
+			return doc, code
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

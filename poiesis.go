@@ -243,15 +243,6 @@ func NewDiskSessionBackend(dir string) (*server.DiskBackend, error) {
 	return server.NewDiskBackend(dir)
 }
 
-// NewSQLSessionBackend returns the SQL session backend: one versioned row
-// per session reached through database/sql, so the session tier can live in
-// any store with a conforming driver. An empty driverName selects the
-// built-in dependency-free engine, for which the DSN is a log-file path or
-// ":memory:". Call Close when done; the *sql.DB is held open otherwise.
-func NewSQLSessionBackend(driverName, dsn string) (*server.SQLBackend, error) {
-	return server.NewSQLBackend(driverName, dsn)
-}
-
 // Measures ------------------------------------------------------------------
 
 // Characteristic is a quality characteristic.
