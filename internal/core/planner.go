@@ -294,7 +294,8 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 		span.Record("planner.baseline", baseStart, time.Since(baseStart),
 			obs.Int("nodes", int64(baseES.Nodes)),
 			obs.Int("executed", int64(baseES.Executed)),
-			obs.Int("cone_hits", int64(baseES.ConeHits)))
+			obs.Int("cone_hits", int64(baseES.ConeHits)),
+			obs.Int("forwarded", int64(baseES.Forwarded)))
 	}
 	est := measures.NewEstimator(measures.BaselineConfig(initial, baseProfile, baseBatch))
 	for _, cm := range p.opts.CustomMeasures {
@@ -381,7 +382,8 @@ func recordAlternative(sp *obs.Span, a *Alternative, delta bool, es *sim.ExecSta
 	sp.RecordChildOf(altID, "sim.evaluate", start, d,
 		obs.Int("nodes", int64(es.Nodes)),
 		obs.Int("executed", int64(es.Executed)),
-		obs.Int("cone_hits", int64(es.ConeHits)))
+		obs.Int("cone_hits", int64(es.ConeHits)),
+		obs.Int("forwarded", int64(es.Forwarded)))
 }
 
 // shortFingerprint truncates a flow fingerprint to a span-attribute-sized

@@ -3,6 +3,7 @@ package etl
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"slices"
 )
@@ -103,56 +104,91 @@ func (g *Graph) fingerprintUncached() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ConeKey identifies the full upstream simulation history of one node: its
-// own data-semantic configuration plus, transitively, that of every ancestor
-// and the exact routing ports connecting them. Two nodes (possibly in
+// ConeKey is the data identity of one node's output: two nodes (possibly in
 // different alternative flows cloned from the same parent) with equal cone
-// keys consume byte-identical inputs and produce byte-identical outputs under
-// the same engine configuration and binding — the property the simulator's
-// delta-evaluation cache is keyed on.
+// keys produce byte-identical output batches under the same engine
+// configuration and binding, the property the simulator's delta-evaluation
+// cache is keyed on.
 type ConeKey [16]byte
 
-// ConeKeys computes the upstream-cone fingerprint of every node, aligned
-// with the given topological order (as returned by TopoOrder/TopoSort).
+// Leading tags keep a node key and a port-routed stream key apart.
+const (
+	coneTagNode      = 'N'
+	coneTagPartition = 'P'
+	coneTagHashSplit = 'H'
+)
+
+// ConeKeys computes the data identity of every node's output, aligned with
+// the given topological order (as returned by TopoOrder/TopoSort). It is an
+// explicit encoder over exactly what the simulator's data path reads.
 //
 // The key of a node hashes:
 //
-//   - the node's ID (bindings and default source seeds are ID-keyed),
-//   - its canonical digest (kind, name, output schema, parallelism, params)
-//     plus its row-semantic cost parameters (selectivity),
-//   - for every predecessor, in input order: the predecessor's cone key, the
-//     output port this node occupies among the predecessor's successors, and
-//     the predecessor's fan-out — partition and hash-split routing assign
-//     rows by port, so the port wiring is part of the input identity.
+//   - its data digest: kind, ID (bindings and default source seeds are
+//     ID-keyed), name, the output schema in attribute order with type, key
+//     and nullability, the ParamAttrs, ParamGroupBy and ParamRoute params,
+//     and Cost.Selectivity (the filter's keep decisions);
+//   - for every input edge, in input order: the stream the predecessor
+//     sends along it, and the digest of the predecessor's output schema in
+//     attribute order, which fixes the column positions the node's kernels
+//     read. The stream is the predecessor's key, hashed with the routing
+//     mode, the output port and the fan-out when the predecessor routes by
+//     port (Node.RoutesByPort); a copying predecessor sends every successor
+//     the same stream.
 //
-// Purely timing-related cost fields (startup, per-tuple work, failure rate)
-// are deliberately excluded: the engine recomputes timing from the concrete
-// graph on every evaluation, so designs that differ only in those fields
-// (e.g. UpgradeResources rewrites) still share cached row simulation.
+// Everything else is left out because the data path never reads it: the
+// other params (schedule and resource settings among them), the timing
+// costs (startup, per-tuple work, failure rate) and Parallelism. The engine
+// recomputes timing from the concrete graph on every evaluation, so designs
+// that differ only there (UpgradeResources and TuneRecurrenceFrequency
+// rewrites) share all cached row simulation.
+//
+// A pass-through operation (OpKind.IsPassThrough) with exactly one input
+// is forwarded: its key is the stream on its input edge. The simulator hands
+// that stream on unchanged, so its output is that stream, whatever the
+// node's own ID, name or schema; its schema still reaches the successors'
+// keys through their edge digests. An inserted checkpoint whose schema
+// repeats its producer's therefore leaves every key below it unchanged.
 func (g *Graph) ConeKeys(order []NodeID) []ConeKey {
 	keys := make([]ConeKey, len(order))
 	pos := make(map[NodeID]int, len(order))
-	buf := make([]byte, 0, 512)
+	buf := make([]byte, 0, 256)
 	for i, id := range order {
 		pos[id] = i
 		n := g.nodes[id]
-		buf = buf[:0]
-		buf = append(buf, id...)
-		buf = append(buf, 0)
-		buf = n.appendCone(buf)
-		for _, p := range g.pred[id] {
-			pk := keys[pos[p]]
-			buf = append(buf, pk[:]...)
-			port, fan := 0, len(g.succ[p])
-			for j, s := range g.succ[p] {
-				if s == id {
-					port = j
-					break
-				}
-			}
-			buf = append(buf, byte(port), byte(port>>8), byte(fan), byte(fan>>8))
+		preds := g.pred[id]
+		if len(preds) == 1 && n.Kind.IsPassThrough() {
+			keys[i] = g.streamKey(preds[0], id, keys[pos[preds[0]]])
+			continue
+		}
+		d := n.digests()
+		buf = append(append(buf[:0], coneTagNode), d.data[:]...)
+		for _, p := range preds {
+			sk := g.streamKey(p, id, keys[pos[p]])
+			out := g.nodes[p].digests().out
+			buf = append(append(buf, sk[:]...), out[:]...)
 		}
 		keys[i] = ConeKey(sum128(buf))
 	}
 	return keys
+}
+
+// streamKey is the identity of the rows p, whose key is pk, sends to its
+// successor to.
+func (g *Graph) streamKey(p, to NodeID, pk ConeKey) ConeKey {
+	succ := g.succ[p]
+	n := g.nodes[p]
+	if !n.RoutesByPort(len(succ)) {
+		return pk
+	}
+	tag := byte(coneTagHashSplit)
+	if n.Kind == OpPartition {
+		tag = coneTagPartition
+	}
+	port := slices.Index(succ, to)
+	var buf [1 + 16 + 2*binary.MaxVarintLen64]byte
+	b := append(append(buf[:0], tag), pk[:]...)
+	b = binary.AppendUvarint(b, uint64(port))
+	b = binary.AppendUvarint(b, uint64(len(succ)))
+	return ConeKey(sum128(b))
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -187,35 +188,138 @@ func TestConeKeys(t *testing.T) {
 	}
 	base := linearFlow(t)
 	k0 := keysOf(base)
+	// same reports whether every listed node kept its base key.
+	same := func(k map[NodeID]ConeKey, ids ...NodeID) bool {
+		for _, id := range ids {
+			if k[id] != k0[id] {
+				return false
+			}
+		}
+		return true
+	}
+	// changed reports whether every listed node got a new key.
+	changed := func(k map[NodeID]ConeKey, ids ...NodeID) bool {
+		for _, id := range ids {
+			if k[id] == k0[id] {
+				return false
+			}
+		}
+		return true
+	}
+	// insert puts a pass-through node of the given kind and schema on
+	// flt->drv.
+	insert := func(kind OpKind, out Schema) (*Graph, NodeID) {
+		g := base.Clone()
+		n := NewNode(g.FreshID("x"), "x", kind, out)
+		if err := g.InsertOnEdge("flt", "drv", n); err != nil {
+			t.Fatal(err)
+		}
+		return g, n.ID
+	}
 
-	// Insertion in the middle: upstream cones unchanged, the insertion point
+	// Insertion in the middle: upstream keys unchanged, the insertion point
 	// and everything downstream dirty.
 	g2 := base.Clone()
 	n := NewNode(g2.FreshID("x"), "x", OpFilterNull, g2.Node("src").Out)
 	if err := g2.InsertOnEdge("flt", "drv", n); err != nil {
 		t.Fatal(err)
 	}
-	k2 := keysOf(g2)
-	if k2["src"] != k0["src"] || k2["flt"] != k0["flt"] {
-		t.Error("upstream cone keys should survive a downstream insertion")
-	}
-	if k2["drv"] == k0["drv"] || k2["load"] == k0["load"] {
-		t.Error("nodes downstream of the insertion must get new cone keys")
+	if k2 := keysOf(g2); !same(k2, "src", "flt") || !changed(k2, "drv", "load") {
+		t.Error("an inserted filter must keep the upstream keys and dirty the downstream ones")
 	}
 
-	// Selectivity is row-semantic and must dirty the downstream cone;
-	// per-tuple cost is timing-only and must not.
-	g3 := base.Clone()
-	g3.MutableNode("flt").Cost.Selectivity = 0.123
-	k3 := keysOf(g3)
-	if k3["flt"] == k0["flt"] || k3["load"] == k0["load"] {
-		t.Error("selectivity change should dirty the node and its downstream cone")
+	// A checkpoint that repeats its producer's schema on a single-input edge
+	// is forwarded: it takes its input's key and changes none below it.
+	cp, cpID := insert(OpCheckpoint, base.Node("flt").Out.Clone())
+	if kc := keysOf(cp); !same(kc, "src", "flt", "drv", "load") || kc[cpID] != k0["flt"] {
+		t.Error("a checkpoint on a single-input edge must leave every key unchanged")
 	}
-	g4 := base.Clone()
-	g4.MutableNode("flt").Cost.PerTuple *= 7
-	k4 := keysOf(g4)
-	if k4["load"] != k0["load"] {
-		t.Error("timing-only cost change should not dirty cone keys")
+
+	// Settings the data path never reads: the graph-wide params on the
+	// schedule carrier, the timing costs and parallelism.
+	notRead := map[string]func(*Node){
+		"schedule.period_minutes": func(n *Node) { n.SetParam("schedule.period_minutes", "15.0000") },
+		"resources.cost_factor":   func(n *Node) { n.SetParam("resources.cost_factor", "2.0000") },
+		"PerTuple":                func(n *Node) { n.Cost.PerTuple *= 7 },
+		"Startup":                 func(n *Node) { n.Cost.Startup += 3 },
+		"FailureRate":             func(n *Node) { n.Cost.FailureRate = 0.5 },
+		"Parallelism":             func(n *Node) { n.Parallelism = 4 },
+	}
+	for what, edit := range notRead {
+		for _, id := range []NodeID{"src", "flt"} {
+			g := base.Clone()
+			edit(g.MutableNode(id))
+			if !same(keysOf(g), "src", "flt", "drv", "load") {
+				t.Errorf("%s on %s changed a key", what, id)
+			}
+		}
+	}
+
+	// Settings the data path reads dirty the node and everything below it.
+	read := map[string]func(*Node){
+		"selectivity":  func(n *Node) { n.Cost.Selectivity = 0.123 },
+		ParamAttrs:     func(n *Node) { n.SetParam(ParamAttrs, "note") },
+		ParamGroupBy:   func(n *Node) { n.SetParam(ParamGroupBy, "id") },
+		ParamRoute:     func(n *Node) { n.SetParam(ParamRoute, "hash") },
+		"name":         func(n *Node) { n.Name = "filter_valid_v2" },
+		"output order": func(n *Node) { slices.Reverse(n.Out.Attrs) },
+	}
+	for what, edit := range read {
+		g := base.Clone()
+		edit(g.MutableNode("flt"))
+		if k := keysOf(g); !same(k, "src") || !changed(k, "flt", "drv", "load") {
+			t.Errorf("%s on flt must change the keys of flt and below, and only those", what)
+		}
+	}
+
+	// A forwarded node's schema is what its successor's kernels read: a
+	// reordered schema or a flipped key flag dirties the successor, though
+	// the node itself still forwards its input's key. Schema.canonical
+	// sorts attributes, so only an ordered encoding can see the first.
+	reordered := base.Node("flt").Out.Clone()
+	slices.Reverse(reordered.Attrs)
+	flipped := base.Node("flt").Out.Clone()
+	flipped.Attrs[0].Key = !flipped.Attrs[0].Key
+	for what, out := range map[string]Schema{"reordered": reordered, "key flag flipped": flipped} {
+		g, id := insert(OpConvert, out)
+		if k := keysOf(g); k[id] != k0["flt"] || !changed(k, "drv", "load") {
+			t.Errorf("a convert with its producer's schema %s must forward the key and dirty its successor", what)
+		}
+	}
+
+	// Join input order decides which side probes and which is indexed.
+	s := NewSchema(Attribute{Name: "id", Type: TypeInt, Key: true})
+	join := func(first, second NodeID) map[NodeID]ConeKey {
+		g := New("join")
+		g.MustAddNode(NewNode("l", "L", OpExtract, s))
+		g.MustAddNode(NewNode("r", "R", OpExtract, s))
+		g.MustAddNode(NewNode("j", "J", OpJoin, s))
+		g.MustAddEdge(first, "j")
+		g.MustAddEdge(second, "j")
+		return keysOf(g)
+	}
+	if a, b := join("l", "r"), join("r", "l"); a["l"] != b["l"] || a["j"] == b["j"] {
+		t.Error("swapping join inputs must change the join's key and only its")
+	}
+
+	// A partition deals rows by output port, so the port is part of a
+	// branch's input; a copying split's port is not.
+	branches := func(kind OpKind, first, second NodeID) map[NodeID]ConeKey {
+		g := New("branches")
+		g.MustAddNode(NewNode("src", "S", OpExtract, s))
+		g.MustAddNode(NewNode("route", "R", kind, s))
+		g.MustAddNode(NewNode("a", "A", OpDerive, s))
+		g.MustAddNode(NewNode("b", "B", OpDerive, s))
+		g.MustAddEdge("src", "route")
+		g.MustAddEdge("route", first)
+		g.MustAddEdge("route", second)
+		return keysOf(g)
+	}
+	if a, b := branches(OpPartition, "a", "b"), branches(OpPartition, "b", "a"); a["route"] != b["route"] || a["a"] == b["a"] || a["b"] == b["b"] {
+		t.Error("swapping a partition's ports must change the branch keys")
+	}
+	if a, b := branches(OpSplit, "a", "b"), branches(OpSplit, "b", "a"); a["a"] != b["a"] || a["b"] != b["b"] {
+		t.Error("a copying split's port order must not change the branch keys")
 	}
 }
 
@@ -371,11 +475,11 @@ func TestFingerprintPartitionMatchesWL(t *testing.T) {
 func freshDigest(n *Node) hash128 { return sum128([]byte(n.canonical())) }
 
 // checkDigestsFresh fails the test for every node of g whose memoized
-// digest no longer matches its fields.
+// digests no longer match its fields. A Clone starts without the memo.
 func checkDigestsFresh(t *testing.T, what string, g *Graph) {
 	t.Helper()
 	for _, n := range g.Nodes() {
-		if n.digest() != freshDigest(n) {
+		if n.digest() != freshDigest(n) || *n.digests() != *n.Clone().digests() {
 			t.Errorf("%s: node %s has a stale digest", what, n.ID)
 		}
 	}

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -78,6 +79,10 @@ var opKindNames = [...]string{
 	OpNoop:       "noop",
 }
 
+// NumOpKinds bounds the OpKind values: arrays indexed by kind have this
+// length.
+const NumOpKinds = len(opKindNames)
+
 // String returns the canonical lower-case name of the kind.
 func (k OpKind) String() string {
 	if k < 0 || int(k) >= len(opKindNames) {
@@ -121,6 +126,19 @@ func (k OpKind) IsBlocking() bool {
 func (k OpKind) IsCleaning() bool {
 	switch k {
 	case OpFilterNull, OpDedup, OpCrosscheck:
+		return true
+	}
+	return false
+}
+
+// IsPassThrough reports whether the simulator hands the operation's input
+// rows on unchanged: its effect is on timing, recovery or security, not on
+// the data. With one input, such a node's output is that input's stream, so
+// the evaluation cache forwards it instead of keying and storing it.
+func (k OpKind) IsPassThrough() bool {
+	switch k {
+	case OpConvert, OpEncrypt, OpNoop, OpCheckpoint, OpSort,
+		OpSplit, OpPartition, OpMerge, OpUnion:
 		return true
 	}
 	return false
@@ -225,12 +243,12 @@ type NodeID string
 
 // Node is one ETL flow operation: the vertex set V of the process graph.
 //
-// A node memoizes the hash of its canonical description the first time a
-// fingerprint or cone key needs it, and copy-on-write clones share that memo
-// along with the node. Once a node belongs to a graph that has been
-// fingerprinted, edit its fields only through Graph.MutableNode, which
-// unshares the node or drops the memo; the graph-level fingerprint cache has
-// the same rule.
+// A node memoizes the hashes of its canonical description and of its data
+// identity the first time a fingerprint or cone key needs them, and
+// copy-on-write clones share that memo along with the node. Once a node
+// belongs to a graph that has been fingerprinted, edit its fields only
+// through Graph.MutableNode, which unshares the node or drops the memo; the
+// graph-level fingerprint cache has the same rule.
 type Node struct {
 	ID   NodeID
 	Name string
@@ -259,9 +277,9 @@ type Node struct {
 	// PatternName records which pattern generated the node, when Generated.
 	PatternName string
 
-	// dig memoizes digest(). Atomic because evaluation workers fingerprint
+	// dig memoizes digests(). Atomic because evaluation workers fingerprint
 	// clones that share this node concurrently; they all store equal values.
-	dig atomic.Pointer[hash128]
+	dig atomic.Pointer[nodeDigests]
 }
 
 // NewNode builds a node of the given kind with default cost model and
@@ -309,6 +327,20 @@ func (n *Node) SetParam(key, value string) *Node {
 	}
 	n.Params[key] = value
 	return n
+}
+
+// RoutesByPort reports whether the node deals its rows out among its fanOut
+// successors by output port instead of copying the whole stream to each:
+// a partition always does, a split with route "hash" does when it has more
+// than one successor.
+func (n *Node) RoutesByPort(fanOut int) bool {
+	switch n.Kind {
+	case OpPartition:
+		return true
+	case OpSplit:
+		return fanOut > 1 && n.Params[ParamRoute] == "hash"
+	}
+	return false
 }
 
 // WorkPerTuple is the abstract per-tuple work of the node after accounting
@@ -362,31 +394,61 @@ func (n *Node) canonical() string {
 	return b.String()
 }
 
-// digest returns the 128-bit hash of canonical(), computed on first use and
-// memoized on the node. Clones of a flow share their unedited nodes, so one
-// digest serves every alternative the planner derives from the flow.
-func (n *Node) digest() hash128 {
+// The params the simulator's data path reads. The kernels look them up
+// through these names and the node's data digest hashes exactly these, so a
+// kernel cannot read a param the evaluation cache key misses.
+const (
+	ParamAttrs   = "attrs"    // filter_null: the attributes tested for NULL
+	ParamGroupBy = "group_by" // aggregate: the grouping attributes
+	ParamRoute   = "route"    // split: "hash" routes rows by port
+)
+
+// dataParams lists the params hashed into the data digest, in a fixed order.
+var dataParams = [...]string{ParamAttrs, ParamGroupBy, ParamRoute}
+
+// nodeDigests is the memo of the node's hashes, filled together by the first
+// caller that needs any of them so that a node costs one allocation.
+type nodeDigests struct {
+	// canon hashes canonical(): the node's part of Fingerprint.
+	canon hash128
+	// data hashes what the simulator reads of the node itself: kind, ID,
+	// name, ordered output schema, the data params and selectivity.
+	data hash128
+	// out hashes the output schema in attribute order, with type, key and
+	// nullability: what a successor's kernels read of this node.
+	out hash128
+}
+
+// digests returns the node's hashes, computed on first use and memoized on
+// the node. Clones of a flow share their unedited nodes, so one memo serves
+// every alternative the planner derives from the flow.
+func (n *Node) digests() *nodeDigests {
 	if d := n.dig.Load(); d != nil {
-		return *d
+		return d
 	}
-	d := sum128([]byte(n.canonical()))
-	n.dig.Store(&d)
+	d := &nodeDigests{canon: sum128([]byte(n.canonical()))}
+	buf := n.Out.appendOrdered(make([]byte, 0, 256))
+	d.out = sum128(buf)
+	buf = append(buf[:0], byte(n.Kind))
+	buf = appendString(buf, string(n.ID))
+	buf = appendString(buf, n.Name)
+	buf = append(buf, d.out[:]...)
+	for _, k := range dataParams {
+		buf = appendString(buf, n.Params[k])
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Cost.Selectivity))
+	d.data = sum128(buf)
+	n.dig.Store(d)
 	return d
 }
 
-// appendCone appends the node's data-semantic description for upstream-cone
-// fingerprinting (Graph.ConeKeys): the canonical digest plus the cost fields
-// that influence row contents. Selectivity drives the filter operation's
-// keep decisions; the remaining cost fields only shape timing, which the
-// simulator derives from the concrete graph on every run, so they are
-// excluded to maximise cache sharing.
-func (n *Node) appendCone(b []byte) []byte {
-	d := n.digest()
-	b = append(b, d[:]...)
-	bits := math.Float64bits(n.Cost.Selectivity)
-	return append(b,
-		byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-		byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+// digest returns the hash of canonical().
+func (n *Node) digest() hash128 { return n.digests().canon }
+
+// appendString appends s with its length in front, so that adjacent fields
+// cannot trade bytes.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Edge is one transition between two operations: the edge set E of the

@@ -11,6 +11,7 @@
 package etl
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 )
@@ -329,6 +330,24 @@ func (s Schema) canonical() string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
+}
+
+// appendOrdered appends a binary encoding of the schema in attribute order:
+// each attribute's name, type, key and nullability. Unlike canonical it
+// keeps the order, which decides the column positions kernels read.
+func (s Schema) appendOrdered(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.Attrs)))
+	for _, a := range s.Attrs {
+		var flags byte
+		if a.Key {
+			flags |= 1
+		}
+		if a.Nullable {
+			flags |= 2
+		}
+		b = append(appendString(b, a.Name), byte(a.Type), flags)
+	}
+	return b
 }
 
 // Value is a single cell of a row. A nil Value models SQL NULL.

@@ -98,6 +98,10 @@ func nonSharedPositions(from, other etl.Schema) []int {
 // batches (one logical output stream; routing to successors happens later).
 // Kernels are per-column loops over selection vectors.
 func (e *Engine) apply(g *etl.Graph, n *etl.Node, in []*colBatch, bind Binding, ar *batchArena) ([]*colBatch, error) {
+	if n.Kind.IsPassThrough() {
+		// With one input the engine forwards these without calling apply.
+		return []*colBatch{colFlatten(in, ar)}, nil
+	}
 	switch n.Kind {
 	case etl.OpExtract:
 		spec, ok := bind[n.ID]
@@ -130,10 +134,6 @@ func (e *Engine) apply(g *etl.Graph, n *etl.Node, in []*colBatch, bind Binding, 
 
 	case etl.OpProject:
 		return []*colBatch{colProject(g, n, colFlatten(in, ar))}, nil
-
-	case etl.OpConvert, etl.OpEncrypt, etl.OpNoop, etl.OpCheckpoint,
-		etl.OpSplit, etl.OpPartition, etl.OpMerge, etl.OpUnion, etl.OpSort:
-		return []*colBatch{colFlatten(in, ar)}, nil
 
 	case etl.OpSurrogate:
 		return []*colBatch{colSurrogate(g, n, colFlatten(in, ar))}, nil
@@ -186,7 +186,7 @@ func colFilterNulls(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *col
 		return b
 	}
 	schema := g.InputSchemaView(n.ID)
-	positions := attrPositions(schema, n.Param("attrs"))
+	positions := attrPositions(schema, n.Param(etl.ParamAttrs))
 	if len(positions) == 0 {
 		for i := range schema.Attrs {
 			positions = append(positions, i)
@@ -384,7 +384,7 @@ func colAggregate(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBa
 		return b
 	}
 	in := g.InputSchemaView(n.ID)
-	positions := attrPositions(in, n.Param("group_by"))
+	positions := attrPositions(in, n.Param(etl.ParamGroupBy))
 	if len(positions) == 0 {
 		positions = keyOrAllPositions(in)
 		if len(positions) > 1 {

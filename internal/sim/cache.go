@@ -9,19 +9,25 @@ import (
 )
 
 // EvalCache memoizes per-node simulation results across the alternative
-// flows of one planning run, keyed by upstream-cone fingerprint
-// (etl.Graph.ConeKeys). Two nodes with equal cone keys consume byte-identical
-// inputs and therefore produce byte-identical outputs, so a candidate flow
-// that differs from an already-evaluated design only downstream of some point
-// re-simulates nothing upstream of it — the shared-prefix property of the
-// planner's explore loop, where every candidate is its parent plus one
-// pattern application.
+// flows of one planning run, keyed by data identity (etl.Graph.ConeKeys).
+// The key covers what the data path reads: the node's kind, ID, name,
+// ordered output schema, the attrs, group_by and route params and its
+// selectivity, plus, per input edge in order, the predecessor's key, the
+// routing port when the predecessor routes by port, and the predecessor's
+// ordered output schema. Two nodes with equal keys consume byte-identical
+// inputs and read the same settings, so they produce byte-identical outputs:
+// a candidate flow re-simulates only the nodes its pattern application
+// changed the data of — the shared-prefix property of the planner's explore
+// loop, where every candidate is its parent plus one pattern application.
+// Timing costs, parallelism and the other params are not in the key; the
+// engine recomputes timing from the concrete graph on every evaluation.
+// Forwarded pass-through nodes never reach the cache.
 //
 // An EvalCache is safe for concurrent use by many evaluation workers. It must
 // only be shared between evaluations with the same engine configuration and
-// the same source binding: both are inputs to the simulation that the cone
-// key deliberately does not capture (the planner creates one cache per
-// planning run, which pins both).
+// the same source binding: both are inputs to the simulation that the key
+// deliberately does not capture (the planner creates one cache per planning
+// run, which pins both).
 //
 // Cached outputs are immutable once stored. Operations never mutate their
 // input batches, and pass-through operations alias rather than copy, so

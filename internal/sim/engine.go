@@ -13,9 +13,18 @@
 // For the planner's explore loop — thousands of alternatives that each differ
 // from a parent flow by a single pattern application — the engine supports
 // delta evaluation: ExecuteDelta memoizes every node's materialized output in
-// an EvalCache keyed by the node's upstream-cone fingerprint
-// (etl.Graph.ConeKeys), so a candidate flow re-simulates only the dirty cone
-// downstream of the application point and splices cached upstream results in.
+// an EvalCache keyed by the node's data identity (etl.Graph.ConeKeys), which
+// hashes exactly what the data path reads, so a candidate flow re-simulates
+// only the nodes whose inputs or data-relevant settings the application
+// changed and splices cached results in everywhere else.
+//
+// Pass-through operations (etl.OpKind.IsPassThrough: checkpoint, convert,
+// encrypt, sort, split, partition, merge, union, noop) with one input are
+// forwarded on every path, cached or not: the node's output is the stream
+// routed to it, which is exactly what its kernel would return, so no kernel
+// runs and nothing is looked up or stored. Their key is their input's, so a
+// checkpoint inserted on an edge, or a schedule or resource setting on the
+// first source, leaves every node below it a cache hit.
 package sim
 
 import (
@@ -328,15 +337,34 @@ func (a *batchArena) joinTable(left, right *colBatch, lpos, rpos []int, n int) *
 }
 
 // ExecStats reports how one execution's data path was served: ConeHits
-// nodes were spliced from the cone cache, Executed nodes were actually
-// simulated. It lives outside Profile on purpose — profiles from delta and
-// full evaluations must stay byte-identical, so bookkeeping about *how* a
-// profile was obtained is returned out-of-band to callers that ask (the
-// planner's tracing instrumentation).
+// nodes were spliced from the cone cache, Forwarded pass-through nodes were
+// handed their input stream, and Executed nodes ran a kernel; the three add
+// up to Nodes. Kernels breaks the kernel runs down by operation kind. It
+// lives outside Profile on purpose — profiles from delta and full
+// evaluations must stay byte-identical, so bookkeeping about *how* a profile
+// was obtained is returned out-of-band to callers that ask (the planner's
+// tracing instrumentation). The counters accumulate across executions.
 type ExecStats struct {
-	Nodes    int // nodes in the flow
-	ConeHits int // nodes served from the cone cache
-	Executed int // nodes simulated this run
+	Nodes     int // nodes in the flow
+	ConeHits  int // nodes served from the cone cache
+	Forwarded int // pass-through nodes handed their single input's stream
+	Executed  int // nodes whose kernel ran
+
+	// Kernels aggregates the kernel runs, indexed by etl.OpKind.
+	Kernels [etl.NumOpKinds]KernelStats
+
+	// Clock, when set, times every kernel run into Kernels[kind].Nanos.
+	// The simulator never reads the wall clock itself: its results must
+	// not depend on it.
+	Clock func() time.Time
+}
+
+// KernelStats aggregates the kernel runs of one operation kind.
+type KernelStats struct {
+	Count   int   // kernel runs
+	RowsIn  int64 // rows the kernels consumed
+	RowsOut int64 // rows the kernels produced, before routing
+	Nanos   int64 // wall-clock time inside the kernels, when timed by Clock
 }
 
 // Execute runs the data path of the flow once and returns its profile.
@@ -365,16 +393,10 @@ func (e *Engine) ExecuteDelta(g *etl.Graph, bind Binding, cache *EvalCache) (*Pr
 // rows can be shared across designs that differ only in cost parameters).
 func (e *Engine) finishNode(p *Profile, n *etl.Node, i, flat, nsucc int) {
 	totalOut := flat
-	if nsucc > 1 {
-		switch {
-		case n.Kind == etl.OpPartition:
-			// Rows are distributed, not copied.
-		case n.Kind == etl.OpSplit && n.Param("route") == "hash":
-			// Ditto for hash routing.
-		default:
-			// Copy semantics: every successor receives the full stream.
-			totalOut = nsucc * flat
-		}
+	if nsucc > 1 && !n.RoutesByPort(nsucc) {
+		// Copy semantics: every successor receives the full stream. Port
+		// routing distributes the rows instead.
+		totalOut = nsucc * flat
 	}
 	p.RowsOut[i] = totalOut
 	work := float64(p.RowsIn[i])
@@ -583,10 +605,13 @@ func (e *Engine) SourceUpdatesPerHour(g *etl.Graph, bind Binding) float64 {
 }
 
 // ExecuteDeltaStats is ExecuteDelta reporting splice accounting into stats
-// (ignored when nil). Collection is a few integer increments; callers that
-// do not need the numbers pass nil and pay nothing.
+// (ignored when nil). Collection is a few integer increments per node, plus
+// two clock reads per kernel run when stats.Clock is set; callers that do
+// not need the numbers pass nil and pay nothing.
 //
-// The data path runs in topological order. Each node either splices its
+// The data path runs in topological order. A pass-through node with one
+// input is forwarded: its output is the stream routed to it, with no cache
+// lookup, no store and no kernel. Every other node either splices its
 // memoized output from the cache (when its cone key hits) or applies its
 // operation to the routed outputs of its predecessors; timing and recovery
 // are then derived from the cardinalities, and the sinks' output quality is
@@ -630,6 +655,17 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 	for i, id := range order {
 		n := g.Node(id)
 		nsucc := len(g.SuccView(id))
+		preds := g.PredView(id)
+		if len(preds) == 1 && n.Kind.IsPassThrough() {
+			b := routedFor(p.pos[preds[0]])[id]
+			outs[i], flat[i] = []*colBatch{b}, b.len()
+			p.RowsIn[i] = flat[i]
+			e.finishNode(p, n, i, flat[i], nsucc)
+			if stats != nil {
+				stats.Forwarded++
+			}
+			continue
+		}
 		if cache != nil {
 			if rec := cache.lookup(keys[i]); rec != nil {
 				if stats != nil {
@@ -649,10 +685,14 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		ar.reset()
 		var in []*colBatch
 		rowsIn := 0
-		for _, pred := range g.PredView(id) {
+		for _, pred := range preds {
 			b := routedFor(p.pos[pred])[id]
 			in = append(in, b)
 			rowsIn += b.len()
+		}
+		var start time.Time
+		if stats != nil && stats.Clock != nil {
+			start = stats.Clock()
 		}
 		out, err := e.apply(g, n, in, bind, ar)
 		if err != nil {
@@ -666,6 +706,15 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		flat[i] = f
 		if n.Kind.IsSource() {
 			rowsIn = f
+		}
+		if stats != nil {
+			k := &stats.Kernels[n.Kind]
+			k.Count++
+			k.RowsIn += int64(rowsIn)
+			k.RowsOut += int64(f)
+			if stats.Clock != nil {
+				k.Nanos += stats.Clock().Sub(start).Nanoseconds()
+			}
 		}
 		p.RowsIn[i] = rowsIn
 		e.finishNode(p, n, i, f, nsucc)
@@ -708,8 +757,8 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 		}
 		return m
 	}
-	switch n.Kind {
-	case etl.OpPartition:
+	switch {
+	case n.Kind == etl.OpPartition:
 		// Horizontal partition: round-robin across branches.
 		k := len(succs)
 		nrows := all.len()
@@ -728,30 +777,25 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 		for j, s := range succs {
 			m[s] = withSel(all, dests[j])
 		}
-	case etl.OpSplit:
-		if n.Param("route") == "hash" && len(succs) > 1 {
-			k := len(succs)
-			nrows := all.len()
-			hashes := ar.hashes(nrows)
-			all.selectHashes(hashes)
-			dests := make([][]int32, k)
-			for j := range dests {
-				dests[j] = make([]int32, 0, nrows/k+8)
-			}
-			for i := 0; i < nrows; i++ {
-				j := int(hashes[i] % uint64(k))
-				dests[j] = append(dests[j], int32(all.phys(i)))
-			}
-			for j, s := range succs {
-				m[s] = withSel(all, dests[j])
-			}
-		} else {
-			// Copy semantics: each branch receives the full stream.
-			for _, s := range succs {
-				m[s] = all
-			}
+	case n.RoutesByPort(len(succs)):
+		// Hash split: route each row by its hash.
+		k := len(succs)
+		nrows := all.len()
+		hashes := ar.hashes(nrows)
+		all.selectHashes(hashes)
+		dests := make([][]int32, k)
+		for j := range dests {
+			dests[j] = make([]int32, 0, nrows/k+8)
+		}
+		for i := 0; i < nrows; i++ {
+			j := int(hashes[i] % uint64(k))
+			dests[j] = append(dests[j], int32(all.phys(i)))
+		}
+		for j, s := range succs {
+			m[s] = withSel(all, dests[j])
 		}
 	default:
+		// Copy semantics: each successor receives the full stream.
 		for _, s := range succs {
 			m[s] = all
 		}
