@@ -7,16 +7,8 @@
 // Usage:
 //
 //	go test -run xxx -bench 'Fig3|Fig4|A5' -benchmem -count=1 . | go run ./cmd/benchjson > BENCH.json
-//	go run ./cmd/benchjson -diff-schema committed.json regenerated.json
 //	go run ./cmd/benchjson -check-metrics metrics.txt
 //	go run ./cmd/benchjson -check-trace trace.json
-//
-// The -diff-schema mode compares the *shape* of two record files — the set
-// of record names and each record's metric keys — and exits non-zero on
-// drift. Numbers are deliberately ignored: CI regenerates load reports on
-// shared runners whose latencies vary, but a silently added, renamed, or
-// dropped series would corrupt the trajectory, and that is what the check
-// catches.
 //
 // The -check-metrics mode parses a saved /metrics scrape with the service's
 // own strict exposition parser and requires the core poiesis_* families to
@@ -34,8 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -53,26 +43,6 @@ type Record struct {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "-diff-schema" {
-		if len(os.Args) != 4 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -diff-schema OLD.json NEW.json")
-			os.Exit(2)
-		}
-		drift, err := diffSchema(os.Args[2], os.Args[3])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		if len(drift) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: schema drift between %s and %s:\n", os.Args[2], os.Args[3])
-			for _, d := range drift {
-				fmt.Fprintln(os.Stderr, "  "+d)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "benchjson: schemas match")
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "-check-metrics" {
 		if len(os.Args) != 3 {
 			fmt.Fprintln(os.Stderr, "usage: benchjson -check-metrics METRICS.txt")
@@ -274,73 +244,4 @@ func checkTrace(path string) error {
 	fmt.Fprintf(os.Stderr, "benchjson: trace %s OK: root %q, %d spans, depth %d, %d service(s)\n",
 		doc.ID, doc.Root, len(doc.Spans), depth, len(services))
 	return nil
-}
-
-// gomaxprocsSuffix is the "-8" CPU-count tail go test appends to benchmark
-// names; it varies with the runner, not the schema, so it is normalized away
-// before comparing.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
-
-// schemaOf reduces a record file to its shape: record name (normalized) →
-// sorted metric keys.
-func schemaOf(path string) (map[string][]string, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	if err := json.Unmarshal(blob, &recs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	schema := map[string][]string{}
-	for _, rec := range recs {
-		name := gomaxprocsSuffix.ReplaceAllString(rec.Name, "")
-		keys := make([]string, 0, len(rec.Metrics))
-		for k := range rec.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		schema[name] = keys
-	}
-	return schema, nil
-}
-
-// diffSchema lists every record series or metric key present in one file but
-// not the other.
-func diffSchema(oldPath, newPath string) ([]string, error) {
-	oldSchema, err := schemaOf(oldPath)
-	if err != nil {
-		return nil, err
-	}
-	newSchema, err := schemaOf(newPath)
-	if err != nil {
-		return nil, err
-	}
-	var drift []string
-	names := map[string]bool{}
-	for n := range oldSchema {
-		names[n] = true
-	}
-	for n := range newSchema {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, n := range sorted {
-		oldKeys, inOld := oldSchema[n]
-		newKeys, inNew := newSchema[n]
-		switch {
-		case !inNew:
-			drift = append(drift, fmt.Sprintf("record %q dropped", n))
-		case !inOld:
-			drift = append(drift, fmt.Sprintf("record %q added", n))
-		case strings.Join(oldKeys, ",") != strings.Join(newKeys, ","):
-			drift = append(drift, fmt.Sprintf("record %q metrics changed: [%s] -> [%s]",
-				n, strings.Join(oldKeys, " "), strings.Join(newKeys, " ")))
-		}
-	}
-	return drift, nil
 }

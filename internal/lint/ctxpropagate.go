@@ -5,7 +5,7 @@ import (
 )
 
 // Ctxpropagate keeps cancellation flowing through the request path: outbound
-// HTTP in the server, cluster and load-generator packages must be built with
+// HTTP in the server and cluster packages must be built with
 // http.NewRequestWithContext from a request-derived context. A bare
 // http.NewRequest (context.Background under the hood) or an explicit
 // context.Background()/TODO() on a request path survives client disconnects
@@ -14,10 +14,9 @@ import (
 // annotations.
 var Ctxpropagate = &Analyzer{
 	Name: "ctxpropagate",
-	Doc:  "require context-derived http.NewRequestWithContext on server/cluster/loadgen request paths",
+	Doc:  "require context-derived http.NewRequestWithContext on server/cluster request paths",
 	Applies: func(importPath string) bool {
-		return pathHasSuffix(importPath,
-			"internal/server", "internal/cluster", "internal/loadgen")
+		return pathHasSuffix(importPath, "internal/server", "internal/cluster")
 	},
 	Run: runCtxpropagate,
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -506,8 +507,9 @@ func TestClientDisconnectCancelsPlan(t *testing.T) {
 }
 
 // TestConcurrentSessionsStress drives many sessions in parallel through the
-// full loop; run under -race this is the concurrency acceptance test for the
-// store, cache and session serialization.
+// full loop, SSE plans and deletes included; run under -race this is the
+// concurrency acceptance test for the store, cache and session
+// serialization.
 func TestConcurrentSessionsStress(t *testing.T) {
 	s := newTestServer(t)
 	const workers = 8
@@ -541,13 +543,32 @@ func TestConcurrentSessionsStress(t *testing.T) {
 				do(t, s, "GET", "/v1/sessions", "", nil)
 				do(t, s, "GET", "/v1/stats", "", nil)
 			}
+			// An SSE plan beside the other workers' plain traffic must still
+			// end its stream with a result event.
+			req := httptest.NewRequest("POST", "/v1/sessions/"+sj.ID+"/plan", nil)
+			req.Header.Set("Accept", "text/event-stream")
+			rr = httptest.NewRecorder()
+			s.ServeHTTP(rr, req)
+			if rr.Code != http.StatusConflict && !slices.ContainsFunc(parseSSE(t, rr.Body.String()),
+				func(e sseEvent) bool { return e.name == "result" }) {
+				t.Errorf("w%d sse plan: %d, no result event in %q", w, rr.Code, rr.Body.String())
+			}
+			// Odd workers delete their session while the others still run.
+			if w%2 == 1 {
+				if rr := do(t, s, "DELETE", "/v1/sessions/"+sj.ID, "", nil); rr.Code != http.StatusNoContent {
+					t.Errorf("w%d delete: %d %s", w, rr.Code, rr.Body.String())
+				}
+				if rr := do(t, s, "GET", "/v1/sessions/"+sj.ID, "", nil); rr.Code != http.StatusNotFound {
+					t.Errorf("w%d get after delete: %d, want 404", w, rr.Code)
+				}
+			}
 		}(w)
 	}
 	wg.Wait()
 	var stats serverStatsJSON
 	do(t, s, "GET", "/v1/stats", "", &stats)
-	if stats.Sessions != workers {
-		t.Errorf("sessions = %d, want %d", stats.Sessions, workers)
+	if stats.Sessions != workers/2 {
+		t.Errorf("sessions = %d, want %d", stats.Sessions, workers/2)
 	}
 	if stats.PlansComputed == 0 {
 		t.Error("no plans computed")
