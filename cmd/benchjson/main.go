@@ -155,7 +155,6 @@ func checkMetrics(path string) error {
 	for _, want := range []string{
 		"poiesis_http_requests_total",
 		"poiesis_http_request_duration_seconds_count",
-		"poiesis_planner_stage_duration_seconds_count",
 		"poiesis_plans_computed_total",
 		"poiesis_plan_cache_misses_total",
 		"poiesis_backend_op_duration_seconds_count",

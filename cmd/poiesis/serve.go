@@ -37,7 +37,7 @@ func cmdServe(args []string) error {
 	nodeID := fs.String("node-id", "", "this replica's node ID within -peers (cluster mode)")
 	peersSpec := fs.String("peers", "", "static cluster membership as id=url[,id=url...], including this replica; enables consistent-hash session sharding and the shared plan-cache tier")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (CPU/heap profiles over HTTP; keep off on exposed listeners)")
-	accessLog := fs.Bool("access-log", true, "log one line per served request (with its request ID) to stderr")
+	accessLog := fs.Bool("access-log", true, "log one line per served request (with its trace ID) to stderr")
 	traceSample := fs.Int("trace-sample", 0, "trace one in N requests on /v1/traces (0 or 1 = every request, negative = tracing off; errors are always kept)")
 	traceBuffer := fs.Int("trace-buffer", 0, "how many recent traces to retain for /v1/traces (0 = default 128)")
 	if err := parseFlags(fs, args); err != nil {

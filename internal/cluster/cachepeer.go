@@ -50,7 +50,6 @@ func (c *Cluster) FetchCachedResult(ctx context.Context, ownerID, wireKey string
 		return nil, false
 	}
 	req.Header.Set(ForwardedHeader, c.self)
-	setRequestID(ctx, req)
 	setTraceParent(ctx, req)
 	resp, err := c.client.Do(req)
 	if err != nil {
@@ -90,19 +89,10 @@ func (c *Cluster) FetchCachedResult(ctx context.Context, ownerID, wireKey string
 	return b, true
 }
 
-// setRequestID stamps the context's request ID (if any) onto an
-// intra-cluster request, so one analyst request keeps one ID across every
-// hop — forwards clone the inbound headers, but cache calls build fresh
-// requests and need the ID restated.
-func setRequestID(ctx context.Context, req *http.Request) {
-	if rid := obs.RequestIDFrom(ctx); rid != "" {
-		req.Header.Set(obs.RequestIDHeader, rid)
-	}
-}
-
 // setTraceParent stamps the context's active span as the W3C traceparent of
 // an intra-cluster request, so the receiving replica's trace fragment grafts
-// under the calling span and the whole exchange renders as one tree.
+// under the calling span and one analyst request keeps one trace ID across
+// every hop.
 func setTraceParent(ctx context.Context, req *http.Request) {
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		req.Header.Set(obs.TraceParentHeader, sp.TraceParent())
@@ -135,7 +125,6 @@ func (c *Cluster) PushCachedResult(ctx context.Context, ownerID, wireKey string,
 	}
 	req.Header.Set(ForwardedHeader, c.self)
 	req.Header.Set("Content-Type", "application/json")
-	setRequestID(ctx, req)
 	setTraceParent(ctx, req)
 	resp, err := c.client.Do(req)
 	if err != nil {

@@ -86,10 +86,8 @@ func (c *Cluster) Forward(w http.ResponseWriter, r *http.Request, ownerID string
 	c.observe(p.id, "forward", start, false)
 
 	h := w.Header()
-	// The local middleware already stamped the request ID and trace ID and
-	// the upstream echoes the same values; drop ours so the client sees
-	// each exactly once.
-	h.Del(obs.RequestIDHeader)
+	// The local middleware already stamped the trace ID and the upstream
+	// echoes the same value; drop ours so the client sees it exactly once.
 	h.Del(obs.TraceIDHeader)
 	for k, vs := range resp.Header {
 		for _, v := range vs {

@@ -31,7 +31,7 @@ func (c *Cluster) FetchTrace(ctx context.Context, peerID, traceID string) (paylo
 		return nil, false
 	}
 	req.Header.Set(ForwardedHeader, c.self)
-	setRequestID(ctx, req)
+	setTraceParent(ctx, req)
 	resp, err := c.client.Do(req)
 	if err != nil {
 		c.observe(p.id, "trace_get", start, true)

@@ -179,13 +179,6 @@ type Result struct {
 	Dims []measures.Characteristic
 	// Stats describes the run.
 	Stats Stats
-	// Stages are the planner stage spans of this run (pattern application,
-	// evaluation, constraint filter, skyline merge) in pipeline order —
-	// wall time summed across the workers that executed each stage. They
-	// describe the run that computed this result and are not part of the
-	// snapshot wire format: a restored or cache-shipped Result has no
-	// Stages.
-	Stages []StageTiming
 }
 
 // Skyline returns the frontier alternatives in index order.
@@ -266,7 +259,6 @@ func (p *Planner) PlanContext(ctx context.Context, initial *etl.Graph, bind sim.
 }
 
 func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.Graph, bind sim.Binding) (*Result, error) {
-	planStart := time.Now()
 	if err := initial.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidFlow, err)
 	}
@@ -310,7 +302,6 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 	if err := p.planStream(ctx, initial, bind, palette, ev, est, res, clock); err != nil {
 		return nil, err
 	}
-	res.Stages = clock.timings()
 	if span != nil {
 		span.SetBool("delta", p.opts.DeltaEval == DeltaOn)
 		span.SetInt("candidates_seen", int64(res.Stats.CandidatesSeen))
@@ -320,17 +311,6 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 		span.SetInt("evaluated", int64(res.Stats.Evaluated))
 		span.SetInt("constraint_rejected", int64(res.Stats.ConstraintRejected))
 		span.SetInt("skyline", int64(len(res.SkylineIdx)))
-		// Stage clocks sum wall time across workers, so these spans carry
-		// the plan's start time and a summed duration — they are budget
-		// bars, not intervals (two stages can "overlap" in the rendering).
-		for _, st := range res.Stages {
-			if st.Count == 0 {
-				continue
-			}
-			span.Record("stage."+st.Stage, planStart, st.Duration(),
-				obs.Int("count", st.Count),
-				obs.String("time", "summed-across-workers"))
-		}
 	}
 	return res, nil
 }

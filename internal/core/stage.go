@@ -5,30 +5,9 @@ import (
 	"time"
 )
 
-// Planner stage names, as reported in Result.Stages and exported by the
-// service's /metrics and per-session trace endpoints.
-const (
-	StagePatternApplication = "pattern_application"
-	StageEvaluation         = "evaluation"
-	StageConstraintFilter   = "constraint_filter"
-	StageSkylineMerge       = "skyline_merge"
-)
-
-// StageTiming is the span one planner stage accumulated over a run: Nanos of
-// wall time summed across the workers that executed it, over Count timed
-// operations (batches for pattern application, alternatives for the rest).
-type StageTiming struct {
-	Stage string `json:"stage"`
-	Count int64  `json:"count"`
-	Nanos int64  `json:"nanos"`
-}
-
-// Duration returns the accumulated span.
-func (t StageTiming) Duration() time.Duration { return time.Duration(t.Nanos) }
-
-// StageNanos is the compact cumulative view of the four stage spans carried
-// on ProgressEvents, so SSE consumers can watch where a run's time is going
-// while it streams.
+// StageNanos is the compact cumulative view of the four planner stages
+// carried on ProgressEvents, so SSE consumers can watch where a run's time is
+// going while it streams.
 type StageNanos struct {
 	PatternApplication int64
 	Evaluation         int64
@@ -45,23 +24,16 @@ const (
 	siCount
 )
 
-var stageNames = [siCount]string{
-	StagePatternApplication, StageEvaluation, StageConstraintFilter, StageSkylineMerge,
-}
-
-// stageClock accumulates per-stage wall time for one planning run. Writers
-// are the pipeline's concurrent workers, hence atomics; the collector reads
-// it live for progress events and PlanContext snapshots it into
-// Result.Stages at the end.
+// stageClock accumulates per-stage wall time for one planning run, for
+// progress events only. Writers are the pipeline's concurrent workers, hence
+// atomics; the collector reads it live.
 type stageClock struct {
-	nanos  [siCount]atomic.Int64
-	counts [siCount]atomic.Int64
+	nanos [siCount]atomic.Int64
 }
 
-// observe records one timed operation in stage i, started at start.
+// observe adds the time since start to stage i.
 func (c *stageClock) observe(i int, start time.Time) {
 	c.nanos[i].Add(int64(time.Since(start)))
-	c.counts[i].Add(1)
 }
 
 // snapshot returns the cumulative stage nanos for progress events.
@@ -72,18 +44,4 @@ func (c *stageClock) snapshot() StageNanos {
 		ConstraintFilter:   c.nanos[siFilter].Load(),
 		SkylineMerge:       c.nanos[siMerge].Load(),
 	}
-}
-
-// timings renders the clock as Result.Stages, always all four stages in
-// pipeline order so consumers see a stable shape.
-func (c *stageClock) timings() []StageTiming {
-	out := make([]StageTiming, siCount)
-	for i := range out {
-		out[i] = StageTiming{
-			Stage: stageNames[i],
-			Count: c.counts[i].Load(),
-			Nanos: c.nanos[i].Load(),
-		}
-	}
-	return out
 }

@@ -6,36 +6,36 @@ import (
 	"poiesis/internal/tpcds"
 )
 
-// TestStageTimings asserts the pipeline reports the four stage spans in
-// order, with evaluation (the dominant stage) having counted every
-// alternative plus the baseline.
-func TestStageTimings(t *testing.T) {
+// TestProgressStageNanos asserts the stage clock behind ProgressEvent.StageNs
+// only accumulates: every stage's nanos are non-decreasing across the events
+// of a run, and by the last event both pattern application and evaluation
+// have consumed time.
+func TestProgressStageNanos(t *testing.T) {
 	g := tpcds.PurchasesFlow()
-	res, err := NewPlanner(nil, Options{Depth: 1, Workers: 4, Sim: fastSim()}).Plan(g, tpcds.Binding(g, 800, 1))
-	if err != nil {
+	var events []ProgressEvent
+	p := NewPlanner(nil, Options{Depth: 1, Workers: 4, Sim: fastSim()}).
+		WithProgress(func(e ProgressEvent) { events = append(events, e) })
+	if _, err := p.Plan(g, tpcds.Binding(g, 800, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stages) != siCount {
-		t.Fatalf("%d stages, want %d", len(res.Stages), siCount)
+	if len(events) == 0 {
+		t.Fatal("no progress events")
 	}
-	for i, st := range res.Stages {
-		if st.Stage != stageNames[i] {
-			t.Errorf("stage[%d] = %q, want %q", i, st.Stage, stageNames[i])
+	stages := func(n StageNanos) [siCount]int64 {
+		return [siCount]int64{n.PatternApplication, n.Evaluation, n.ConstraintFilter, n.SkylineMerge}
+	}
+	prev := stages(events[0].StageNs)
+	for _, e := range events[1:] {
+		cur := stages(e.StageNs)
+		for i := range cur {
+			if cur[i] < prev[i] {
+				t.Fatalf("event %d: stage %d went from %d to %d ns", e.Seq, i, prev[i], cur[i])
+			}
 		}
-		if st.Nanos < 0 || st.Count < 0 {
-			t.Errorf("stage %s negative: %+v", st.Stage, st)
-		}
+		prev = cur
 	}
-	evals := res.Stages[siEval]
-	wantEvals := int64(res.Stats.Evaluated) + 1 // + baseline
-	if evals.Count < wantEvals {
-		t.Errorf("evaluation count %d < %d", evals.Count, wantEvals)
-	}
-	if evals.Nanos <= 0 {
-		t.Errorf("evaluation span empty: %+v", evals)
-	}
-	apply := res.Stages[siApply]
-	if apply.Count == 0 || apply.Nanos <= 0 {
-		t.Errorf("pattern application span empty: %+v", apply)
+	last := events[len(events)-1].StageNs
+	if last.Evaluation <= 0 || last.PatternApplication <= 0 {
+		t.Errorf("last event stage nanos %+v: want evaluation and pattern application > 0", last)
 	}
 }

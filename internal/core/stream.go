@@ -55,7 +55,9 @@ type ProgressEvent struct {
 	// StageNs holds the cumulative wall time (nanoseconds, summed across
 	// workers) each planner stage has consumed so far in this run, so
 	// progress consumers can watch where the time is going while the
-	// pipeline streams.
+	// pipeline streams. Sampled traces carry the real intervals instead:
+	// one planner.apply span per apply batch, one planner.alternative span
+	// per evaluation.
 	StageNs StageNanos
 }
 
@@ -218,6 +220,7 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 	frontier := []Alternative{{Graph: initial}}
 	pruner := newStaticPruner(p.opts)
 	seq := 0
+	sp := obs.SpanFrom(ctx)
 
 	chunk := p.opts.Workers * 8
 	if chunk < 32 {
@@ -244,6 +247,9 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 					t0 := time.Now()
 					results := p.applyBatch(ctx, cur, cands[start:end], seen)
 					clock.observe(siApply, t0)
+					if sp != nil {
+						sp.Record("planner.apply", t0, time.Since(t0), obs.Int("candidates", int64(end-start)))
+					}
 					ch <- results
 				}()
 				return ch

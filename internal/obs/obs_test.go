@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"strings"
 	"sync"
@@ -206,33 +205,6 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if got := r.CounterVec("poiesis_conc_total", "c", "worker").With("w").Value(); got != 8*500 {
 		t.Fatalf("concurrent counter = %d, want %d", got, 8*500)
-	}
-}
-
-func TestRequestID(t *testing.T) {
-	id := NewRequestID()
-	if len(id) != 16 || !ValidRequestID(id) {
-		t.Fatalf("NewRequestID() = %q", id)
-	}
-	if id2 := NewRequestID(); id2 == id {
-		t.Fatalf("two request IDs collided: %q", id)
-	}
-	for _, ok := range []string{"abc-DEF_0.9", "x"} {
-		if !ValidRequestID(ok) {
-			t.Errorf("ValidRequestID(%q) = false", ok)
-		}
-	}
-	for _, bad := range []string{"", strings.Repeat("a", 65), "has space", "new\nline", "quo\"te"} {
-		if ValidRequestID(bad) {
-			t.Errorf("ValidRequestID(%q) = true", bad)
-		}
-	}
-	ctx := ContextWithRequestID(context.Background(), id)
-	if got := RequestIDFrom(ctx); got != id {
-		t.Fatalf("RequestIDFrom = %q, want %q", got, id)
-	}
-	if got := RequestIDFrom(context.Background()); got != "" {
-		t.Fatalf("RequestIDFrom(empty) = %q", got)
 	}
 }
 

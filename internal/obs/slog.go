@@ -11,7 +11,7 @@ import (
 // log package, a test recorder) into a slog.Handler. Records render as one
 // "msg key=val ..." line, so every logging style in the tree — server
 // config logf, backend Logf views, and the old log.Printf fallbacks —
-// funnels through one structured path and can carry rid/trace_id/span_id.
+// funnels through one structured path and can carry trace_id/span_id.
 type logfHandler struct {
 	logf   func(format string, args ...any)
 	prefix string // pre-rendered " key=val" pairs from WithAttrs
@@ -88,18 +88,16 @@ func appendAttr(b *strings.Builder, group string, a slog.Attr) {
 	}
 }
 
-// CtxAttrs returns the request-scoped identity attrs (rid, trace_id,
-// span_id) found on the context, for attaching to a logger handling that
-// request. Missing pieces are simply omitted.
+// CtxAttrs returns the request-scoped identity attrs (trace_id, span_id)
+// found on the context, for attaching to a logger handling that request;
+// nil when the context carries no span.
 func CtxAttrs(ctx context.Context) []slog.Attr {
-	var attrs []slog.Attr
-	if rid := RequestIDFrom(ctx); rid != "" {
-		attrs = append(attrs, slog.String("rid", rid))
+	sp := SpanFrom(ctx)
+	if sp == nil {
+		return nil
 	}
-	if sp := SpanFrom(ctx); sp != nil {
-		attrs = append(attrs,
-			slog.String("trace_id", sp.TraceIDString()),
-			slog.String("span_id", sp.SpanIDString()))
+	return []slog.Attr{
+		slog.String("trace_id", sp.TraceIDString()),
+		slog.String("span_id", sp.SpanIDString()),
 	}
-	return attrs
 }

@@ -39,6 +39,12 @@ func TestTraceParentRejects(t *testing.T) {
 		"00-0123456789abcdef0123456789abcdeZ-1122334455667788-01", // bad hex
 		"00_0123456789abcdef0123456789abcdef-1122334455667788-01", // bad separator
 		"00-0123456789abcdef0123456789abcdef-1122334455667788-01extra",
+		"zz-0123456789abcdef0123456789abcdef-1122334455667788-01", // non-hex version
+		"0A-0123456789abcdef0123456789abcdef-1122334455667788-01", // uppercase version
+		"00-0123456789ABCDEF0123456789abcdef-1122334455667788-01", // uppercase trace id
+		"00-0123456789abcdef0123456789abcdef-11223344556677AA-01", // uppercase span id
+		"00-0123456789abcdef0123456789abcdef-1122334455667788-0A", // uppercase flags
+		"00-0123456789abcdef0123456789abcdef-1122334455667788-0g", // non-hex flags
 	}
 	for _, s := range bad {
 		if _, _, _, ok := ParseTraceParent(s); ok {
@@ -55,7 +61,7 @@ func TestValidTraceID(t *testing.T) {
 	if !ValidTraceID("0123456789abcdef0123456789abcdef") {
 		t.Error("valid trace id rejected")
 	}
-	for _, s := range []string{"", "short", strings.Repeat("0", 32), strings.Repeat("g", 32)} {
+	for _, s := range []string{"", "short", strings.Repeat("0", 32), strings.Repeat("g", 32), "0123456789ABCDEF0123456789abcdef"} {
 		if ValidTraceID(s) {
 			t.Errorf("ValidTraceID(%q) = true", s)
 		}
@@ -445,19 +451,17 @@ func TestLogfLogger(t *testing.T) {
 }
 
 func TestCtxAttrs(t *testing.T) {
-	ctx := ContextWithRequestID(context.Background(), "rid1")
-	attrs := CtxAttrs(ctx)
-	if len(attrs) != 1 || attrs[0].Key != "rid" {
-		t.Fatalf("attrs = %v", attrs)
+	if attrs := CtxAttrs(context.Background()); len(attrs) != 0 {
+		t.Fatalf("attrs without a span = %v", attrs)
 	}
 	tr := NewTracer("s", 1, 4)
-	ctx, sp := tr.StartRequest(ctx, "", "req")
+	ctx, sp := tr.StartRequest(context.Background(), "", "req")
 	defer sp.End()
-	attrs = CtxAttrs(ctx)
-	if len(attrs) != 3 || attrs[1].Key != "trace_id" || attrs[2].Key != "span_id" {
+	attrs := CtxAttrs(ctx)
+	if len(attrs) != 2 || attrs[0].Key != "trace_id" || attrs[1].Key != "span_id" {
 		t.Fatalf("attrs = %v", attrs)
 	}
-	if attrs[1].Value.String() != sp.TraceIDString() {
+	if attrs[0].Value.String() != sp.TraceIDString() {
 		t.Fatal("trace_id attr mismatch")
 	}
 }

@@ -53,7 +53,8 @@ func FormatTraceParent(tid TraceID, sid SpanID, sampled bool) string {
 
 // ParseTraceParent parses a traceparent header value. It accepts any
 // version except ff (per the W3C spec, unknown versions parse as version
-// 00 if the shape matches) and rejects all-zero trace or span IDs.
+// 00 if the shape matches), requires lowercase hex in every field, and
+// rejects all-zero trace or span IDs.
 func ParseTraceParent(s string) (tid TraceID, sid SpanID, sampled bool, ok bool) {
 	if len(s) < 55 {
 		return tid, sid, false, false
@@ -61,20 +62,14 @@ func ParseTraceParent(s string) (tid TraceID, sid SpanID, sampled bool, ok bool)
 	if s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return tid, sid, false, false
 	}
-	if s[0] == 'f' && s[1] == 'f' {
+	var version, flags [1]byte
+	if !decodeLowerHex(version[:], s[0:2]) || version[0] == 0xff {
 		return tid, sid, false, false
 	}
-	if len(s) > 55 && (s[0] == '0' && s[1] == '0' || s[55] != '-') {
+	if len(s) > 55 && (version[0] == 0 || s[55] != '-') {
 		return tid, sid, false, false
 	}
-	if _, err := hex.Decode(tid[:], []byte(s[3:35])); err != nil {
-		return tid, sid, false, false
-	}
-	if _, err := hex.Decode(sid[:], []byte(s[36:52])); err != nil {
-		return tid, sid, false, false
-	}
-	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(s[53:55])); err != nil {
+	if !decodeLowerHex(tid[:], s[3:35]) || !decodeLowerHex(sid[:], s[36:52]) || !decodeLowerHex(flags[:], s[53:55]) {
 		return tid, sid, false, false
 	}
 	if tid.IsZero() || sid.IsZero() {
@@ -86,14 +81,21 @@ func ParseTraceParent(s string) (tid TraceID, sid SpanID, sampled bool, ok bool)
 // ValidTraceID reports whether s is a well-formed 32-hex-char trace ID,
 // safe to use in URLs and log lines.
 func ValidTraceID(s string) bool {
-	if len(s) != 32 {
-		return false
-	}
 	var t TraceID
-	if _, err := hex.Decode(t[:], []byte(s)); err != nil {
-		return false
+	return len(s) == 32 && decodeLowerHex(t[:], s) && !t.IsZero()
+}
+
+// decodeLowerHex decodes s into dst, accepting lowercase hex digits only:
+// W3C Trace Context forbids uppercase, and an ID the server adopts must
+// render back exactly as the caller sent it.
+func decodeLowerHex(dst []byte, s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
 	}
-	return !t.IsZero()
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // splitmix64 is the SplitMix64 output function: a cheap, well-mixed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -261,19 +262,32 @@ func (t *Tracer) publish(id string, spans []SpanData, dropped int, errored bool)
 }
 
 // summarize recomputes the trace's root name, start, and duration from its
-// spans: the span with no in-trace parent that starts earliest wins.
+// spans.
 func summarize(tr *Trace) {
-	ids := make(map[string]bool, len(tr.Spans))
-	for i := range tr.Spans {
-		ids[tr.Spans[i].SpanID] = true
-	}
-	var root *SpanData
 	end := time.Time{}
 	for i := range tr.Spans {
 		sp := &tr.Spans[i]
 		if e := sp.Start.Add(sp.Duration); e.After(end) {
 			end = e
 		}
+	}
+	if root := rootSpan(tr.Spans); root != nil {
+		tr.Root = root.Name
+		tr.Start = root.Start
+		tr.Duration = end.Sub(root.Start)
+	}
+}
+
+// rootSpan returns the trace's root: of the spans with no in-trace parent,
+// the one that starts earliest. Nil for an empty trace.
+func rootSpan(spans []SpanData) *SpanData {
+	ids := make(map[string]bool, len(spans))
+	for i := range spans {
+		ids[spans[i].SpanID] = true
+	}
+	var root *SpanData
+	for i := range spans {
+		sp := &spans[i]
 		if sp.ParentID != "" && ids[sp.ParentID] {
 			continue
 		}
@@ -281,11 +295,7 @@ func summarize(tr *Trace) {
 			root = sp
 		}
 	}
-	if root != nil {
-		tr.Root = root.Name
-		tr.Start = root.Start
-		tr.Duration = end.Sub(root.Start)
-	}
+	return root
 }
 
 // Traces returns summaries of the retained traces, newest first. The span
@@ -300,6 +310,31 @@ func (t *Tracer) Traces() []Trace {
 	for i := len(t.ring) - 1; i >= 0; i-- {
 		tr := t.byID[t.ring[i]]
 		if tr == nil {
+			continue
+		}
+		cp := *tr
+		cp.Spans = nil
+		out = append(out, cp)
+	}
+	return out
+}
+
+// TracesWhere returns summaries of the retained traces whose root span
+// carries the attribute key=value, newest first.
+func (t *Tracer) TracesWhere(key, value string) []Trace {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := []Trace{}
+	for i := len(t.ring) - 1; i >= 0; i-- {
+		tr := t.byID[t.ring[i]]
+		if tr == nil {
+			continue
+		}
+		root := rootSpan(tr.Spans)
+		if root == nil || !slices.Contains(root.Attrs, Attr{Key: key, Value: value}) {
 			continue
 		}
 		cp := *tr

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"poiesis/internal/cluster"
 	"poiesis/internal/config"
@@ -268,6 +267,8 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
 }
 
+// session resolves the route's session and stamps it on the request's root
+// span, which is what files the request under GET .../trace.
 func (s *Server) session(w http.ResponseWriter, r *http.Request) (*sessionState, bool) {
 	id := r.PathValue("id")
 	st, ok := s.store.get(id)
@@ -275,6 +276,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*sessionState,
 		writeError(w, http.StatusNotFound, "unknown session %q", id)
 		return nil, false
 	}
+	obs.SpanFrom(r.Context()).SetAttr("session", id)
 	return st, true
 }
 
@@ -352,8 +354,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	// A dropped client cancels the in-flight run through the request context.
 	ctx := r.Context()
-	planStart := time.Now()
-	startWall := s.cfg.Now()
 
 	var stream *sseWriter
 	if wantsSSE(r) {
@@ -456,12 +456,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		res, err = run()
 	}
 	if err != nil {
-		st.recordTrace(planTrace{
-			RequestID: obs.RequestIDFrom(ctx),
-			Start:     startWall,
-			Duration:  time.Since(planStart),
-			Err:       err.Error(),
-		})
 		s.planError(w, stream, ctx, err)
 		return
 	}
@@ -473,22 +467,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		sp.SetInt("plan.evaluated", int64(res.Stats.Evaluated))
 		sp.SetInt("plan.skyline", int64(len(res.SkylineIdx)))
 	}
-	if !hit {
-		// This request computed the run locally: feed its stage spans into
-		// the service-wide stage histograms.
-		for _, sp := range res.Stages {
-			s.metrics.stageSpans.With(sp.Stage).Observe(sp.Duration())
-		}
-	}
-	st.recordTrace(planTrace{
-		RequestID: obs.RequestIDFrom(ctx),
-		Start:     startWall,
-		Duration:  time.Since(planStart),
-		Cached:    hit,
-		Evaluated: res.Stats.Evaluated,
-		Skyline:   len(res.SkylineIdx),
-		Stages:    res.Stages,
-	})
 	st.planDone(s.cfg.Now())
 	// Write the new state (result, plan count, liveness) through to the
 	// backend while opMu still excludes deletion and eviction. A failed
@@ -562,29 +540,21 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toResultJSON(res, includeReports))
 }
 
-// handleTrace serves the session's recent plan-run timeline: one entry per
-// plan request (newest last) with its request ID, duration, cache outcome
-// and — for locally computed runs — the planner stage spans.
+// handleTrace serves the session's timeline as a view over the trace ring:
+// summaries of this replica's retained traces whose root span carries the
+// session (Server.session stamps it), newest first. Plan outcomes are root
+// attributes (plan.cached, plan.evaluated, plan.skyline) in
+// /v1/traces/{id}.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.session(w, r)
 	if !ok {
 		return
 	}
-	traces := st.traceList()
-	out := make([]traceJSON, 0, len(traces))
-	for _, t := range traces {
-		out = append(out, traceJSON{
-			RequestID:   t.RequestID,
-			Start:       t.Start,
-			DurationNs:  int64(t.Duration),
-			Cached:      t.Cached,
-			Error:       t.Err,
-			Evaluated:   t.Evaluated,
-			SkylineSize: t.Skyline,
-			Stages:      t.Stages,
-		})
+	if s.tracer == nil {
+		writeError(w, http.StatusNotFound, "tracing is disabled on this replica")
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"session": st.id, "traces": out})
+	writeJSON(w, http.StatusOK, map[string]any{"session": st.id, "traces": s.tracer.TracesWhere("session", st.id)})
 }
 
 func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {

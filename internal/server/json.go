@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"math"
-	"time"
 
 	"poiesis/internal/cluster"
 	"poiesis/internal/core"
@@ -180,21 +179,6 @@ type healthzJSON struct {
 	Status   string `json:"status"`
 	Version  string `json:"version"`
 	Revision string `json:"revision"`
-}
-
-// traceJSON is one recorded plan run in GET .../trace, newest last.
-type traceJSON struct {
-	RequestID   string    `json:"requestId"`
-	Start       time.Time `json:"start"`
-	DurationNs  int64     `json:"durationNs"`
-	Cached      bool      `json:"cached"`
-	Error       string    `json:"error,omitempty"`
-	Evaluated   int       `json:"evaluated"`
-	SkylineSize int       `json:"skylineSize"`
-	// Stages describe the run that originally computed the result: a cache
-	// hit repeats the computing run's spans, and results restored from a
-	// snapshot or fetched from a peer carry none (timings don't serialize).
-	Stages []core.StageTiming `json:"stages,omitempty"`
 }
 
 type serverStatsJSON struct {

@@ -2,7 +2,7 @@
 // store, the disk backend's Logf view, and the old bare log.Printf
 // fallbacks — funnels through one obs.NewLogfLogger handler, so a warning
 // from any layer renders the same "msg key=val" shape and request-scoped
-// lines carry rid/trace_id/span_id.
+// lines carry trace_id/span_id.
 package server
 
 import (
@@ -24,7 +24,7 @@ func defaultLogf(format string, args ...any) {
 	defaultLogger.Info(fmt.Sprintf(format, args...))
 }
 
-// withCtx returns lg with the context's request identity (rid, trace_id,
+// withCtx returns lg with the context's request identity (trace_id,
 // span_id) attached; lg unchanged when the context carries none.
 func withCtx(lg *slog.Logger, ctx context.Context) *slog.Logger {
 	attrs := obs.CtxAttrs(ctx)
@@ -45,7 +45,7 @@ func (s *Server) logCtx(ctx context.Context) *slog.Logger {
 
 // logfFor returns a printf-style view of the request-scoped logger, for
 // call sites that still format their message inline. The rendered line
-// carries rid/trace_id/span_id like every other structured line.
+// carries trace_id/span_id like every other structured line.
 func (s *Server) logfFor(ctx context.Context) func(format string, args ...any) {
 	lg := s.logCtx(ctx)
 	return func(format string, args ...any) {

@@ -16,7 +16,6 @@ type serverMetrics struct {
 	httpRequests *obs.CounterVec   // route, method, code class
 	httpLatency  *obs.HistogramVec // route
 	sseStreams   *obs.Gauge
-	stageSpans   *obs.HistogramVec // planner stage, one observation per plan run
 	peerOps      *obs.HistogramVec // peer, op
 	peerErrs     *obs.CounterVec   // peer, op
 
@@ -49,9 +48,6 @@ func newServerMetrics() *serverMetrics {
 			"HTTP request latency by route pattern.", nil, "route"),
 		sseStreams: reg.Gauge("poiesis_sse_streams",
 			"SSE plan streams currently open."),
-		stageSpans: reg.HistogramVec("poiesis_planner_stage_duration_seconds",
-			"Planner stage span per locally computed plan run (wall time summed across the stage's workers).",
-			nil, "stage"),
 		peerOps: reg.HistogramVec("poiesis_cluster_peer_op_duration_seconds",
 			"Outbound cluster call latency by peer and op (forward, cache_get, cache_put).",
 			nil, "peer", "op"),

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"poiesis/internal/obs"
 )
@@ -49,8 +51,8 @@ func sampleValue(samples map[string]obs.Sample, name string) (float64, bool) {
 }
 
 // TestMetricsExposition drives real traffic through the handler and asserts
-// the scrape covers every layer: HTTP routes, planner stages, plan cache,
-// session backend and build identity — and that the format round-trips
+// the scrape covers every layer: HTTP routes, planner evaluations, plan
+// cache, session backend and build identity — and that the format round-trips
 // through the strict parser.
 func TestMetricsExposition(t *testing.T) {
 	s := newTestServer(t)
@@ -78,13 +80,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !foundRoute {
 		t.Errorf("no sample labeled %s in scrape", route)
-	}
-	for _, stage := range []string{"pattern_application", "evaluation", "constraint_filter", "skyline_merge"} {
-		key := fmt.Sprintf(`poiesis_planner_stage_duration_seconds_count{stage=%q}`, stage)
-		sm, ok := samples[key]
-		if !ok || sm.Value < 1 {
-			t.Errorf("stage span %s: sample %+v (found %v), want count >= 1", stage, sm, ok)
-		}
 	}
 	if v, ok := sampleValue(samples, "poiesis_plan_cache_hits_total"); !ok || v != 1 {
 		t.Errorf("poiesis_plan_cache_hits_total = %v (found %v), want 1", v, ok)
@@ -155,81 +150,129 @@ func TestHealthzBuildInfo(t *testing.T) {
 	}
 }
 
-// TestRequestIDHeader covers the middleware contract: a minted ID on bare
-// requests, echo of a valid caller ID, and replacement of an invalid one.
-func TestRequestIDHeader(t *testing.T) {
+// TestTraceIDHeader covers the middleware's correlation contract: a bare
+// request gets a fresh trace ID, a valid inbound traceparent's trace ID is
+// echoed as sent, a malformed one is replaced, and with tracing disabled no
+// ID header is sent at all.
+func TestTraceIDHeader(t *testing.T) {
 	s := newTestServer(t)
 	rr := do(t, s, "GET", "/v1/healthz", "", nil)
-	if rid := rr.Header().Get(obs.RequestIDHeader); !obs.ValidRequestID(rid) {
-		t.Errorf("minted request ID %q is invalid", rid)
+	if tid := rr.Header().Get(obs.TraceIDHeader); !obs.ValidTraceID(tid) {
+		t.Errorf("minted trace ID %q is invalid", tid)
 	}
 
+	const callerTID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	req := httptest.NewRequest("GET", "/v1/healthz", nil)
-	req.Header.Set(obs.RequestIDHeader, "caller-chose.this_1")
+	req.Header.Set(obs.TraceParentHeader, "00-"+callerTID+"-00f067aa0ba902b7-01")
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
-	if got := rec.Header().Get(obs.RequestIDHeader); got != "caller-chose.this_1" {
-		t.Errorf("valid caller ID not echoed: got %q", got)
+	if got := rec.Header().Get(obs.TraceIDHeader); got != callerTID {
+		t.Errorf("caller's trace ID not echoed: got %q", got)
 	}
 
+	for _, bad := range []string{"bad id\nwith junk", "00-" + strings.ToUpper(callerTID) + "-00f067aa0ba902b7-01"} {
+		req = httptest.NewRequest("GET", "/v1/healthz", nil)
+		req.Header.Set(obs.TraceParentHeader, bad)
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if got := rec.Header().Get(obs.TraceIDHeader); !obs.ValidTraceID(got) || got == callerTID {
+			t.Errorf("malformed traceparent %q not replaced: got %q", bad, got)
+		}
+	}
+
+	off := New(Config{TraceSample: -1})
 	req = httptest.NewRequest("GET", "/v1/healthz", nil)
-	req.Header.Set(obs.RequestIDHeader, "bad id\nwith junk")
+	req.Header.Set(obs.TraceParentHeader, "00-"+callerTID+"-00f067aa0ba902b7-01")
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if got := rec.Header().Get(obs.RequestIDHeader); !obs.ValidRequestID(got) || got == "bad id\nwith junk" {
-		t.Errorf("invalid caller ID not replaced: got %q", got)
+	off.ServeHTTP(rec, req)
+	for _, h := range []string{obs.TraceIDHeader, "X-Poiesis-Request-ID"} {
+		if got := rec.Header().Get(h); got != "" {
+			t.Errorf("tracing disabled, yet %s = %q", h, got)
+		}
 	}
 }
 
-// TestPlanTrace exercises GET .../trace: a computed run records its stage
-// spans, a cache hit records cached=true, and both carry request IDs.
+// TestPlanTrace exercises GET .../trace, the session's view over the trace
+// ring: a computed plan, a cached plan and a GET appear newest first, the
+// plan roots carry their cache outcome, another session's traces stay out,
+// and the route 404s for an unknown session or with tracing disabled.
 func TestPlanTrace(t *testing.T) {
 	s := newTestServer(t)
 	id := createSession(t, s, "trace")
-	req := httptest.NewRequest("POST", "/v1/sessions/"+id+"/plan", nil)
-	req.Header.Set(obs.RequestIDHeader, "trace-run-1")
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("plan: %d %s", rec.Code, rec.Body.String())
+	other := createSession(t, s, "other")
+	for _, path := range []string{"/v1/sessions/" + id + "/plan", "/v1/sessions/" + id + "/plan", "/v1/sessions/" + other + "/plan"} {
+		if rr := do(t, s, "POST", path, "", nil); rr.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", path, rr.Code, rr.Body.String())
+		}
 	}
-	if rr := do(t, s, "POST", "/v1/sessions/"+id+"/plan", "", nil); rr.Code != http.StatusOK {
-		t.Fatalf("replan: %d", rr.Code)
+	if rr := do(t, s, "GET", "/v1/sessions/"+id, "", nil); rr.Code != http.StatusOK {
+		t.Fatalf("get: %d", rr.Code)
 	}
 
-	var body struct {
+	type timeline struct {
 		Session string      `json:"session"`
-		Traces  []traceJSON `json:"traces"`
+		Traces  []obs.Trace `json:"traces"`
 	}
+	var body, otherBody timeline
 	if rr := do(t, s, "GET", "/v1/sessions/"+id+"/trace", "", &body); rr.Code != http.StatusOK {
 		t.Fatalf("trace: %d %s", rr.Code, rr.Body.String())
 	}
-	if body.Session != id || len(body.Traces) != 2 {
-		t.Fatalf("trace body: session %q, %d traces", body.Session, len(body.Traces))
+	if body.Session != id || len(body.Traces) != 3 {
+		t.Fatalf("trace body: session %q, %d traces, want 3: %+v", body.Session, len(body.Traces), body.Traces)
 	}
-	first, second := body.Traces[0], body.Traces[1]
-	if first.Cached || first.RequestID != "trace-run-1" {
-		t.Errorf("first trace: %+v", first)
+	wantRoots := []string{
+		"http GET /v1/sessions/{id}",
+		"http POST /v1/sessions/{id}/plan",
+		"http POST /v1/sessions/{id}/plan",
 	}
-	if len(first.Stages) != 4 {
-		t.Errorf("first trace has %d stages, want 4: %+v", len(first.Stages), first.Stages)
+	for i, tr := range body.Traces {
+		if tr.Root != wantRoots[i] {
+			t.Errorf("trace %d root %q, want %q", i, tr.Root, wantRoots[i])
+		}
+		if i > 0 && tr.Start.After(body.Traces[i-1].Start) {
+			t.Errorf("trace %d starts after trace %d: not newest first", i, i-1)
+		}
 	}
-	if !second.Cached {
-		t.Errorf("second trace not cached: %+v", second)
+	// Newest first: the cache hit, then the computed plan.
+	for i, want := range []string{"true", "false"} {
+		tid := body.Traces[1+i].ID
+		var doc traceDocJSON
+		if rr := do(t, s, "GET", "/v1/traces/"+tid, "", &doc); rr.Code != http.StatusOK {
+			t.Fatalf("GET trace %s: %d", tid, rr.Code)
+		}
+		if len(doc.Tree) != 1 || !slices.Contains(doc.Tree[0].Attrs, obs.Attr{Key: "plan.cached", Value: want}) {
+			t.Errorf("trace %s root lacks plan.cached=%s: %+v", tid, want, doc.Tree)
+		}
 	}
-	if second.RequestID == "" || second.RequestID == first.RequestID {
-		t.Errorf("second trace request ID %q (first %q)", second.RequestID, first.RequestID)
+
+	if rr := do(t, s, "GET", "/v1/sessions/"+other+"/trace", "", &otherBody); rr.Code != http.StatusOK {
+		t.Fatalf("other trace: %d", rr.Code)
 	}
-	if first.Evaluated == 0 || first.SkylineSize == 0 || first.DurationNs <= 0 {
-		t.Errorf("first trace counters: %+v", first)
+	if len(otherBody.Traces) != 1 {
+		t.Fatalf("other session has %d traces, want 1", len(otherBody.Traces))
+	}
+	for _, tr := range body.Traces {
+		if tr.ID == otherBody.Traces[0].ID {
+			t.Errorf("trace %s listed under both sessions", tr.ID)
+		}
+	}
+
+	if rr := do(t, s, "GET", "/v1/sessions/nope/trace", "", nil); rr.Code != http.StatusNotFound {
+		t.Errorf("unknown session trace: %d, want 404", rr.Code)
+	}
+	off := New(Config{TraceSample: -1})
+	offID := createSession(t, off, "off")
+	if rr := do(t, off, "GET", "/v1/sessions/"+offID+"/trace", "", nil); rr.Code != http.StatusNotFound {
+		t.Errorf("trace with tracing disabled: %d, want 404", rr.Code)
 	}
 }
 
-// TestClusterForwardRequestID boots two replicas with captured access logs
-// and sends a session request to the replica that does NOT own it. Exactly
-// one request ID must appear end-to-end: on the response, in the proxying
-// replica's access log, and in the owner's access log.
-func TestClusterForwardRequestID(t *testing.T) {
+// TestClusterForwardTraceID boots two replicas with captured access logs
+// and sends a session request, carrying the caller's traceparent, to the
+// replica that does NOT own it. Exactly one trace ID must appear end-to-end:
+// on the response, in the proxying replica's access log, and in the owner's
+// access log.
+func TestClusterForwardTraceID(t *testing.T) {
 	var mu sync.Mutex
 	logs := make([][]string, 2)
 	_, urls := startReplicas(t, 2, func(i int, cfg *Config) {
@@ -246,7 +289,8 @@ func TestClusterForwardRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(obs.RequestIDHeader, "xcluster-rid-7")
+	const tid = "0af7651916cd43dd8448eb211c80319c"
+	req.Header.Set(obs.TraceParentHeader, "00-"+tid+"-b7ad6b7169203331-01")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -255,35 +299,45 @@ func TestClusterForwardRequestID(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded get: %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get(obs.RequestIDHeader); got != "xcluster-rid-7" {
-		t.Errorf("response request ID %q, want the caller's", got)
-	}
 	// Exactly once: the proxy drops its own copy before relaying the
 	// upstream's, so a forwarded response must not double the header.
-	if vs := resp.Header.Values(obs.RequestIDHeader); len(vs) != 1 {
-		t.Errorf("forwarded response carries %d request-ID headers (%q), want 1", len(vs), vs)
+	if vs := resp.Header.Values(obs.TraceIDHeader); len(vs) != 1 || vs[0] != tid {
+		t.Errorf("forwarded response trace ID headers %q, want exactly the caller's", vs)
 	}
 
+	// The proxy writes its access line after it has relayed the response,
+	// so the client can see the response first: wait for both lines.
+	tidLine := regexp.MustCompile(`trace_id=` + tid + `\b`)
+	logged := func(i int) bool {
+		return slices.ContainsFunc(logs[i], tidLine.MatchString)
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		done := logged(0) && logged(1)
+		mu.Unlock()
+		if done {
+			break
+		}
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	ridLine := regexp.MustCompile(`rid=xcluster-rid-7\b`)
 	for i, replica := range logs {
 		found := false
 		for _, line := range replica {
-			if ridLine.MatchString(line) && strings.Contains(line, "/v1/sessions/"+id) {
+			if tidLine.MatchString(line) && strings.Contains(line, "/v1/sessions/"+id) {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("replica %d access log has no line for rid=xcluster-rid-7:\n%s",
-				i, strings.Join(replica, "\n"))
+			t.Errorf("replica %d access log has no line for trace_id=%s:\n%s",
+				i, tid, strings.Join(replica, "\n"))
 		}
 	}
 	// The proxying replica must label the request as a forward, not a route.
 	foundForward := false
 	for _, line := range logs[1] {
-		if ridLine.MatchString(line) && strings.Contains(line, `route="forward"`) {
+		if tidLine.MatchString(line) && strings.Contains(line, `route="forward"`) {
 			foundForward = true
 		}
 	}

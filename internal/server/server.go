@@ -30,11 +30,12 @@
 // gains a shared tier keyed by canonical plan-key ownership, and startup
 // restores only the backend records the ring assigns to this replica.
 //
-// Every request carries a request ID (X-Poiesis-Request-ID, minted when the
-// client sends none) that is echoed on the response, propagated on cluster
-// forwards and intra-cluster cache calls, stamped on the request-scoped log
-// lines, and written to the structured access log (Config.AccessLogf) — so a
-// slow forwarded request is greppable on every replica it touched. /metrics
+// Every traced request carries one correlation ID, its trace ID (adopted
+// from an inbound traceparent, minted otherwise): it is echoed in
+// X-Poiesis-Trace-ID, propagated in traceparent on cluster forwards and
+// intra-cluster calls, stamped on the request-scoped log lines, and written
+// to the structured access log (Config.AccessLogf) — so a slow forwarded
+// request is greppable on every replica it touched. /metrics
 // exposes the service's counters, gauges and latency histograms in the
 // Prometheus text format.
 //
@@ -59,7 +60,7 @@
 //	GET    /v1/sessions/{id}            session detail + history
 //	DELETE /v1/sessions/{id}            drop a session
 //	POST   /v1/sessions/{id}/plan       run one exploration (SSE optional)
-//	GET    /v1/sessions/{id}/trace      recent plan-run traces (stage spans)
+//	GET    /v1/sessions/{id}/trace      retained traces of the session's requests
 //	GET    /v1/sessions/{id}/result     full last result as JSON
 //	GET    /v1/sessions/{id}/skyline    frontier with full measure reports
 //	GET    /v1/sessions/{id}/flow       current design (json|dot|xlm|ktr)
@@ -119,7 +120,7 @@ type Config struct {
 	// failures. Default log.Printf.
 	Logf func(format string, args ...any)
 	// AccessLogf, when non-nil, receives one structured line per served
-	// request (request ID, method, path, route, status, duration, bytes).
+	// request (trace ID, method, path, route, status, duration, bytes).
 	// Nil (the default) disables access logging — benchmarks and tests
 	// should not drown in per-request lines; `poiesis serve` wires it to
 	// the process logger.
@@ -187,7 +188,7 @@ type Server struct {
 	// disabled tracing (TraceSample < 0).
 	tracer *obs.Tracer
 	// logger is the structured face of Config.Logf: every server log line
-	// flows through it so request-scoped lines carry rid/trace_id/span_id.
+	// flows through it so request-scoped lines carry trace_id/span_id.
 	logger *slog.Logger
 
 	plansComputed atomic.Int64
@@ -359,36 +360,27 @@ func restoreState(rec *SessionRecord) (*sessionState, error) {
 var errNoSessionSnapshot = errors.New("server: record carries no session snapshot")
 
 // ServeHTTP implements http.Handler. Every request first passes the
-// observability middleware: a request ID is adopted from X-Poiesis-Request-ID
-// (or minted), set back into the request headers — cluster forwards clone
-// them, so the ID rides to the owning replica — attached to the context for
-// request-scoped logging, and echoed on the response; route metrics and the
-// access log are recorded when the handler returns. The middleware also
-// roots the request's trace: an inbound traceparent (a cluster forward, or
-// an instrumented client) is continued, anything else starts a fresh trace
-// subject to head sampling, and the trace ID is echoed in
-// X-Poiesis-Trace-ID so a slow response links straight to /v1/traces/{id}.
-// In cluster mode, requests for sessions another replica owns are
-// transparently proxied there before routing; everything else — and every
-// request that already arrived forwarded — is served locally.
+// observability middleware, which roots the request's trace: an inbound
+// traceparent (a cluster forward, or a caller choosing its own ID) is
+// continued, anything else starts a fresh trace subject to head sampling.
+// The trace ID is the request's one correlation ID, sampled or not: it is
+// echoed in X-Poiesis-Trace-ID, rides every cluster hop in traceparent, and
+// starts the access log line, so a slow response links straight to
+// /v1/traces/{id}. Route metrics and the access log are recorded when the
+// handler returns. In cluster mode, requests for sessions another replica
+// owns are transparently proxied there before routing; everything else —
+// and every request that already arrived forwarded — is served locally.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	rid := r.Header.Get(obs.RequestIDHeader)
-	if !obs.ValidRequestID(rid) {
-		rid = obs.NewRequestID()
-		r.Header.Set(obs.RequestIDHeader, rid)
-	}
-	w.Header().Set(obs.RequestIDHeader, rid)
-	ctx := obs.ContextWithRequestID(r.Context(), rid)
-	ctx, span := s.tracer.StartRequest(ctx, r.Header.Get(obs.TraceParentHeader), "http")
+	ctx, span := s.tracer.StartRequest(r.Context(), r.Header.Get(obs.TraceParentHeader), "http")
 	defer span.End()
 	if span != nil {
 		// Restamp the header so a forward (which clones request headers)
 		// parents the owner's fragment under this replica's root span.
 		r.Header.Set(obs.TraceParentHeader, span.TraceParent())
 		w.Header().Set(obs.TraceIDHeader, span.TraceIDString())
+		r = r.WithContext(ctx)
 	}
-	r = r.WithContext(ctx)
 
 	ww, sw := wrapWriter(w)
 	route := "forward"
@@ -413,7 +405,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		span.SetAttr("method", r.Method)
 		span.SetAttr("route", route)
 		span.SetAttr("status", codeClass(status))
-		span.SetAttr("rid", rid)
 		if status >= 500 {
 			span.FailMsg("http " + codeClass(status))
 		}
@@ -422,13 +413,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.metrics.httpLatency.With(route).Observe(elapsed)
 	}
 	if s.cfg.AccessLogf != nil {
-		tid := ""
-		if span != nil {
-			// The sampled request's line links straight to /v1/traces/{id}.
-			tid = " trace_id=" + span.TraceIDString()
-		}
-		s.cfg.AccessLogf("access rid=%s%s method=%s path=%s route=%q status=%d dur=%s bytes=%d remote=%s",
-			rid, tid, r.Method, r.URL.Path, route, status, elapsed.Round(time.Microsecond), sw.bytes, r.RemoteAddr)
+		s.cfg.AccessLogf("access trace_id=%s method=%s path=%s route=%q status=%d dur=%s bytes=%d remote=%s",
+			span.TraceIDString(), r.Method, r.URL.Path, route, status, elapsed.Round(time.Microsecond), sw.bytes, r.RemoteAddr)
 	}
 }
 

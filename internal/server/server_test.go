@@ -357,10 +357,12 @@ func TestPlanSSE(t *testing.T) {
 	events := parseSSE(t, rr.Body.String())
 	var progress, results int
 	var lastProgress progressJSON
+	var lastData string
 	for _, e := range events {
 		switch e.name {
 		case "progress":
 			progress++
+			lastData = e.data
 			if err := json.Unmarshal([]byte(e.data), &lastProgress); err != nil {
 				t.Fatalf("progress payload: %v", err)
 			}
@@ -385,6 +387,22 @@ func TestPlanSSE(t *testing.T) {
 	}
 	if lastProgress.Evaluated == 0 {
 		t.Errorf("last progress event shows no evaluations: %+v", lastProgress)
+	}
+	// stageNs keeps its wire shape: all four stage keys, with evaluation
+	// time accumulated by the end of the run.
+	var wire struct {
+		StageNs map[string]int64 `json:"stageNs"`
+	}
+	if err := json.Unmarshal([]byte(lastData), &wire); err != nil {
+		t.Fatalf("progress payload: %v", err)
+	}
+	for _, k := range []string{"patternApplication", "evaluation", "constraintFilter", "skylineMerge"} {
+		if _, ok := wire.StageNs[k]; !ok {
+			t.Errorf("last progress stageNs %v lacks %q", wire.StageNs, k)
+		}
+	}
+	if wire.StageNs["evaluation"] <= 0 {
+		t.Errorf("last progress stageNs %v: want evaluation > 0", wire.StageNs)
 	}
 	// Cached SSE plan: a fresh session over the same flow+options streams
 	// only the result event.

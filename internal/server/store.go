@@ -49,51 +49,6 @@ type sessionState struct {
 	// mu guards the mutable metadata below.
 	mu    sync.Mutex
 	plans int
-
-	// traces is a ring of the most recent plan runs served for this session
-	// (newest last), the /v1/sessions/{id}/trace timeline. Runtime-only: it
-	// is deliberately not persisted — a restored session starts with an
-	// empty timeline.
-	traceMu sync.Mutex
-	traces  []planTrace
-}
-
-// maxPlanTraces bounds the per-session trace ring.
-const maxPlanTraces = 16
-
-// planTrace records one plan request served for the session: identity for
-// cross-referencing logs, the outcome, and — for runs computed locally —
-// the planner stage spans.
-type planTrace struct {
-	RequestID string
-	Start     time.Time
-	Duration  time.Duration
-	// Cached marks responses served from the cache tier (local hit or peer
-	// fetch); their Stages describe the original computing run, carried on
-	// the cached result, or are absent for peer-shipped results.
-	Cached    bool
-	Err       string
-	Evaluated int
-	Skyline   int
-	Stages    []core.StageTiming
-}
-
-// recordTrace appends one trace, evicting the oldest past maxPlanTraces.
-func (st *sessionState) recordTrace(t planTrace) {
-	st.traceMu.Lock()
-	defer st.traceMu.Unlock()
-	if len(st.traces) >= maxPlanTraces {
-		n := copy(st.traces, st.traces[1:])
-		st.traces = st.traces[:n]
-	}
-	st.traces = append(st.traces, t)
-}
-
-// traceList snapshots the trace ring, newest last.
-func (st *sessionState) traceList() []planTrace {
-	st.traceMu.Lock()
-	defer st.traceMu.Unlock()
-	return append([]planTrace(nil), st.traces...)
 }
 
 func (st *sessionState) touch(now time.Time) {

@@ -152,8 +152,8 @@ func assertForwardedTraceShape(t *testing.T, replica int, doc traceDoc) {
 			replica, ownerHTTP[0].ParentID, forward[0].SpanID)
 	}
 	// The owner's fragment must hold the instrumented planner interior:
-	// stage budgets, per-alternative evaluations, and their simulator runs.
-	for _, want := range []string{"planner.plan", "planner.alternative", "sim.evaluate", "planner.baseline"} {
+	// apply batches, per-alternative evaluations, and their simulator runs.
+	for _, want := range []string{"planner.plan", "planner.apply", "planner.alternative", "sim.evaluate", "planner.baseline"} {
 		if names[want] == 0 {
 			t.Errorf("replica %d: trace lacks %q spans (have %v)", replica, want, names)
 		}
