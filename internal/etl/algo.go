@@ -1,30 +1,29 @@
 package etl
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // LongestPath returns the number of nodes on the longest source-to-sink path.
 // It is the manageability measure "length of process workflow's longest path"
 // of Fig. 1. Returns 0 for an empty or cyclic graph.
 func (g *Graph) LongestPath() int {
-	order, err := g.TopoOrder()
+	order, err := g.TopoSlots()
 	if err != nil {
 		return 0
 	}
-	best := 0
-	dist := make(map[NodeID]int, len(order))
-	for _, id := range order {
-		d := 1
-		for _, p := range g.pred[id] {
-			if dist[p]+1 > d {
-				d = dist[p] + 1
-			}
+	var best int32
+	dist := make([]int32, len(g.nodes))
+	for _, s := range order {
+		d := int32(1)
+		for _, p := range g.pred[s] {
+			d = max(d, dist[p]+1)
 		}
-		dist[id] = d
-		if d > best {
-			best = d
-		}
+		dist[s] = d
+		best = max(best, d)
 	}
-	return best
+	return int(best)
 }
 
 // CriticalPath returns the node IDs along a maximum-weight source-to-sink
@@ -32,44 +31,37 @@ func (g *Graph) LongestPath() int {
 // with per-node execution time to obtain the process cycle time contribution
 // of pipelined segments.
 func (g *Graph) CriticalPath(weight func(*Node) float64) ([]NodeID, float64) {
-	order, err := g.TopoOrder()
+	order, err := g.TopoSlots()
 	if err != nil {
 		return nil, 0
 	}
-	dist := make(map[NodeID]float64, len(order))
-	prev := make(map[NodeID]NodeID, len(order))
-	var bestID NodeID
+	dist := make([]float64, len(g.nodes))
+	prev := make([]int32, len(g.nodes))
+	bestSlot := int32(-1)
 	best := -1.0
-	for _, id := range order {
-		w := weight(g.nodes[id])
+	for _, s := range order {
+		w := weight(g.nodes[s])
 		d := w
-		for _, p := range g.pred[id] {
+		prev[s] = -1
+		for _, p := range g.pred[s] {
 			if dist[p]+w > d {
 				d = dist[p] + w
-				prev[id] = p
+				prev[s] = p
 			}
 		}
-		dist[id] = d
+		dist[s] = d
 		if d > best {
-			best, bestID = d, id
+			best, bestSlot = d, s
 		}
 	}
 	if best < 0 {
 		return nil, 0
 	}
 	var path []NodeID
-	for id := bestID; ; {
-		path = append(path, id)
-		p, ok := prev[id]
-		if !ok {
-			break
-		}
-		id = p
+	for s := bestSlot; s >= 0; s = prev[s] {
+		path = append(path, g.nodes[s].ID)
 	}
-	// reverse
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path)
 	return path, best
 }
 
@@ -88,8 +80,8 @@ func (g *Graph) Coupling() float64 {
 // plus explicit merge/union operations).
 func (g *Graph) MergeCount() int {
 	n := 0
-	for _, id := range g.order {
-		if len(g.pred[id]) > 1 || g.nodes[id].Kind == OpMerge || g.nodes[id].Kind == OpUnion {
+	for s, nd := range g.nodes {
+		if nd != nil && (len(g.pred[s]) > 1 || nd.Kind == OpMerge || nd.Kind == OpUnion) {
 			n++
 		}
 	}
@@ -103,10 +95,9 @@ func (g *Graph) CyclomaticComplexity() int {
 }
 
 // Components returns the number of weakly connected components: a
-// union-find over insertion positions, one union per edge.
+// union-find over slots, one union per edge.
 func (g *Graph) Components() int {
-	pos := g.positions()
-	parent := make([]int32, len(g.order))
+	parent := make([]int32, len(g.nodes))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -117,10 +108,10 @@ func (g *Graph) Components() int {
 		}
 		return x
 	}
-	n := len(g.order)
-	for i, id := range g.order {
-		for _, s := range g.succ[id] {
-			if a, b := find(int32(i)), find(pos[s]); a != b {
+	n := g.live
+	for s, succ := range g.succ {
+		for _, t := range succ {
+			if a, b := find(int32(s)), find(t); a != b {
 				parent[a] = b
 				n--
 			}
@@ -133,14 +124,18 @@ func (g *Graph) Components() int {
 // unless it lies on a cycle, which Validate forbids).
 func (g *Graph) Reachable(id NodeID) map[NodeID]bool {
 	out := map[NodeID]bool{}
-	stack := append([]NodeID(nil), g.succ[id]...)
+	s, ok := g.index[id]
+	if !ok {
+		return out
+	}
+	stack := append([]int32(nil), g.succ[s]...)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if out[cur] {
+		if out[g.nodes[cur].ID] {
 			continue
 		}
-		out[cur] = true
+		out[g.nodes[cur].ID] = true
 		stack = append(stack, g.succ[cur]...)
 	}
 	return out
@@ -151,84 +146,64 @@ func (g *Graph) Reachable(id NodeID) map[NodeID]bool {
 // with a small upstream distance ("as close as possible to the operations for
 // inputting data sources").
 func (g *Graph) UpstreamDistance() map[NodeID]int {
-	order, err := g.TopoOrder()
+	order, err := g.TopoSlots()
 	if err != nil {
 		return map[NodeID]int{}
 	}
-	dist := make(map[NodeID]int, len(order))
-	for _, id := range order {
-		if len(g.pred[id]) == 0 {
-			dist[id] = 0
-			continue
-		}
-		best := -1
-		for _, p := range g.pred[id] {
-			if d, ok := dist[p]; ok && (best < 0 || d+1 < best) {
-				best = d + 1
+	dist := make([]int32, len(g.nodes))
+	out := make(map[NodeID]int, len(order))
+	for _, s := range order {
+		if preds := g.pred[s]; len(preds) > 0 {
+			d := dist[preds[0]]
+			for _, p := range preds[1:] {
+				d = min(d, dist[p])
 			}
+			dist[s] = d + 1
 		}
-		if best < 0 {
-			best = 0
-		}
-		dist[id] = best
+		out[g.nodes[s].ID] = int(dist[s])
 	}
-	return dist
+	return out
 }
 
 // DownstreamCheckpointFree reports whether no checkpoint operation exists
 // within maxHops edges downstream of id. The AddCheckpoint prerequisite uses
 // it to avoid stacking savepoints.
 func (g *Graph) DownstreamCheckpointFree(id NodeID, maxHops int) bool {
-	type item struct {
-		id   NodeID
-		hops int
-	}
-	queue := []item{{id, 0}}
-	seen := map[NodeID]bool{id: true}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.hops >= maxHops {
-			continue
-		}
-		for _, s := range g.succ[cur.id] {
-			if seen[s] {
-				continue
-			}
-			seen[s] = true
-			if g.nodes[s].Kind == OpCheckpoint {
-				return false
-			}
-			queue = append(queue, item{s, cur.hops + 1})
-		}
-	}
-	return true
+	return g.checkpointFree(id, maxHops, g.succ)
 }
 
 // UpstreamCheckpointFree is the mirror of DownstreamCheckpointFree, looking
 // at predecessors.
 func (g *Graph) UpstreamCheckpointFree(id NodeID, maxHops int) bool {
-	type item struct {
-		id   NodeID
-		hops int
+	return g.checkpointFree(id, maxHops, g.pred)
+}
+
+// checkpointFree is a breadth-first search from id along adj (succ or pred)
+// that fails on the first checkpoint within maxHops edges.
+func (g *Graph) checkpointFree(id NodeID, maxHops int, adj [][]int32) bool {
+	start, ok := g.index[id]
+	if !ok {
+		return true
 	}
-	queue := []item{{id, 0}}
-	seen := map[NodeID]bool{id: true}
+	// hops[s] is 1 + the distance of a visited slot, 0 for one not seen.
+	hops := make([]int32, len(g.nodes))
+	hops[start] = 1
+	queue := []int32{start}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur.hops >= maxHops {
+		if int(hops[cur]) > maxHops {
 			continue
 		}
-		for _, p := range g.pred[cur.id] {
-			if seen[p] {
+		for _, s := range adj[cur] {
+			if hops[s] != 0 {
 				continue
 			}
-			seen[p] = true
-			if g.nodes[p].Kind == OpCheckpoint {
+			hops[s] = hops[cur] + 1
+			if g.nodes[s].Kind == OpCheckpoint {
 				return false
 			}
-			queue = append(queue, item{p, cur.hops + 1})
+			queue = append(queue, s)
 		}
 	}
 	return true
@@ -239,7 +214,7 @@ func (g *Graph) UpstreamCheckpointFree(id NodeID, maxHops int) bool {
 // it is empty.
 func (g *Graph) InputSchema(id NodeID) Schema {
 	var s Schema
-	for _, p := range g.pred[id] {
+	for _, p := range g.adjOf(g.pred, id) {
 		s = s.Union(g.nodes[p].Out)
 	}
 	return s
@@ -250,7 +225,7 @@ func (g *Graph) InputSchema(id NodeID) Schema {
 // schema is then the input schema as is. The result shares storage with the
 // graph and must be treated as read-only.
 func (g *Graph) InputSchemaView(id NodeID) Schema {
-	if preds := g.pred[id]; len(preds) == 1 {
+	if preds := g.adjOf(g.pred, id); len(preds) == 1 {
 		if out := g.nodes[preds[0]].Out; out.distinctNames() {
 			return out
 		}

@@ -67,31 +67,32 @@ const (
 )
 
 func (g *Graph) fingerprintUncached() string {
-	all := make([]hash128, 0, len(g.order))
+	all := make([]hash128, 0, g.live)
 	tag := byte(fpTagDAG)
-	if order, err := g.TopoOrder(); err == nil {
-		labels := make(map[NodeID]hash128, len(order))
+	if order, err := g.TopoSlots(); err == nil {
+		labels := make([]hash128, len(g.nodes))
 		buf := make([]byte, 0, 128)
 		var preds []hash128
-		for _, id := range order {
+		for _, s := range order {
 			preds = preds[:0]
-			for _, p := range g.pred[id] {
+			for _, p := range g.pred[s] {
 				preds = append(preds, labels[p])
 			}
 			sortHashes(preds)
-			d := g.nodes[id].digest()
+			d := g.nodes[s].digest()
 			buf = append(append(buf[:0], d[:]...), '<')
 			for _, pl := range preds {
 				buf = append(buf, pl[:]...)
 			}
-			l := sum128(buf)
-			labels[id] = l
-			all = append(all, l)
+			labels[s] = sum128(buf)
+			all = append(all, labels[s])
 		}
 	} else {
 		tag = fpTagCycle
-		for _, id := range g.order {
-			all = append(all, g.nodes[id].digest())
+		for _, n := range g.nodes {
+			if n != nil {
+				all = append(all, n.digest())
+			}
 		}
 	}
 	sortHashes(all)
@@ -151,20 +152,23 @@ const (
 // repeats its producer's therefore leaves every key below it unchanged.
 func (g *Graph) ConeKeys(order []NodeID) []ConeKey {
 	keys := make([]ConeKey, len(order))
-	pos := make(map[NodeID]int, len(order))
+	// at maps a slot to its position in order, filled as the pass reaches
+	// it; predecessors come first, so theirs is always set.
+	at := make([]int32, len(g.nodes))
 	buf := make([]byte, 0, 256)
 	for i, id := range order {
-		pos[id] = i
-		n := g.nodes[id]
-		preds := g.pred[id]
+		s := g.index[id]
+		at[s] = int32(i)
+		n := g.nodes[s]
+		preds := g.pred[s]
 		if len(preds) == 1 && n.Kind.IsPassThrough() {
-			keys[i] = g.streamKey(preds[0], id, keys[pos[preds[0]]])
+			keys[i] = g.streamKey(preds[0], s, keys[at[preds[0]]])
 			continue
 		}
 		d := n.digests()
 		buf = append(append(buf[:0], coneTagNode), d.data[:]...)
 		for _, p := range preds {
-			sk := g.streamKey(p, id, keys[pos[p]])
+			sk := g.streamKey(p, s, keys[at[p]])
 			out := g.nodes[p].digests().out
 			buf = append(append(buf, sk[:]...), out[:]...)
 		}
@@ -173,9 +177,9 @@ func (g *Graph) ConeKeys(order []NodeID) []ConeKey {
 	return keys
 }
 
-// streamKey is the identity of the rows p, whose key is pk, sends to its
-// successor to.
-func (g *Graph) streamKey(p, to NodeID, pk ConeKey) ConeKey {
+// streamKey is the identity of the rows the node in slot p, whose key is
+// pk, sends to its successor in slot to.
+func (g *Graph) streamKey(p, to int32, pk ConeKey) ConeKey {
 	succ := g.succ[p]
 	n := g.nodes[p]
 	if !n.RoutesByPort(len(succ)) {

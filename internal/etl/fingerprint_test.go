@@ -330,14 +330,15 @@ func TestConeKeys(t *testing.T) {
 // every node from its previous label and the sorted previous labels of its
 // predecessors; the result hashes the flow name and the sorted final labels.
 func fingerprintWL(g *Graph) string {
-	n := len(g.order)
+	ids := g.NodeIDs()
+	n := len(ids)
 	idx := make(map[NodeID]int, n)
-	for i, id := range g.order {
+	for i, id := range ids {
 		idx[id] = i
 	}
 	labels := make([]hash128, n)
-	for i, id := range g.order {
-		labels[i] = sum128([]byte(g.nodes[id].canonical()))
+	for i, id := range ids {
+		labels[i] = sum128([]byte(g.Node(id).canonical()))
 	}
 	rounds := min(g.LongestPath(), 64)
 	next := make([]hash128, n)
@@ -345,9 +346,9 @@ func fingerprintWL(g *Graph) string {
 	var preds []hash128
 	for r := 0; r < rounds; r++ {
 		changed := false
-		for i, id := range g.order {
+		for i, id := range ids {
 			preds = preds[:0]
-			for _, p := range g.pred[id] {
+			for _, p := range g.Pred(id) {
 				preds = append(preds, labels[idx[p]])
 			}
 			sort.Slice(preds, func(a, b int) bool { return bytes.Compare(preds[a][:], preds[b][:]) < 0 })
@@ -429,8 +430,9 @@ func anonymousDAG(rng *rand.Rand, n int) *Graph {
 func shuffledCopy(rng *rand.Rand, g *Graph) *Graph {
 	c := New(g.Name)
 	rename := func(id NodeID) NodeID { return "s_" + id }
-	for _, i := range rng.Perm(len(g.order)) {
-		n := g.nodes[g.order[i]].Clone()
+	ids := g.NodeIDs()
+	for _, i := range rng.Perm(len(ids)) {
+		n := g.Node(ids[i]).Clone()
 		n.ID = rename(n.ID)
 		c.MustAddNode(n)
 	}

@@ -3,6 +3,8 @@ package etl
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -26,13 +28,20 @@ var (
 //
 // The zero value is not usable; create graphs with New.
 //
-// Cloning is copy-on-write: Clone copies the adjacency indexes but shares the
-// Node values (and their schemas and parameter maps) between the original and
-// the copy. Structural mutations (AddNode, AddEdge, InsertOnEdge, ...) are
-// always safe on either graph; to modify a node in place after a Clone, use
-// MutableNode, which unshares the node first. Mutating a Node obtained from
-// Node() directly on a graph that has live clones writes through to every
-// clone sharing it.
+// Storage is by dense slot: a node's slot is its insertion position, and the
+// node table and both adjacency indexes are slices indexed by slot, with
+// adjacency lists holding slots. Removing a node leaves its slot nil, so
+// ascending slot order is insertion order. One map from node ID to slot
+// serves the ID-based API; the slot accessors (TopoSlots, NodeAt, PredSlots,
+// SuccSlots, Slots) let hot paths walk the flow without it.
+//
+// Cloning is copy-on-write: Clone copies the slot tables but shares the
+// Node values (and their schemas and parameter maps), the adjacency lists
+// and the ID index between the original and the copy. Structural mutations
+// (AddNode, AddEdge, InsertOnEdge, ...) are always safe on either graph; to
+// modify a node in place after a Clone, use MutableNode, which unshares the
+// node first. Mutating a Node obtained from Node() directly on a graph that
+// has live clones writes through to every clone sharing it.
 //
 // Fingerprints are cached on the graph and node digests on the nodes. Once a
 // graph has been fingerprinted (or its cone keys computed), every in-place
@@ -43,25 +52,32 @@ type Graph struct {
 	// Name labels the process (e.g. "tpcds_purchases").
 	Name string
 
-	nodes map[NodeID]*Node
-	succ  map[NodeID][]NodeID
-	pred  map[NodeID][]NodeID
+	// nodes, succ and pred are indexed by slot; a removed node's entries
+	// are nil. Adjacency lists are never edited in place (every edge change
+	// builds a new list), so clones share them safely.
+	nodes []*Node
+	succ  [][]int32
+	pred  [][]int32
+	// live and edges count the nodes |V| and edges |E|.
+	live, edges int
 
-	// order preserves insertion order of nodes for deterministic iteration.
-	order []NodeID
+	// index maps node IDs to slots. Clones share it until one of them adds
+	// or removes a node: the graph owns it while indexEpoch equals epoch.
+	index      map[NodeID]int32
+	indexEpoch uint64
 
 	// seq generates fresh node IDs for pattern-inserted operations.
 	seq int
 
 	// epoch counts how many times this graph has been cloned; 0 means never,
-	// so every node is exclusively owned. owned records, per node, the epoch
-	// at which this graph unshared (or added) it — entries stamped with an
-	// older epoch are stale, because a clone taken since then shares the
-	// node again. The counter is atomic so that many workers may clone the
-	// same parent flow concurrently; the owned map itself is only touched by
+	// so every node is exclusively owned. stamp records, per slot, the epoch
+	// at which this graph unshared (or added) the node; a stamp older than
+	// the epoch is stale, because a clone taken since then shares the node
+	// again. The counter is atomic so that many workers may clone the same
+	// parent flow concurrently; stamp and the index are only touched by
 	// mutations, which are single-goroutine by the graph's contract.
 	epoch atomic.Uint64
-	owned map[NodeID]uint64
+	stamp []uint64
 
 	// topo caches the topological order and fp the canonical fingerprint;
 	// mutators (and MutableNode, for fp) invalidate them. The cached values
@@ -69,8 +85,14 @@ type Graph struct {
 	// previously returned values stay valid. Atomic so that concurrent
 	// readers (evaluation workers cloning the same parent flow) may fill
 	// them lazily without a lock.
-	topo atomic.Pointer[[]NodeID]
+	topo atomic.Pointer[topoOrder]
 	fp   atomic.Pointer[string]
+}
+
+// topoOrder is a cached topological order, as node IDs and as slots.
+type topoOrder struct {
+	ids   []NodeID
+	slots []int32
 }
 
 // adopt moves the fully built src graph's state into g (UnmarshalJSON
@@ -78,12 +100,11 @@ type Graph struct {
 // would copy the atomic topo cache, which the race detector forbids.
 func (g *Graph) adopt(src *Graph) {
 	g.Name = src.Name
-	g.nodes = src.nodes
-	g.succ = src.succ
-	g.pred = src.pred
-	g.order = src.order
+	g.nodes, g.succ, g.pred = src.nodes, src.succ, src.pred
+	g.live, g.edges = src.live, src.edges
+	g.index, g.indexEpoch = src.index, src.indexEpoch
 	g.seq = src.seq
-	g.owned = src.owned
+	g.stamp = src.stamp
 	g.epoch.Store(src.epoch.Load())
 	g.topo.Store(src.topo.Load())
 	g.fp.Store(src.fp.Load())
@@ -91,24 +112,38 @@ func (g *Graph) adopt(src *Graph) {
 
 // New creates an empty graph with the given name.
 func New(name string) *Graph {
-	return &Graph{
-		Name:  name,
-		nodes: map[NodeID]*Node{},
-		succ:  map[NodeID][]NodeID{},
-		pred:  map[NodeID][]NodeID{},
-	}
+	return &Graph{Name: name, index: map[NodeID]int32{}}
 }
 
 // Len returns the number of nodes |V|.
-func (g *Graph) Len() int { return len(g.nodes) }
+func (g *Graph) Len() int { return g.live }
 
 // EdgeCount returns the number of edges |E|.
-func (g *Graph) EdgeCount() int {
-	n := 0
-	for _, s := range g.succ {
-		n += len(s)
+func (g *Graph) EdgeCount() int { return g.edges }
+
+// invalidate drops the cached topological order and fingerprint after a
+// structural mutation.
+func (g *Graph) invalidate() {
+	g.topo.Store(nil)
+	g.fp.Store(nil)
+}
+
+// writableIndex returns the ID index for an insertion or deletion, first
+// copying it when a clone may share it.
+func (g *Graph) writableIndex() map[NodeID]int32 {
+	if ep := g.epoch.Load(); g.indexEpoch != ep {
+		g.index = maps.Clone(g.index)
+		g.indexEpoch = ep
 	}
-	return n
+	return g.index
+}
+
+// setStamp marks the node at slot as owned by this graph at epoch ep.
+func (g *Graph) setStamp(slot int32, ep uint64) {
+	if len(g.stamp) < len(g.nodes) {
+		g.stamp = append(g.stamp, make([]uint64, len(g.nodes)-len(g.stamp))...)
+	}
+	g.stamp[slot] = ep
 }
 
 // AddNode inserts a node. It fails if the ID is already taken.
@@ -116,19 +151,19 @@ func (g *Graph) AddNode(n *Node) error {
 	if n == nil || n.ID == "" {
 		return fmt.Errorf("%w: empty node", ErrUnknownNode)
 	}
-	if _, ok := g.nodes[n.ID]; ok {
+	if _, ok := g.index[n.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, n.ID)
 	}
-	g.nodes[n.ID] = n
-	g.order = append(g.order, n.ID)
+	slot := int32(len(g.nodes))
+	g.nodes = append(g.nodes, n)
+	g.succ = append(g.succ, nil)
+	g.pred = append(g.pred, nil)
+	g.live++
+	g.writableIndex()[n.ID] = slot
 	if ep := g.epoch.Load(); ep != 0 {
-		if g.owned == nil {
-			g.owned = map[NodeID]uint64{}
-		}
-		g.owned[n.ID] = ep
+		g.setStamp(slot, ep)
 	}
-	g.topo.Store(nil)
-	g.fp.Store(nil)
+	g.invalidate()
 	return nil
 }
 
@@ -141,29 +176,24 @@ func (g *Graph) MustAddNode(n *Node) *Node {
 	return n
 }
 
-// RemoveNode deletes a node and every edge touching it.
+// RemoveNode deletes a node and every edge touching it. Its slot stays
+// behind, empty.
 func (g *Graph) RemoveNode(id NodeID) error {
-	if _, ok := g.nodes[id]; !ok {
+	s, ok := g.index[id]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
-	for _, p := range append([]NodeID(nil), g.pred[id]...) {
-		g.removeEdge(p, id)
+	for _, p := range g.pred[s] {
+		g.succ[p] = withoutSlot(g.succ[p], s)
 	}
-	for _, s := range append([]NodeID(nil), g.succ[id]...) {
-		g.removeEdge(id, s)
+	for _, t := range g.succ[s] {
+		g.pred[t] = withoutSlot(g.pred[t], s)
 	}
-	delete(g.nodes, id)
-	delete(g.succ, id)
-	delete(g.pred, id)
-	delete(g.owned, id)
-	for i, o := range g.order {
-		if o == id {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
-	g.topo.Store(nil)
-	g.fp.Store(nil)
+	g.edges -= len(g.pred[s]) + len(g.succ[s])
+	g.nodes[s], g.succ[s], g.pred[s] = nil, nil, nil
+	g.live--
+	delete(g.writableIndex(), id)
+	g.invalidate()
 	return nil
 }
 
@@ -173,21 +203,23 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	if from == to {
 		return fmt.Errorf("%w: %s", ErrSelfLoop, from)
 	}
-	if _, ok := g.nodes[from]; !ok {
+	f, ok := g.index[from]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	t, ok := g.index[to]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, to)
 	}
-	for _, s := range g.succ[from] {
-		if s == to {
-			return fmt.Errorf("%w: %s->%s", ErrDuplicateEdge, from, to)
-		}
+	if slices.Contains(g.succ[f], t) {
+		return fmt.Errorf("%w: %s->%s", ErrDuplicateEdge, from, to)
 	}
-	g.succ[from] = append(g.succ[from], to)
-	g.pred[to] = append(g.pred[to], from)
-	g.topo.Store(nil)
-	g.fp.Store(nil)
+	// Clip first so the append always builds a new list: the old one may
+	// be shared with a clone.
+	g.succ[f] = append(slices.Clip(g.succ[f]), t)
+	g.pred[t] = append(slices.Clip(g.pred[t]), f)
+	g.edges++
+	g.invalidate()
 	return nil
 }
 
@@ -200,50 +232,49 @@ func (g *Graph) MustAddEdge(from, to NodeID) {
 
 // RemoveEdge deletes the transition from -> to.
 func (g *Graph) RemoveEdge(from, to NodeID) error {
-	for _, s := range g.succ[from] {
-		if s == to {
-			g.removeEdge(from, to)
-			return nil
-		}
+	f, fok := g.index[from]
+	t, tok := g.index[to]
+	if !fok || !tok || !slices.Contains(g.succ[f], t) {
+		return fmt.Errorf("%w: %s->%s", ErrUnknownNode, from, to)
 	}
-	return fmt.Errorf("%w: %s->%s", ErrUnknownNode, from, to)
+	g.removeEdge(f, t)
+	return nil
 }
 
-func (g *Graph) removeEdge(from, to NodeID) {
-	g.succ[from] = removeID(g.succ[from], to)
-	g.pred[to] = removeID(g.pred[to], from)
-	g.topo.Store(nil)
-	g.fp.Store(nil)
+func (g *Graph) removeEdge(f, t int32) {
+	g.succ[f] = withoutSlot(g.succ[f], t)
+	g.pred[t] = withoutSlot(g.pred[t], f)
+	g.edges--
+	g.invalidate()
 }
 
-// removeID returns list without id. It always allocates a fresh slice: the
-// adjacency slices may be shared with clones of the graph (copy-on-write
-// Clone), so shifting elements in place would corrupt the sharers' views.
-func removeID(list []NodeID, id NodeID) []NodeID {
-	for i, v := range list {
-		if v == id {
-			out := make([]NodeID, 0, len(list)-1)
-			out = append(out, list[:i]...)
-			return append(out, list[i+1:]...)
-		}
+// withoutSlot returns list without s, always as a fresh slice: the list may
+// be shared with clones, so shifting elements in place would corrupt theirs.
+func withoutSlot(list []int32, s int32) []int32 {
+	i := slices.Index(list, s)
+	if i < 0 {
+		return list
 	}
-	return list
+	out := make([]int32, 0, len(list)-1)
+	return append(append(out, list[:i]...), list[i+1:]...)
 }
 
 // HasEdge reports whether the transition from -> to exists.
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	for _, s := range g.succ[from] {
-		if s == to {
-			return true
-		}
-	}
-	return false
+	f, fok := g.index[from]
+	t, tok := g.index[to]
+	return fok && tok && slices.Contains(g.succ[f], t)
 }
 
 // Node returns the node with the given ID, or nil. The returned node may be
 // shared with clones of this graph; callers that intend to modify it must go
 // through MutableNode instead.
-func (g *Graph) Node(id NodeID) *Node { return g.nodes[id] }
+func (g *Graph) Node(id NodeID) *Node {
+	if s, ok := g.index[id]; ok {
+		return g.nodes[s]
+	}
+	return nil
+}
 
 // MutableNode returns the node with the given ID for in-place modification,
 // first unsharing it (deep copy) when it is shared with clones of this graph.
@@ -253,12 +284,13 @@ func (g *Graph) Node(id NodeID) *Node { return g.nodes[id] }
 // here, not at the edit, so finish editing the returned node before the next
 // Fingerprint or ConeKeys call on this graph.
 func (g *Graph) MutableNode(id NodeID) *Node {
-	n := g.nodes[id]
-	if n == nil {
+	s, ok := g.index[id]
+	if !ok {
 		return nil
 	}
+	n := g.nodes[s]
 	ep := g.epoch.Load()
-	if ep == 0 || g.owned[id] == ep {
+	if ep == 0 || int(s) < len(g.stamp) && g.stamp[s] == ep {
 		// Never cloned, or unshared since the most recent clone, so no other
 		// graph sees the node. The caller is about to modify it, so the
 		// cached fingerprint and the node's digest die here too.
@@ -267,73 +299,102 @@ func (g *Graph) MutableNode(id NodeID) *Node {
 		return n
 	}
 	c := n.Clone()
-	g.nodes[id] = c
-	if g.owned == nil {
-		g.owned = map[NodeID]uint64{}
-	}
-	g.owned[id] = ep
+	g.nodes[s] = c
+	g.setStamp(s, ep)
 	g.fp.Store(nil)
 	return c
 }
 
 // Nodes returns all nodes in insertion order.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.order))
-	for _, id := range g.order {
-		out = append(out, g.nodes[id])
+	out := make([]*Node, 0, g.live)
+	for _, n := range g.nodes {
+		if n != nil {
+			out = append(out, n)
+		}
 	}
 	return out
 }
 
 // NodeIDs returns all node IDs in insertion order.
 func (g *Graph) NodeIDs() []NodeID {
-	return append([]NodeID(nil), g.order...)
+	out := make([]NodeID, 0, g.live)
+	for _, n := range g.nodes {
+		if n != nil {
+			out = append(out, n.ID)
+		}
+	}
+	return out
 }
 
 // Edges returns all edges ordered by source insertion order then target
 // order, which keeps iteration deterministic.
 func (g *Graph) Edges() []Edge {
 	var out []Edge
-	for _, id := range g.order {
-		for _, s := range g.succ[id] {
-			out = append(out, Edge{From: id, To: s})
+	for s, n := range g.nodes {
+		for _, t := range g.succ[s] {
+			out = append(out, Edge{From: n.ID, To: g.nodes[t].ID})
 		}
 	}
 	return out
 }
 
-// Succ returns the successors of id in insertion order of edges.
-func (g *Graph) Succ(id NodeID) []NodeID {
-	return append([]NodeID(nil), g.succ[id]...)
+// adjOf returns the slot list of id in adj (succ or pred), nil for an
+// unknown ID.
+func (g *Graph) adjOf(adj [][]int32, id NodeID) []int32 {
+	if s, ok := g.index[id]; ok {
+		return adj[s]
+	}
+	return nil
 }
+
+// ids translates a slot list into node IDs (nil for an empty list).
+func (g *Graph) ids(slots []int32) []NodeID {
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make([]NodeID, len(slots))
+	for i, s := range slots {
+		out[i] = g.nodes[s].ID
+	}
+	return out
+}
+
+// Succ returns the successors of id in insertion order of edges.
+func (g *Graph) Succ(id NodeID) []NodeID { return g.ids(g.adjOf(g.succ, id)) }
 
 // Pred returns the predecessors of id.
-func (g *Graph) Pred(id NodeID) []NodeID {
-	return append([]NodeID(nil), g.pred[id]...)
-}
-
-// SuccView returns the successors of id without copying. The returned slice
-// is a view into the graph's adjacency index: callers must not modify it, and
-// it is only valid until the next graph mutation. Hot paths (the simulator)
-// use it to avoid one allocation per node per execution.
-func (g *Graph) SuccView(id NodeID) []NodeID { return g.succ[id] }
-
-// PredView returns the predecessors of id without copying; same contract as
-// SuccView.
-func (g *Graph) PredView(id NodeID) []NodeID { return g.pred[id] }
+func (g *Graph) Pred(id NodeID) []NodeID { return g.ids(g.adjOf(g.pred, id)) }
 
 // InDegree returns the number of incoming edges of id.
-func (g *Graph) InDegree(id NodeID) int { return len(g.pred[id]) }
+func (g *Graph) InDegree(id NodeID) int { return len(g.adjOf(g.pred, id)) }
 
 // OutDegree returns the number of outgoing edges of id.
-func (g *Graph) OutDegree(id NodeID) int { return len(g.succ[id]) }
+func (g *Graph) OutDegree(id NodeID) int { return len(g.adjOf(g.succ, id)) }
+
+// Slots returns the number of slots: every slot in [0, Slots()) holds a
+// node or is empty (NodeAt returns nil). Slot-indexed scratch is sized by it.
+func (g *Graph) Slots() int { return len(g.nodes) }
+
+// NodeAt returns the node in the given slot, nil for an empty slot. The same
+// sharing contract as Node applies.
+func (g *Graph) NodeAt(slot int32) *Node { return g.nodes[slot] }
+
+// SuccSlots returns the successor slots of the node in slot, in insertion
+// order of edges, without copying. The slice is read-only; later mutations
+// replace rather than rewrite it.
+func (g *Graph) SuccSlots(slot int32) []int32 { return g.succ[slot] }
+
+// PredSlots returns the predecessor slots of the node in slot; same contract
+// as SuccSlots.
+func (g *Graph) PredSlots(slot int32) []int32 { return g.pred[slot] }
 
 // Sources returns the nodes with no incoming edges, in insertion order.
 func (g *Graph) Sources() []*Node {
 	var out []*Node
-	for _, id := range g.order {
-		if len(g.pred[id]) == 0 {
-			out = append(out, g.nodes[id])
+	for s, n := range g.nodes {
+		if n != nil && len(g.pred[s]) == 0 {
+			out = append(out, n)
 		}
 	}
 	return out
@@ -342,9 +403,9 @@ func (g *Graph) Sources() []*Node {
 // Sinks returns the nodes with no outgoing edges, in insertion order.
 func (g *Graph) Sinks() []*Node {
 	var out []*Node
-	for _, id := range g.order {
-		if len(g.succ[id]) == 0 {
-			out = append(out, g.nodes[id])
+	for s, n := range g.nodes {
+		if n != nil && len(g.succ[s]) == 0 {
+			out = append(out, n)
 		}
 	}
 	return out
@@ -356,54 +417,50 @@ func (g *Graph) FreshID(prefix string) NodeID {
 	for {
 		g.seq++
 		id := NodeID(fmt.Sprintf("%s_%d", prefix, g.seq))
-		if _, ok := g.nodes[id]; !ok {
+		if _, ok := g.index[id]; !ok {
 			return id
 		}
 	}
 }
 
-// Clone returns a copy-on-write copy of the graph. Node IDs are preserved.
+// cloneSlack is the spare slot capacity a clone gets, so that the few nodes
+// a pattern application weaves in do not reallocate the slot tables.
+const cloneSlack = 4
+
+// Clone returns a copy-on-write copy of the graph. Node IDs and slots are
+// preserved.
 //
-// The adjacency indexes are copied, but the Node values (with their schemas
-// and parameter maps) are shared between the two graphs until one of them
-// modifies a node through MutableNode — the planner clones every frontier
-// design once per candidate pattern application, and deep-copying ~|V| nodes
-// per clone dominated generation cost. Structural mutations on either graph
-// never affect the other: the shared adjacency slices are capacity-clamped so
-// appends reallocate, and removeID always copies.
+// The clone copies the three slot tables and shares everything they point
+// to: the Node values (with their schemas and parameter maps) until one
+// graph modifies a node through MutableNode, the adjacency lists (which no
+// mutation edits in place) and the ID index until one graph adds or removes
+// a node. The planner clones every frontier design once per candidate
+// pattern application, so this is the per-candidate cost of generation.
+// Clone writes nothing to g but the atomic epoch, so concurrent workers may
+// clone one parent.
 func (g *Graph) Clone() *Graph {
+	n := len(g.nodes) + cloneSlack
 	c := &Graph{
 		Name:  g.Name,
+		nodes: append(make([]*Node, 0, n), g.nodes...),
+		succ:  append(make([][]int32, 0, n), g.succ...),
+		pred:  append(make([][]int32, 0, n), g.pred...),
+		live:  g.live,
+		edges: g.edges,
+		index: g.index,
 		seq:   g.seq,
-		nodes: make(map[NodeID]*Node, len(g.nodes)),
-		succ:  make(map[NodeID][]NodeID, len(g.succ)),
-		pred:  make(map[NodeID][]NodeID, len(g.pred)),
-		order: append(make([]NodeID, 0, len(g.order)), g.order...),
 	}
+	// Epoch 1 with indexEpoch 0 and no stamps: the clone owns neither the
+	// index nor any node.
 	c.epoch.Store(1)
-	for id, n := range g.nodes {
-		c.nodes[id] = n
-	}
-	for id, s := range g.succ {
-		if len(s) > 0 {
-			c.succ[id] = s[:len(s):len(s)]
-		}
-	}
-	for id, p := range g.pred {
-		if len(p) > 0 {
-			c.pred[id] = p[:len(p):len(p)]
-		}
-	}
 	// The structure is identical, so the clone inherits the cached topological
 	// order and fingerprint; its own mutations will invalidate only its
 	// copies of the pointers.
 	c.topo.Store(g.topo.Load())
 	c.fp.Store(g.fp.Load())
-	// From now on this graph's nodes are shared too: bumping the epoch makes
-	// every existing ownership entry stale, so further in-place edits on
-	// either side go back through MutableNode's unsharing copy. The bump is
-	// atomic because many evaluation workers clone the same parent flow
-	// concurrently.
+	// From now on this graph's nodes and index are shared too: bumping the
+	// epoch makes every existing stamp stale, so further in-place edits on
+	// either side go back through MutableNode's unsharing copy.
 	g.epoch.Add(1)
 	return c
 }
@@ -425,59 +482,70 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 // read-only; it stays valid even after later mutations, which replace rather
 // than rewrite it. Lazy fills from concurrent readers are safe.
 func (g *Graph) TopoOrder() ([]NodeID, error) {
-	if t := g.topo.Load(); t != nil {
-		return *t, nil
-	}
-	out, err := g.topoSortUncached()
+	t, err := g.topoOrder()
 	if err != nil {
 		return nil, err
 	}
-	g.topo.Store(&out)
-	return out, nil
+	return t.ids, nil
 }
 
-// topoSortUncached is Kahn's algorithm over insertion positions: ready is a
-// min-heap of the positions whose predecessors have all been emitted, so
-// each step emits the ready node inserted earliest.
-func (g *Graph) topoSortUncached() ([]NodeID, error) {
-	pos := g.positions()
-	indeg := make([]int32, len(g.order))
-	ready := make(posHeap, 0, len(g.order))
-	for i, id := range g.order {
-		indeg[i] = int32(len(g.pred[id]))
-		if indeg[i] == 0 {
-			// Ascending positions already satisfy the heap order.
-			ready = append(ready, int32(i))
+// TopoSlots is TopoOrder as slots: the same order, same cache and same
+// read-only contract.
+func (g *Graph) TopoSlots() ([]int32, error) {
+	t, err := g.topoOrder()
+	if err != nil {
+		return nil, err
+	}
+	return t.slots, nil
+}
+
+func (g *Graph) topoOrder() (*topoOrder, error) {
+	if t := g.topo.Load(); t != nil {
+		return t, nil
+	}
+	t, err := g.topoSortUncached()
+	if err != nil {
+		return nil, err
+	}
+	g.topo.Store(t)
+	return t, nil
+}
+
+// topoSortUncached is Kahn's algorithm over slots: ready is a min-heap of
+// the slots whose predecessors have all been emitted, so each step emits
+// the ready node inserted earliest.
+func (g *Graph) topoSortUncached() (*topoOrder, error) {
+	indeg := make([]int32, len(g.nodes))
+	ready := make(posHeap, 0, g.live)
+	for s, n := range g.nodes {
+		if n == nil {
+			continue
+		}
+		indeg[s] = int32(len(g.pred[s]))
+		if indeg[s] == 0 {
+			// Ascending slots already satisfy the heap order.
+			ready = append(ready, int32(s))
 		}
 	}
-	out := make([]NodeID, 0, len(g.order))
+	t := &topoOrder{ids: make([]NodeID, 0, g.live), slots: make([]int32, 0, g.live)}
 	for len(ready) > 0 {
-		id := g.order[ready.pop()]
-		out = append(out, id)
-		for _, s := range g.succ[id] {
-			j := pos[s]
-			indeg[j]--
-			if indeg[j] == 0 {
-				ready.push(j)
+		s := ready.pop()
+		t.slots = append(t.slots, s)
+		t.ids = append(t.ids, g.nodes[s].ID)
+		for _, x := range g.succ[s] {
+			indeg[x]--
+			if indeg[x] == 0 {
+				ready.push(x)
 			}
 		}
 	}
-	if len(out) != len(g.nodes) {
+	if len(t.slots) != g.live {
 		return nil, ErrCycle
 	}
-	return out, nil
+	return t, nil
 }
 
-// positions maps every node to its insertion position.
-func (g *Graph) positions() map[NodeID]int32 {
-	pos := make(map[NodeID]int32, len(g.order))
-	for i, id := range g.order {
-		pos[id] = int32(i)
-	}
-	return pos
-}
-
-// posHeap is a binary min-heap of node positions.
+// posHeap is a binary min-heap of slots.
 type posHeap []int32
 
 func (h *posHeap) push(x int32) {
@@ -523,7 +591,7 @@ func (h *posHeap) pop() int32 {
 // every edge is schema-compatible (the producer's output can feed the
 // consumer). It returns the first problem found.
 func (g *Graph) Validate() error {
-	if len(g.nodes) == 0 {
+	if g.live == 0 {
 		return ErrNoSource
 	}
 	if _, err := g.TopoOrder(); err != nil {
@@ -536,36 +604,41 @@ func (g *Graph) Validate() error {
 	if len(sinks) == 0 {
 		return ErrNoSink
 	}
-	for _, id := range g.order {
-		n := g.nodes[id]
-		if maxIn := n.Kind.MaxInputs(); maxIn >= 0 && len(g.pred[id]) > maxIn {
+	for s, n := range g.nodes {
+		if n == nil {
+			continue
+		}
+		in, out := len(g.pred[s]), len(g.succ[s])
+		if maxIn := n.Kind.MaxInputs(); maxIn >= 0 && in > maxIn {
 			return fmt.Errorf("%w: %s accepts at most %d inputs, has %d",
-				ErrArity, n, maxIn, len(g.pred[id]))
+				ErrArity, n, maxIn, in)
 		}
-		if maxOut := n.Kind.MaxOutputs(); maxOut >= 0 && len(g.succ[id]) > maxOut {
+		if maxOut := n.Kind.MaxOutputs(); maxOut >= 0 && out > maxOut {
 			return fmt.Errorf("%w: %s accepts at most %d outputs, has %d",
-				ErrArity, n, maxOut, len(g.succ[id]))
+				ErrArity, n, maxOut, out)
 		}
-		if n.Kind.IsSource() && len(g.pred[id]) > 0 {
+		if n.Kind.IsSource() && in > 0 {
 			return fmt.Errorf("%w: source %s has inputs", ErrArity, n)
 		}
-		if !n.Kind.IsSource() && len(g.pred[id]) == 0 {
+		if !n.Kind.IsSource() && in == 0 {
 			return fmt.Errorf("%w: %s has no input", ErrArity, n)
 		}
-		if n.Kind.IsSink() && len(g.succ[id]) > 0 {
+		if n.Kind.IsSink() && out > 0 {
 			return fmt.Errorf("%w: sink %s has outputs", ErrArity, n)
 		}
-		if !n.Kind.IsSink() && len(g.succ[id]) == 0 {
+		if !n.Kind.IsSink() && out == 0 {
 			return fmt.Errorf("%w: %s", ErrNotConnected, n)
 		}
 	}
 	// Schema compatibility along every edge: the consumer's declared output
 	// must be derivable, which we approximate by requiring that consumers
 	// that pass attributes through see them on some input.
-	for _, e := range g.Edges() {
-		from, to := g.nodes[e.From], g.nodes[e.To]
-		if err := checkEdgeSchema(from, to); err != nil {
-			return fmt.Errorf("%w: %s -> %s: %v", ErrSchema, from, to, err)
+	for s, from := range g.nodes {
+		for _, t := range g.succ[s] {
+			to := g.nodes[t]
+			if err := checkEdgeSchema(from, to); err != nil {
+				return fmt.Errorf("%w: %s -> %s: %v", ErrSchema, from, to, err)
+			}
 		}
 	}
 	return nil
@@ -607,9 +680,9 @@ func (g *Graph) String() string {
 		order = g.NodeIDs()
 	}
 	for _, id := range order {
-		n := g.nodes[id]
-		succs := make([]string, 0, len(g.succ[id]))
-		for _, s := range g.succ[id] {
+		n := g.Node(id)
+		succs := make([]string, 0, g.OutDegree(id))
+		for _, s := range g.Succ(id) {
 			succs = append(succs, string(s))
 		}
 		marker := ""
@@ -624,8 +697,8 @@ func (g *Graph) String() string {
 // GeneratedCount returns how many nodes were introduced by patterns.
 func (g *Graph) GeneratedCount() int {
 	n := 0
-	for _, id := range g.order {
-		if g.nodes[id].Generated {
+	for _, nd := range g.nodes {
+		if nd != nil && nd.Generated {
 			n++
 		}
 	}

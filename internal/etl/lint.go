@@ -242,8 +242,8 @@ func lintFlow(g *Graph) []diag.Diagnostic {
 	// local arity cannot: well-formed-looking islands that no source feeds
 	// (unreachable sinks) or whose output never reaches a sink.
 	if acyclic {
-		fromSource := reach(g, srcs, g.SuccView)
-		toSink := reach(g, sinks, g.PredView)
+		fromSource := reach(g, srcs, g.Succ)
+		toSink := reach(g, sinks, g.Pred)
 		for _, id := range g.NodeIDs() {
 			if flagged[id] {
 				continue

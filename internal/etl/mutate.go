@@ -132,29 +132,29 @@ func (g *Graph) Merge(other *Graph) error {
 // Callers are responsible for schema feasibility (Validate catches the
 // rest).
 func (g *Graph) SwapWithPredecessor(id NodeID) error {
-	n := g.Node(id)
-	if n == nil {
+	n, ok := g.index[id]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
-	if len(g.pred[id]) != 1 || len(g.succ[id]) != 1 {
+	if len(g.pred[n]) != 1 || len(g.succ[n]) != 1 {
 		return fmt.Errorf("%w: %s must have exactly one input and one output", ErrArity, id)
 	}
-	p := g.pred[id][0]
+	p := g.pred[n][0]
 	if len(g.pred[p]) != 1 || len(g.succ[p]) != 1 {
-		return fmt.Errorf("%w: predecessor %s must have exactly one input and one output", ErrArity, p)
+		return fmt.Errorf("%w: predecessor %s must have exactly one input and one output", ErrArity, g.nodes[p].ID)
 	}
-	gp := g.pred[p][0]
-	s := g.succ[id][0]
+	gp, s := g.pred[p][0], g.succ[n][0]
 	g.removeEdge(gp, p)
-	g.removeEdge(p, id)
-	g.removeEdge(id, s)
-	if err := g.AddEdge(gp, id); err != nil {
+	g.removeEdge(p, n)
+	g.removeEdge(n, s)
+	pid := g.nodes[p].ID
+	if err := g.AddEdge(g.nodes[gp].ID, id); err != nil {
 		return err
 	}
-	if err := g.AddEdge(id, p); err != nil {
+	if err := g.AddEdge(id, pid); err != nil {
 		return err
 	}
-	if err := g.AddEdge(p, s); err != nil {
+	if err := g.AddEdge(pid, g.nodes[s].ID); err != nil {
 		return err
 	}
 	return nil

@@ -13,16 +13,17 @@ import (
 // became a heap: the ready list is re-sorted by insertion position before
 // every pop. The heap must emit the same order.
 func topoSortSliceOracle(g *Graph) ([]NodeID, error) {
-	indeg := make(map[NodeID]int, len(g.nodes))
-	for _, id := range g.order {
-		indeg[id] = len(g.pred[id])
+	ids := g.NodeIDs()
+	indeg := make(map[NodeID]int, len(ids))
+	for _, id := range ids {
+		indeg[id] = g.InDegree(id)
 	}
-	pos := make(map[NodeID]int, len(g.order))
-	for i, id := range g.order {
+	pos := make(map[NodeID]int, len(ids))
+	for i, id := range ids {
 		pos[id] = i
 	}
 	var ready []NodeID
-	for _, id := range g.order {
+	for _, id := range ids {
 		if indeg[id] == 0 {
 			ready = append(ready, id)
 		}
@@ -33,14 +34,14 @@ func topoSortSliceOracle(g *Graph) ([]NodeID, error) {
 		id := ready[0]
 		ready = ready[1:]
 		out = append(out, id)
-		for _, s := range g.succ[id] {
+		for _, s := range g.Succ(id) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
 			}
 		}
 	}
-	if len(out) != len(g.nodes) {
+	if len(out) != len(ids) {
 		return nil, ErrCycle
 	}
 	return out, nil
@@ -51,7 +52,7 @@ func topoSortSliceOracle(g *Graph) ([]NodeID, error) {
 func componentsOracle(g *Graph) int {
 	seen := map[NodeID]bool{}
 	n := 0
-	for _, id := range g.order {
+	for _, id := range g.NodeIDs() {
 		if seen[id] {
 			continue
 		}
@@ -76,10 +77,14 @@ func componentsOracle(g *Graph) int {
 // union-find Components with their oracles on g. It is exported to the
 // workload test in package etl_test.
 func CheckGraphPassOracles(g *Graph) error {
-	got, gerr := g.topoSortUncached()
+	t, gerr := g.topoSortUncached()
 	want, werr := topoSortSliceOracle(g)
 	if (gerr == nil) != (werr == nil) {
 		return fmt.Errorf("topo sort error %v, oracle %v", gerr, werr)
+	}
+	var got []NodeID
+	if t != nil {
+		got = t.ids
 	}
 	if !slices.Equal(got, want) {
 		return fmt.Errorf("topo order %v, oracle %v", got, want)

@@ -316,7 +316,7 @@ func colSurrogate(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
 // row oracle's map build), the left side probes with typed cross-batch
 // equality, and the output gathers both sides by match vectors.
 func colJoin(g *etl.Graph, n *etl.Node, left, right *colBatch, ar *batchArena) (*colBatch, error) {
-	preds := g.PredView(n.ID)
+	preds := g.Pred(n.ID)
 	if len(preds) < 2 {
 		return left, nil
 	}

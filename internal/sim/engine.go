@@ -29,6 +29,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,12 +82,11 @@ func DefaultConfig() Config {
 // Per-node values are stored in dense slices indexed by the node's position
 // in Order (the topological order of the flow), not in maps: the planner
 // builds one profile per alternative, and the dense layout removes a map
-// allocation and hashing per node per field. Use IndexOf (or the *Of
-// accessors) to address a node by ID.
+// allocation and hashing per node per field. IndexOf (and the *Of
+// accessors) address a node by ID with a scan of Order.
 type Profile struct {
 	Flow  string
 	Order []etl.NodeID
-	pos   map[etl.NodeID]int
 
 	// RowsIn and RowsOut are per-node input/output cardinalities, indexed by
 	// topo position (aligned with Order).
@@ -123,14 +123,9 @@ type Profile struct {
 
 func newProfile(flow string, order []etl.NodeID) *Profile {
 	nn := len(order)
-	pos := make(map[etl.NodeID]int, nn)
-	for i, id := range order {
-		pos[id] = i
-	}
 	return &Profile{
 		Flow:                  flow,
 		Order:                 order,
-		pos:                   pos,
 		RowsIn:                make([]int, nn),
 		RowsOut:               make([]int, nn),
 		TimeMs:                make([]float64, nn),
@@ -142,60 +137,36 @@ func newProfile(flow string, order []etl.NodeID) *Profile {
 
 // IndexOf returns the topo position of the node in the profile's Order, or
 // -1 when the node is unknown.
-func (p *Profile) IndexOf(id etl.NodeID) int {
-	if i, ok := p.pos[id]; ok {
-		return i
+func (p *Profile) IndexOf(id etl.NodeID) int { return slices.Index(p.Order, id) }
+
+// valueOf returns vals[IndexOf(id)], or the zero value for unknown IDs.
+func valueOf[T any](p *Profile, vals []T, id etl.NodeID) T {
+	if i := p.IndexOf(id); i >= 0 {
+		return vals[i]
 	}
-	return -1
+	var zero T
+	return zero
 }
 
 // RowsInOf returns the input cardinality of the node, 0 for unknown IDs.
-func (p *Profile) RowsInOf(id etl.NodeID) int {
-	if i, ok := p.pos[id]; ok {
-		return p.RowsIn[i]
-	}
-	return 0
-}
+func (p *Profile) RowsInOf(id etl.NodeID) int { return valueOf(p, p.RowsIn, id) }
 
 // RowsOutOf returns the output cardinality of the node, 0 for unknown IDs.
-func (p *Profile) RowsOutOf(id etl.NodeID) int {
-	if i, ok := p.pos[id]; ok {
-		return p.RowsOut[i]
-	}
-	return 0
-}
+func (p *Profile) RowsOutOf(id etl.NodeID) int { return valueOf(p, p.RowsOut, id) }
 
 // TimeOf returns the busy time of the node, 0 for unknown IDs.
-func (p *Profile) TimeOf(id etl.NodeID) float64 {
-	if i, ok := p.pos[id]; ok {
-		return p.TimeMs[i]
-	}
-	return 0
-}
+func (p *Profile) TimeOf(id etl.NodeID) float64 { return valueOf(p, p.TimeMs, id) }
 
 // CompletionOf returns the completion time of the node, 0 for unknown IDs.
-func (p *Profile) CompletionOf(id etl.NodeID) float64 {
-	if i, ok := p.pos[id]; ok {
-		return p.Completion[i]
-	}
-	return 0
-}
+func (p *Profile) CompletionOf(id etl.NodeID) float64 { return valueOf(p, p.Completion, id) }
 
 // RestartOf returns the recovery re-execution time of the node, 0 for
 // unknown IDs.
-func (p *Profile) RestartOf(id etl.NodeID) float64 {
-	if i, ok := p.pos[id]; ok {
-		return p.RestartMs[i]
-	}
-	return 0
-}
+func (p *Profile) RestartOf(id etl.NodeID) float64 { return valueOf(p, p.RestartMs, id) }
 
 // RestartsFromCheckpoint reports whether the node recovers from a savepoint.
 func (p *Profile) RestartsFromCheckpoint(id etl.NodeID) bool {
-	if i, ok := p.pos[id]; ok {
-		return p.RestartFromCheckpoint[i]
-	}
-	return false
+	return valueOf(p, p.RestartFromCheckpoint, id)
 }
 
 // Engine executes flows. It is stateless; methods are safe for concurrent
@@ -491,20 +462,20 @@ func hashBytes(h uint64, b []byte) uint64 {
 
 // computeSchedule derives completion times under a partially pipelined stage
 // model: a node may start before its producer finished when both are
-// non-blocking, controlled by cfg.PipelineOverlap.
-func (e *Engine) computeSchedule(g *etl.Graph, p *Profile) {
-	for i, id := range p.Order {
-		n := g.Node(id)
+// non-blocking, controlled by cfg.PipelineOverlap. slots is the graph's
+// topological order as slots and pos maps a slot to its position in it.
+func (e *Engine) computeSchedule(g *etl.Graph, p *Profile, slots, pos []int32) {
+	for i, s := range slots {
+		n := g.NodeAt(s)
 		start := 0.0
 		latestPred := 0.0
-		for _, pred := range g.PredView(id) {
-			pi := p.pos[pred]
-			pn := g.Node(pred)
+		for _, ps := range g.PredSlots(s) {
+			pi := pos[ps]
 			pc := p.Completion[pi]
 			if pc > latestPred {
 				latestPred = pc
 			}
-			if !n.Kind.IsBlocking() && !pn.Kind.IsBlocking() {
+			if !n.Kind.IsBlocking() && !g.NodeAt(ps).Kind.IsBlocking() {
 				// Overlap with the producer's busy window.
 				pc -= e.cfg.PipelineOverlap * p.TimeMs[pi]
 				if floor := p.Completion[pi] - p.TimeMs[pi]; pc < floor {
@@ -532,18 +503,19 @@ func (e *Engine) computeSchedule(g *etl.Graph, p *Profile) {
 
 // computeRecovery precomputes, for every node, how much work must be redone
 // when it fails: the completion time distance back to the nearest upstream
-// savepoint, or back to time zero when none exists.
-func (e *Engine) computeRecovery(g *etl.Graph, p *Profile) {
+// savepoint, or back to time zero when none exists. slots and pos are as in
+// computeSchedule.
+func (e *Engine) computeRecovery(g *etl.Graph, p *Profile, slots, pos []int32) {
 	// best[i] = max completion time over upstream checkpoints of node i.
-	nn := len(p.Order)
+	nn := len(slots)
 	best := make([]float64, nn)
 	hasCP := make([]bool, nn)
-	for i, id := range p.Order {
+	for i, s := range slots {
 		b, ok := 0.0, false
-		for _, pred := range g.PredView(id) {
-			pi := p.pos[pred]
+		for _, ps := range g.PredSlots(s) {
+			pi := pos[ps]
 			pb, pok := best[pi], hasCP[pi]
-			if g.Node(pred).Kind == etl.OpCheckpoint {
+			if g.NodeAt(ps).Kind == etl.OpCheckpoint {
 				pb, pok = p.Completion[pi], true
 			}
 			if pok && pb > b {
@@ -617,10 +589,11 @@ func (e *Engine) SourceUpdatesPerHour(g *etl.Graph, bind Binding) float64 {
 // are then derived from the cardinalities, and the sinks' output quality is
 // scanned.
 func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
-	order, err := g.TopoOrder()
+	slots, pos, err := topoPositions(g)
 	if err != nil {
 		return nil, err
 	}
+	order, _ := g.TopoOrder() // the same cached order, as IDs
 	p := newProfile(g.Name, order)
 	nn := len(order)
 
@@ -637,27 +610,30 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 	// successors is derived lazily, only when a (dirty) consumer needs it.
 	outs := make([][]*colBatch, nn)
 	flat := make([]int, nn)
-	var routed []map[etl.NodeID]*colBatch
-	routedFor := func(i int) map[etl.NodeID]*colBatch {
+	var routed [][]*colBatch
+	// input returns the batch the node in slot ps routes to the node in
+	// slot s.
+	input := func(ps, s int32) *colBatch {
 		if routed == nil {
-			routed = make([]map[etl.NodeID]*colBatch, nn)
+			routed = make([][]*colBatch, nn)
 		}
+		succs := g.SuccSlots(ps)
+		i := pos[ps]
 		if routed[i] == nil {
-			id := order[i]
-			routed[i] = colRoute(g.Node(id), outs[i], g.SuccView(id), ar)
+			routed[i] = colRoute(g.NodeAt(ps), outs[i], len(succs), ar)
 		}
-		return routed[i]
+		return routed[i][slices.Index(succs, s)]
 	}
 
 	if stats != nil {
 		stats.Nodes += nn
 	}
-	for i, id := range order {
-		n := g.Node(id)
-		nsucc := len(g.SuccView(id))
-		preds := g.PredView(id)
+	for i, s := range slots {
+		n := g.NodeAt(s)
+		nsucc := len(g.SuccSlots(s))
+		preds := g.PredSlots(s)
 		if len(preds) == 1 && n.Kind.IsPassThrough() {
-			b := routedFor(p.pos[preds[0]])[id]
+			b := input(preds[0], s)
 			outs[i], flat[i] = []*colBatch{b}, b.len()
 			p.RowsIn[i] = flat[i]
 			e.finishNode(p, n, i, flat[i], nsucc)
@@ -685,8 +661,8 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		ar.reset()
 		var in []*colBatch
 		rowsIn := 0
-		for _, pred := range preds {
-			b := routedFor(p.pos[pred])[id]
+		for _, ps := range preds {
+			b := input(ps, s)
 			in = append(in, b)
 			rowsIn += b.len()
 		}
@@ -723,7 +699,7 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 			rec := &coneRecord{out: out, rowsIn: rowsIn, flat: f}
 			if n.Kind.IsSink() && nsucc == 0 {
 				all := colFlatten(out, ar)
-				schema := g.InputSchemaView(id)
+				schema := g.InputSchemaView(n.ID)
 				rec.sink = true
 				rec.sinkStats = measureColumns(schema, all, ar)
 				rec.sinkRows = all.len()
@@ -733,34 +709,45 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		}
 	}
 
-	e.computeSchedule(g, p)
-	e.computeRecovery(g, p)
+	e.computeSchedule(g, p, slots, pos)
+	e.computeRecovery(g, p, slots, pos)
 	ar.reset()
-	e.measureOutputs(g, p, outs, recs, ar)
+	e.measureOutputs(g, p, slots, outs, recs, ar)
 	return p, nil
 }
 
-// colRoute distributes a node's output batches across its successors:
-// partition deals rows round-robin, hash-split routes by selectHashes, and
-// everything else copies the full stream to every successor. Partition and
-// hash-split emit selection vectors over the shared flattened batch instead
-// of copying rows.
-func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) map[etl.NodeID]*colBatch {
-	m := make(map[etl.NodeID]*colBatch, len(succs))
-	if len(succs) == 0 {
+// topoPositions returns the graph's topological order as slots, and pos,
+// which maps a slot to its position in that order (the index into the
+// profile's per-node slices).
+func topoPositions(g *etl.Graph) (slots, pos []int32, err error) {
+	slots, err = g.TopoSlots()
+	if err != nil {
+		return nil, nil, err
+	}
+	pos = make([]int32, g.Slots())
+	for i, s := range slots {
+		pos[s] = int32(i)
+	}
+	return slots, pos, nil
+}
+
+// colRoute distributes a node's output batches across its k successors,
+// returning the batch for each output port: partition deals rows
+// round-robin, hash-split routes by selectHashes, and everything else copies
+// the full stream to every successor. Partition and hash-split emit
+// selection vectors over the shared flattened batch instead of copying rows.
+func colRoute(n *etl.Node, out []*colBatch, k int, ar *batchArena) []*colBatch {
+	m := make([]*colBatch, k)
+	if k == 0 {
 		return m
 	}
 	all := colFlatten(out, ar)
 	if all.len() == 0 {
-		for _, s := range succs {
-			m[s] = nil
-		}
 		return m
 	}
 	switch {
 	case n.Kind == etl.OpPartition:
 		// Horizontal partition: round-robin across branches.
-		k := len(succs)
 		nrows := all.len()
 		dests := make([][]int32, k)
 		for j := range dests {
@@ -774,12 +761,11 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 			j := i % k
 			dests[j] = append(dests[j], int32(all.phys(i)))
 		}
-		for j, s := range succs {
-			m[s] = withSel(all, dests[j])
+		for j := range m {
+			m[j] = withSel(all, dests[j])
 		}
-	case n.RoutesByPort(len(succs)):
+	case n.RoutesByPort(k):
 		// Hash split: route each row by its hash.
-		k := len(succs)
 		nrows := all.len()
 		hashes := ar.hashes(nrows)
 		all.selectHashes(hashes)
@@ -791,13 +777,13 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 			j := int(hashes[i] % uint64(k))
 			dests[j] = append(dests[j], int32(all.phys(i)))
 		}
-		for j, s := range succs {
-			m[s] = withSel(all, dests[j])
+		for j := range m {
+			m[j] = withSel(all, dests[j])
 		}
 	default:
 		// Copy semantics: each successor receives the full stream.
-		for _, s := range succs {
-			m[s] = all
+		for j := range m {
+			m[j] = all
 		}
 	}
 	return m
@@ -806,10 +792,10 @@ func colRoute(n *etl.Node, out []*colBatch, succs []etl.NodeID, ar *batchArena) 
 // measureOutputs scans the batches delivered to the sinks and records quality
 // statistics. Sinks whose upstream cone hit the cache contribute their
 // memoized statistics without re-scanning.
-func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, outs [][]*colBatch, recs []*coneRecord, ar *batchArena) {
+func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, slots []int32, outs [][]*colBatch, recs []*coneRecord, ar *batchArena) {
 	var sinks []int
-	for i, id := range p.Order {
-		if g.Node(id).Kind.IsSink() && len(g.SuccView(id)) == 0 {
+	for i, s := range slots {
+		if g.NodeAt(s).Kind.IsSink() && len(g.SuccSlots(s)) == 0 {
 			sinks = append(sinks, i)
 		}
 	}

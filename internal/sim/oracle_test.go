@@ -38,10 +38,11 @@ func (e *Engine) rowEvaluate(g *etl.Graph, bind Binding) (*Profile, *trace.Batch
 
 // rowExecute is Execute on the row oracle.
 func (e *Engine) rowExecute(g *etl.Graph, bind Binding) (*Profile, error) {
-	order, err := g.TopoOrder()
+	slots, pos, err := topoPositions(g)
 	if err != nil {
 		return nil, err
 	}
+	order, _ := g.TopoOrder()
 	p := newProfile(g.Name, order)
 	nn := len(order)
 
@@ -53,10 +54,10 @@ func (e *Engine) rowExecute(g *etl.Graph, bind Binding) (*Profile, error) {
 		n := g.Node(id)
 		var in [][]etl.Row
 		rowsIn := 0
-		for _, pred := range g.PredView(id) {
-			pi := p.pos[pred]
+		for _, pred := range g.Pred(id) {
+			pi := p.IndexOf(pred)
 			if routed[pi] == nil {
-				routed[pi] = rowRoute(g.Node(pred), outs[pi], g.SuccView(pred))
+				routed[pi] = rowRoute(g.Node(pred), outs[pi], g.Succ(pred))
 			}
 			b := routed[pi][id]
 			in = append(in, b)
@@ -75,15 +76,15 @@ func (e *Engine) rowExecute(g *etl.Graph, bind Binding) (*Profile, error) {
 			rowsIn = f
 		}
 		p.RowsIn[i] = rowsIn
-		e.finishNode(p, n, i, f, len(g.SuccView(id)))
+		e.finishNode(p, n, i, f, len(g.Succ(id)))
 	}
 
-	e.computeSchedule(g, p)
-	e.computeRecovery(g, p)
+	e.computeSchedule(g, p, slots, pos)
+	e.computeRecovery(g, p, slots, pos)
 
 	var sinks []int
 	for i, id := range p.Order {
-		if g.Node(id).Kind.IsSink() && len(g.SuccView(id)) == 0 {
+		if g.Node(id).Kind.IsSink() && len(g.Succ(id)) == 0 {
 			sinks = append(sinks, i)
 		}
 	}
