@@ -16,10 +16,18 @@ import (
 // generation of the whole space, then evaluation of every alternative, then
 // constraint filtering and one O(n²) skyline pass (skyline.Compute). It
 // honours every result-relevant option, including DeltaEval and StaticPrune,
-// and reports no stage timings.
+// and reports no stage timings. It applies and fingerprints every candidate,
+// so it is also the oracle for the streaming planner's commutation skip.
 func planSequential(t testing.TB, initial *etl.Graph, bind sim.Binding, opts Options) *Result {
 	t.Helper()
-	p := NewPlanner(nil, opts)
+	return planSequentialWith(t, nil, initial, bind, opts)
+}
+
+// planSequentialWith is planSequential over a given pattern registry (nil is
+// the default one).
+func planSequentialWith(t testing.TB, reg *fcp.Registry, initial *etl.Graph, bind sim.Binding, opts Options) *Result {
+	t.Helper()
+	p := NewPlanner(reg, opts)
 	opts = p.opts
 	palette, err := p.reg.Palette(opts.Palette...)
 	if err != nil {
@@ -38,56 +46,7 @@ func planSequential(t testing.TB, initial *etl.Graph, bind sim.Binding, opts Opt
 		Dims:    opts.Dims,
 		Initial: Alternative{Graph: initial, Report: est.Estimate(initial, baseProfile, baseBatch)},
 	}
-
-	// Generation: each round applies every proposed candidate to every
-	// frontier design, deduplicated by fingerprint, statically pruned after
-	// dedup.
-	seen := map[string]bool{initial.Fingerprint(): true}
-	frontier := []Alternative{{Graph: initial}}
-	pruner := newStaticPruner(opts)
-	var alts []Alternative
-generate:
-	for round := 0; round < opts.Depth; round++ {
-		var next []Alternative
-		for _, cur := range frontier {
-			cands := opts.Policy.Propose(cur.Graph, palette)
-			res.Stats.CandidatesSeen += len(cands)
-			for _, c := range cands {
-				if len(alts) >= opts.MaxAlternatives {
-					res.Stats.Capped = true
-					break generate
-				}
-				clone := cur.Graph.Clone()
-				app, err := c.Pattern.Apply(clone, c.Point)
-				if err != nil {
-					continue
-				}
-				res.Stats.Generated++
-				if !opts.DisableDedup {
-					fp := clone.Fingerprint()
-					if seen[fp] {
-						res.Stats.Deduped++
-						continue
-					}
-					seen[fp] = true
-				}
-				if pruner.prune(clone) {
-					res.Stats.StaticPruned++
-					continue
-				}
-				alt := Alternative{
-					Graph:        clone,
-					Applications: append(append([]fcp.Application(nil), cur.Applications...), app),
-				}
-				next = append(next, alt)
-				alts = append(alts, alt)
-			}
-		}
-		if len(next) == 0 {
-			break
-		}
-		frontier = next
-	}
+	alts := generateSequential(p, palette, initial, &res.Stats)
 
 	// Evaluation and constraint filtering.
 	for _, a := range alts {
@@ -111,4 +70,59 @@ generate:
 	}
 	res.SkylineIdx = skyline.Compute(vecs)
 	return res
+}
+
+// generateSequential is planSequential's generation stage, one candidate at
+// a time: each round applies every proposed candidate to every frontier
+// design, deduplicated by fingerprint, statically pruned after dedup. It
+// fills stats' generation counts and returns the alternatives in order.
+func generateSequential(p *Planner, palette []fcp.Pattern, initial *etl.Graph, stats *Stats) []Alternative {
+	opts := p.opts
+	seen := map[string]bool{initial.Fingerprint(): true}
+	frontier := []Alternative{{Graph: initial}}
+	pruner := newStaticPruner(opts)
+	var alts []Alternative
+generate:
+	for round := 0; round < opts.Depth; round++ {
+		var next []Alternative
+		for _, cur := range frontier {
+			cands := opts.Policy.Propose(cur.Graph, palette)
+			stats.CandidatesSeen += len(cands)
+			for _, c := range cands {
+				if len(alts) >= opts.MaxAlternatives {
+					stats.Capped = true
+					break generate
+				}
+				clone := cur.Graph.Clone()
+				app, err := c.Pattern.Apply(clone, c.Point)
+				if err != nil {
+					continue
+				}
+				stats.Generated++
+				if !opts.DisableDedup {
+					fp := clone.Fingerprint()
+					if seen[fp] {
+						stats.Deduped++
+						continue
+					}
+					seen[fp] = true
+				}
+				if pruner.prune(clone) {
+					stats.StaticPruned++
+					continue
+				}
+				alt := Alternative{
+					Graph:        clone,
+					Applications: append(append([]fcp.Application(nil), cur.Applications...), app),
+				}
+				next = append(next, alt)
+				alts = append(alts, alt)
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		frontier = next
+	}
+	return alts
 }

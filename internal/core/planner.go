@@ -150,9 +150,10 @@ func (a *Alternative) Label() string {
 type Stats struct {
 	// CandidatesSeen counts every (pattern, point) candidate proposed.
 	CandidatesSeen int
-	// Generated counts flows produced by applications (before dedup).
+	// Generated counts successful candidate applications, duplicates included.
 	Generated int
-	// Deduped counts flows dropped as fingerprint duplicates.
+	// Deduped counts the duplicates, found by commutation before application
+	// (genNode.markCommuted) or by fingerprint after it.
 	Deduped int
 	// Evaluated counts flows whose measures were estimated.
 	Evaluated int

@@ -342,7 +342,11 @@ func snapshotAlternative(a *Alternative) (AlternativeSnapshot, error) {
 	return out, nil
 }
 
+// restoreAlternative rejects a missing report: no kept alternative lacks one.
 func restoreAlternative(as *AlternativeSnapshot) (Alternative, error) {
+	if as.Report == nil {
+		return Alternative{}, errors.New("missing report")
+	}
 	g, err := decodeSnapshotGraph(as.Flow)
 	if err != nil {
 		return Alternative{}, err

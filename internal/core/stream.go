@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,13 +100,14 @@ func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.B
 	var generated atomic.Int64
 
 	var genStats Stats
+	var commuted int
 	var genErr error
 	var wgGen sync.WaitGroup
 	wgGen.Add(1)
 	go func() {
 		defer wgGen.Done()
 		defer close(genCh)
-		genStats, genErr = p.streamGenerate(ctx, initial, palette, genCh, &generated, clock)
+		genStats, commuted, genErr = p.streamGenerate(ctx, initial, palette, genCh, &generated, clock)
 	}()
 
 	sp := obs.SpanFrom(ctx)
@@ -196,6 +198,7 @@ func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.B
 	if genErr != nil {
 		return genErr
 	}
+	sp.SetInt("commuted", int64(commuted))
 	res.Stats = genStats
 	res.Stats.Evaluated = evaluated
 	res.Stats.ConstraintRejected = rejected
@@ -213,13 +216,16 @@ func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.B
 // bounds the work wasted when MaxAlternatives stops a round mid-batch.
 // Accepted alternatives are emitted immediately so evaluation overlaps
 // generation.
-func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palette []fcp.Pattern, out chan<- streamItem, generated *atomic.Int64, clock *stageClock) (Stats, error) {
+// Commuted reversals (genNode.markCommuted) are neither cloned nor applied: the
+// committer counts each at its position as a duplicate, and the second
+// result counts them.
+func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palette []fcp.Pattern, out chan<- streamItem, generated *atomic.Int64, clock *stageClock) (Stats, int, error) {
 	var stats Stats
 	seen := newFingerprintSet()
 	seen.Add(initial.Fingerprint())
-	frontier := []Alternative{{Graph: initial}}
+	frontier := []*genNode{{alt: Alternative{Graph: initial}}}
 	pruner := newStaticPruner(p.opts)
-	seq := 0
+	seq, commuted := 0, 0
 	sp := obs.SpanFrom(ctx)
 
 	chunk := p.opts.Workers * 8
@@ -227,14 +233,18 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 		chunk = 32
 	}
 	for round := 0; round < p.opts.Depth; round++ {
-		var next []Alternative
-		for i := range frontier {
-			cur := &frontier[i]
+		var next []*genNode
+		for _, node := range frontier {
+			cur := &node.alt
 			if err := ctx.Err(); err != nil {
-				return stats, err
+				return stats, commuted, err
 			}
 			cands := p.opts.Policy.Propose(cur.Graph, palette)
 			stats.CandidatesSeen += len(cands)
+			node.propose(cands, palette)
+			if !p.opts.DisableDedup {
+				node.markCommuted()
+			}
 			// Prefetch one chunk ahead: the apply workers of chunk k+1 probe
 			// the fingerprint set while the committer inserts chunk k's.
 			fetch := func(start int) chan []applyResult {
@@ -242,13 +252,21 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 				if end > len(cands) {
 					end = len(cands)
 				}
+				skip, skipped := node.skip[start:end], 0
+				for _, s := range skip {
+					if s {
+						skipped++
+					}
+				}
 				ch := make(chan []applyResult, 1)
 				go func() {
 					t0 := time.Now()
-					results := p.applyBatch(ctx, cur, cands[start:end], seen)
+					results := p.applyBatch(ctx, cur, cands[start:end], skip, seen)
 					clock.observe(siApply, t0)
 					if sp != nil {
-						sp.Record("planner.apply", t0, time.Since(t0), obs.Int("candidates", int64(end-start)))
+						sp.Record("planner.apply", t0, time.Since(t0),
+							obs.Int("candidates", int64(end-start)),
+							obs.Int("commuted", int64(skipped)))
 					}
 					ch <- results
 				}()
@@ -263,10 +281,17 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 				if start+chunk < len(cands) {
 					ahead = fetch(start + chunk)
 				}
-				for _, r := range results {
+				for k, r := range results {
 					if seq >= p.opts.MaxAlternatives {
 						stats.Capped = true
-						return stats, nil
+						return stats, commuted, nil
+					}
+					if node.skip[start+k] {
+						stats.Generated++
+						stats.Deduped++
+						commuted++
+						node.committed[start+k] = true
+						continue
 					}
 					if r.graph == nil {
 						// Application failed (or was skipped on cancellation —
@@ -274,6 +299,7 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 						continue
 					}
 					stats.Generated++
+					node.committed[start+k] = true
 					if !p.opts.DisableDedup {
 						// r.dup is the apply workers' concurrent fast-path
 						// probe; the set is add-only, so true is
@@ -295,12 +321,13 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 						Graph:        r.graph,
 						Applications: append(append([]fcp.Application(nil), cur.Applications...), r.app),
 					}
-					next = append(next, alt)
+					node.child[start+k] = &genNode{parent: node, at: start + k, alt: alt}
+					next = append(next, node.child[start+k])
 					generated.Store(int64(seq + 1))
 					select {
 					case out <- streamItem{seq: seq, alt: alt}:
 					case <-ctx.Done():
-						return stats, ctx.Err()
+						return stats, commuted, ctx.Err()
 					}
 					seq++
 				}
@@ -311,7 +338,77 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 		}
 		frontier = next
 	}
-	return stats, nil
+	return stats, commuted, nil
+}
+
+// genNode is a frontier alternative in the generation tree, with the
+// candidates proposed on it and what became of each.
+type genNode struct {
+	alt    Alternative
+	parent *genNode
+	at     int // index in parent.cands of the candidate that built alt
+	cands  []policy.Candidate
+	// keys holds each candidate's key (zero if it has none); first maps a
+	// key to its earliest candidate.
+	keys  []candKey
+	first map[candKey]int
+	// Per candidate: the alternative it built if that joined the next
+	// frontier, whether its flow reached the fingerprint set (accepted,
+	// deduplicated, pruned or skipped), and whether it is skipped.
+	child           []*genNode
+	committed, skip []bool
+}
+
+// candKey identifies a candidate by palette position + 1 and point, never by
+// Pattern value: a user pattern's type need not be comparable.
+type candKey struct {
+	pal int
+	pt  fcp.Point
+}
+
+func (n *genNode) propose(cands []policy.Candidate, palette []fcp.Pattern) {
+	n.cands, n.keys, n.first = cands, make([]candKey, len(cands)), make(map[candKey]int, len(cands))
+	n.child, n.committed, n.skip = make([]*genNode, len(cands)), make([]bool, len(cands)), make([]bool, len(cands))
+	for x, c := range cands {
+		// Only pointer types get a key: == on a user value type may panic.
+		for k, pat := range palette {
+			if reflect.TypeOf(c.Pattern).Kind() == reflect.Pointer && pat == c.Pattern {
+				n.keys[x] = candKey{pal: k + 1, pt: c.Point}
+				if _, dup := n.first[n.keys[x]]; !dup {
+					n.first[n.keys[x]] = x
+				}
+				break
+			}
+		}
+	}
+}
+
+// markCommuted marks in skip the node's candidates whose flow is provably in
+// the fingerprint set already. The node A was built from its parent P by P's
+// candidate c_i. A candidate c on A is a commuted reversal when
+//
+//  1. c is P's candidate c_j (same palette pattern, same point) with j < i;
+//  2. P + c_j joined the frontier, so it was expanded before A;
+//  3. c_i was proposed on P + c_j and committed there, so the flow
+//     P + c_j + c_i is in the fingerprint set;
+//  4. the footprints of c_i and c_j on P do not conflict (fcp.Commute), so
+//     A + c = P + c_i + c_j is that same flow.
+//
+// Both orders are valid because both were proposed.
+func (n *genNode) markCommuted() {
+	par := n.parent
+	if par == nil {
+		return
+	}
+	ci := par.cands[n.at]
+	for x, k := range n.keys {
+		if j, ok := par.first[k]; ok && j < n.at && par.child[j] != nil {
+			sib, cj := par.child[j], par.cands[j]
+			if y, ok := sib.first[par.keys[n.at]]; ok && sib.committed[y] {
+				n.skip[x] = fcp.Commute(par.alt.Graph, ci.Pattern, ci.Point, cj.Pattern, cj.Point)
+			}
+		}
+	}
 }
 
 // applyResult is one candidate application computed by the apply workers.
@@ -322,16 +419,19 @@ type applyResult struct {
 	dup   bool
 }
 
-// applyBatch clones the parent flow and applies every candidate on a bounded
-// worker pool, returning results in candidate order. Fingerprints are
-// computed by the workers, which also probe the shared fingerprint set
-// concurrently with the committer's inserts.
-func (p *Planner) applyBatch(ctx context.Context, cur *Alternative, cands []policy.Candidate, seen *fingerprintSet) []applyResult {
+// applyBatch clones the parent flow and applies every candidate not marked in
+// skip on a bounded worker pool, returning results in candidate order.
+// Fingerprints are computed by the workers, which also probe the shared
+// fingerprint set concurrently with the committer's inserts.
+func (p *Planner) applyBatch(ctx context.Context, cur *Alternative, cands []policy.Candidate, skip []bool, seen *fingerprintSet) []applyResult {
 	results := make([]applyResult, len(cands))
 	if len(cands) == 0 {
 		return results
 	}
 	apply := func(i int) {
+		if skip[i] {
+			return
+		}
 		clone := cur.Graph.Clone()
 		app, err := cands[i].Pattern.Apply(clone, cands[i].Point)
 		if err != nil {

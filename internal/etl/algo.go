@@ -141,28 +141,33 @@ func (g *Graph) Reachable(id NodeID) map[NodeID]bool {
 	return out
 }
 
-// UpstreamDistance returns, for every node, the minimum number of edges from
-// any source operation. Cleaning-pattern heuristics prefer application points
-// with a small upstream distance ("as close as possible to the operations for
-// inputting data sources").
-func (g *Graph) UpstreamDistance() map[NodeID]int {
-	order, err := g.TopoSlots()
-	if err != nil {
-		return map[NodeID]int{}
+// UpstreamDistance returns the minimum number of edges from any source
+// operation to node id: 0 for a source, an unknown node or a cyclic graph.
+// Cleaning-pattern heuristics prefer application points with a small
+// upstream distance ("as close as possible to the operations for inputting
+// data sources"). They are memoized with the topological order.
+func (g *Graph) UpstreamDistance(id NodeID) int {
+	s, ok := g.index[id]
+	t, err := g.topoOrder()
+	if !ok || err != nil {
+		return 0
 	}
-	dist := make([]int32, len(g.nodes))
-	out := make(map[NodeID]int, len(order))
-	for _, s := range order {
-		if preds := g.pred[s]; len(preds) > 0 {
-			d := dist[preds[0]]
-			for _, p := range preds[1:] {
-				d = min(d, dist[p])
+	dist := t.dist.Load()
+	if dist == nil {
+		d := make([]int32, len(g.nodes))
+		for _, x := range t.slots {
+			if preds := g.pred[x]; len(preds) > 0 {
+				m := d[preds[0]]
+				for _, p := range preds[1:] {
+					m = min(m, d[p])
+				}
+				d[x] = m + 1
 			}
-			dist[s] = d + 1
 		}
-		out[g.nodes[s].ID] = int(dist[s])
+		dist = &d
+		t.dist.Store(dist)
 	}
-	return out
+	return int((*dist)[s])
 }
 
 // DownstreamCheckpointFree reports whether no checkpoint operation exists

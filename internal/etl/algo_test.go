@@ -103,11 +103,10 @@ func TestReachable(t *testing.T) {
 
 func TestUpstreamDistance(t *testing.T) {
 	g := diamondFlow(t)
-	d := g.UpstreamDistance()
-	want := map[NodeID]int{"src": 0, "split": 1, "a": 2, "b": 2, "merge": 3, "load": 4}
+	want := map[NodeID]int{"src": 0, "split": 1, "a": 2, "b": 2, "merge": 3, "load": 4, "unknown": 0}
 	for id, w := range want {
-		if d[id] != w {
-			t.Errorf("dist[%s] = %d, want %d", id, d[id], w)
+		if d := g.UpstreamDistance(id); d != w {
+			t.Errorf("dist[%s] = %d, want %d", id, d, w)
 		}
 	}
 }

@@ -89,10 +89,12 @@ type Graph struct {
 	fp   atomic.Pointer[string]
 }
 
-// topoOrder is a cached topological order, as node IDs and as slots.
+// topoOrder is a cached topological order, as node IDs and as slots, and
+// the slot-indexed upstream distances derived from it (UpstreamDistance).
 type topoOrder struct {
 	ids   []NodeID
 	slots []int32
+	dist  atomic.Pointer[[]int32]
 }
 
 // adopt moves the fully built src graph's state into g (UnmarshalJSON

@@ -3,7 +3,6 @@ package etl
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -365,8 +364,11 @@ func compareModel(g *Graph, r *refGraph) error {
 	if !slices.Equal(path, wantPath) || w != wantW {
 		return fmt.Errorf("CriticalPath %v %g, reference %v %g", path, w, wantPath, wantW)
 	}
-	if got, want := g.UpstreamDistance(), r.upstreamDistance(); !maps.Equal(got, want) {
-		return fmt.Errorf("UpstreamDistance %v, reference %v", got, want)
+	wantDist := r.upstreamDistance()
+	for _, id := range append(slices.Clone(r.order), "unknown") {
+		if got, want := g.UpstreamDistance(id), wantDist[id]; got != want {
+			return fmt.Errorf("UpstreamDistance(%s) %d, reference %d", id, got, want)
+		}
 	}
 	if got, want := g.Components(), r.components(); got != want {
 		return fmt.Errorf("Components %d, reference %d", got, want)

@@ -109,12 +109,11 @@ func (p Point) UpstreamSchema(g *etl.Graph) etl.Schema {
 // UpstreamDistance returns the minimum number of edges between the point and
 // any source operation (0 for the graph point).
 func (p Point) UpstreamDistance(g *etl.Graph) int {
-	dist := g.UpstreamDistance()
 	switch p.Kind {
 	case EdgePoint:
-		return dist[p.Edge.From] + 1
+		return g.UpstreamDistance(p.Edge.From) + 1
 	case NodePoint:
-		return dist[p.Node]
+		return g.UpstreamDistance(p.Node)
 	default:
 		return 0
 	}
