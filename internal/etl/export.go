@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -246,7 +247,7 @@ func DiffFlows(base, next *Graph) Diff {
 	for _, id := range next.NodeIDs() {
 		if !baseIDs[id] {
 			d.AddedNodes = append(d.AddedNodes, id)
-		} else if base.Node(id).canonical() != next.Node(id).canonical() {
+		} else if !bytes.Equal(base.Node(id).appendCanonical(nil), next.Node(id).appendCanonical(nil)) {
 			d.ChangedNodes = append(d.ChangedNodes, id)
 		}
 	}

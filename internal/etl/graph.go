@@ -48,6 +48,20 @@ var (
 // node edit must go through MutableNode, even on a graph that was never
 // cloned: MutableNode drops both caches, while a direct write through Node()
 // leaves them stale.
+//
+// Keying is incremental across clones. A graph that is cloned publishes a
+// key memo, its per-slot fingerprint labels and cone keys, and the clone
+// inherits it as its base. From then on the clone's mutations log the slots
+// they touch: AddNode, AddEdge, edge removal and MutableNode log the slot
+// whose node or predecessor list changed, and the edge changes (RemoveNode
+// included) also log each producer whose successor list changed, since port
+// routing reads the port index and the fan-out. The next Fingerprint or
+// ConeKeys pass recomputes only the logged slots and the slots with a
+// changed predecessor, and copies every other value from the base. Graphs
+// that are never cloned (the planner's leaf alternatives) publish no memo.
+// Finish editing a node from MutableNode before the next key pass or Clone:
+// the log records the slot, not the edit, so an edit after the pass is
+// missed as it always was.
 type Graph struct {
 	// Name labels the process (e.g. "tpcds_purchases").
 	Name string
@@ -87,6 +101,16 @@ type Graph struct {
 	// them lazily without a lock.
 	topo atomic.Pointer[topoOrder]
 	fp   atomic.Pointer[string]
+
+	// memo is the key memo of the current state, published by the first
+	// Clone after the last mutation; immutable once stored. base is a memo
+	// of an earlier state of this graph (its parent's at Clone, or its own
+	// when a mutation followed its publication), and log the changes since
+	// base: slot s for an edited node or predecessor list, ^s for a changed
+	// successor list. Only a graph with a base keeps a log.
+	memo atomic.Pointer[keyMemo]
+	base *keyMemo
+	log  []int32
 }
 
 // topoOrder is a cached topological order, as node IDs and as slots, and
@@ -110,6 +134,8 @@ func (g *Graph) adopt(src *Graph) {
 	g.epoch.Store(src.epoch.Load())
 	g.topo.Store(src.topo.Load())
 	g.fp.Store(src.fp.Load())
+	g.memo.Store(src.memo.Load())
+	g.base, g.log = src.base, src.log
 }
 
 // New creates an empty graph with the given name.
@@ -128,6 +154,32 @@ func (g *Graph) EdgeCount() int { return g.edges }
 func (g *Graph) invalidate() {
 	g.topo.Store(nil)
 	g.fp.Store(nil)
+}
+
+// logEdit records that the node in slot s, or its predecessor list,
+// changed; logFan records that the successor list of slot s changed.
+func (g *Graph) logEdit(s int32) {
+	if g.rebase() {
+		g.log = append(g.log, s)
+	}
+}
+
+func (g *Graph) logFan(s int32) {
+	if g.rebase() {
+		g.log = append(g.log, ^s)
+	}
+}
+
+// rebase prepares the change log for a mutation and reports whether the
+// graph keeps one. A memo published for the state before the mutation
+// becomes the new base and the log restarts from it. Without a base there
+// is nothing to log against: the next key pass computes every slot.
+func (g *Graph) rebase() bool {
+	if m := g.memo.Load(); m != nil {
+		g.memo.Store(nil)
+		g.base, g.log = m, g.log[:0]
+	}
+	return g.base != nil
 }
 
 // writableIndex returns the ID index for an insertion or deletion, first
@@ -165,6 +217,7 @@ func (g *Graph) AddNode(n *Node) error {
 	if ep := g.epoch.Load(); ep != 0 {
 		g.setStamp(slot, ep)
 	}
+	g.logEdit(slot)
 	g.invalidate()
 	return nil
 }
@@ -187,9 +240,11 @@ func (g *Graph) RemoveNode(id NodeID) error {
 	}
 	for _, p := range g.pred[s] {
 		g.succ[p] = withoutSlot(g.succ[p], s)
+		g.logFan(p)
 	}
 	for _, t := range g.succ[s] {
 		g.pred[t] = withoutSlot(g.pred[t], s)
+		g.logEdit(t)
 	}
 	g.edges -= len(g.pred[s]) + len(g.succ[s])
 	g.nodes[s], g.succ[s], g.pred[s] = nil, nil, nil
@@ -220,6 +275,8 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	// be shared with a clone.
 	g.succ[f] = append(slices.Clip(g.succ[f]), t)
 	g.pred[t] = append(slices.Clip(g.pred[t]), f)
+	g.logFan(f)
+	g.logEdit(t)
 	g.edges++
 	g.invalidate()
 	return nil
@@ -246,6 +303,8 @@ func (g *Graph) RemoveEdge(from, to NodeID) error {
 func (g *Graph) removeEdge(f, t int32) {
 	g.succ[f] = withoutSlot(g.succ[f], t)
 	g.pred[t] = withoutSlot(g.pred[t], f)
+	g.logFan(f)
+	g.logEdit(t)
 	g.edges--
 	g.invalidate()
 }
@@ -283,13 +342,15 @@ func (g *Graph) Node(id NodeID) *Node {
 // Pattern implementations and any other code that edits node fields, params
 // or costs on a cloned flow must use this accessor; plain Node() reads stay
 // allocation-free. The graph's fingerprint and the node's digest are dropped
-// here, not at the edit, so finish editing the returned node before the next
-// Fingerprint or ConeKeys call on this graph.
+// and the slot is logged for the next incremental key pass here, not at the
+// edit, so finish editing the returned node before the next Fingerprint,
+// ConeKeys or Clone call on this graph.
 func (g *Graph) MutableNode(id NodeID) *Node {
 	s, ok := g.index[id]
 	if !ok {
 		return nil
 	}
+	g.logEdit(s)
 	n := g.nodes[s]
 	ep := g.epoch.Load()
 	if ep == 0 || int(s) < len(g.stamp) && g.stamp[s] == ep {
@@ -438,8 +499,12 @@ const cloneSlack = 4
 // mutation edits in place) and the ID index until one graph adds or removes
 // a node. The planner clones every frontier design once per candidate
 // pattern application, so this is the per-candidate cost of generation.
-// Clone writes nothing to g but the atomic epoch, so concurrent workers may
-// clone one parent.
+//
+// The first Clone after a mutation also builds and publishes g's key memo
+// (incrementally, from g's own base and log when it has one), and the clone
+// starts from that memo with an empty log, so its key passes hash only what
+// its edits reach. Clone writes nothing to g but atomics (the epoch and the
+// memo), so concurrent workers may clone one parent.
 func (g *Graph) Clone() *Graph {
 	n := len(g.nodes) + cloneSlack
 	c := &Graph{
@@ -460,6 +525,7 @@ func (g *Graph) Clone() *Graph {
 	// copies of the pointers.
 	c.topo.Store(g.topo.Load())
 	c.fp.Store(g.fp.Load())
+	c.base = g.publishMemo()
 	// From now on this graph's nodes and index are shared too: bumping the
 	// epoch makes every existing stamp stale, so further in-place edits on
 	// either side go back through MutableNode's unsharing copy.

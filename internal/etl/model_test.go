@@ -376,7 +376,7 @@ func compareModel(g *Graph, r *refGraph) error {
 	if got, want := g.Fingerprint(), r.rebuild().Fingerprint(); got != want {
 		return fmt.Errorf("Fingerprint %s, rebuilt flow %s", got, want)
 	}
-	return nil
+	return checkKeys(g)
 }
 
 // modelPair is one graph under test and its reference.
@@ -392,12 +392,32 @@ type modelPair struct {
 func modelStep(rng *rand.Rand, pairs *[]modelPair, fresh *int) (string, error) {
 	p := (*pairs)[rng.Intn(len(*pairs))]
 	pick := func() NodeID { return NodeID(fmt.Sprintf("n%d", rng.Intn(10))) }
-	kinds := []OpKind{OpExtract, OpDerive, OpDerive, OpMerge, OpCheckpoint, OpLoad}
+	kinds := []OpKind{OpExtract, OpDerive, OpDerive, OpMerge, OpCheckpoint, OpLoad, OpPartition, OpSplit}
 	newNode := func(id NodeID) (*Node, *Node) {
 		k := kinds[rng.Intn(len(kinds))]
 		n := NewNode(id, fmt.Sprintf("op%d", rng.Intn(3)), k, NewSchema(Attribute{Name: "x", Type: TypeInt}))
 		n.Cost.PerTuple = float64(rng.Intn(4))
+		if k == OpSplit && rng.Intn(2) == 0 {
+			n.SetParam(ParamRoute, "hash")
+		}
 		return n, n.Clone()
+	}
+	// edits are the in-place node edits, applied through MutableNode to the
+	// graph and directly to the reference: what the fingerprint reads
+	// (name, params, schema, parallelism) and what only the cone keys read
+	// (selectivity, schema order), plus a split's routing, which moves its
+	// successors' streams.
+	edits := []func(n *Node, v int){
+		func(n *Node, v int) { n.Name, n.Cost.PerTuple = fmt.Sprintf("op%d", v), float64(v) },
+		func(n *Node, v int) { n.Cost.Selectivity = float64(v) / 4 },
+		func(n *Node, v int) { n.SetParam(ParamAttrs, fmt.Sprintf("x%d", v)) },
+		func(n *Node, v int) { n.SetParam(fmt.Sprintf("note%d", v), "1") },
+		func(n *Node, v int) { n.SetParam(ParamRoute, []string{"hash", ""}[v%2]) },
+		func(n *Node, v int) {
+			n.Out = n.Out.With(Attribute{Name: fmt.Sprintf("y%d", v), Type: AttrType(v), Nullable: v%2 == 0})
+		},
+		func(n *Node, v int) { slices.Reverse(n.Out.Attrs) },
+		func(n *Node, v int) { n.Parallelism = v + 1 },
 	}
 	freshID := func() NodeID {
 		*fresh++
@@ -450,15 +470,14 @@ func modelStep(rng *rand.Rand, pairs *[]modelPair, fresh *int) (string, error) {
 			*pairs = append(*pairs, modelPair{p.g.Clone(), p.r.clone()})
 			return "Clone", nil
 		}
-		id := pick()
-		name, cost := fmt.Sprintf("op%d", rng.Intn(3)), float64(rng.Intn(4))
+		id, e, v := pick(), rng.Intn(len(edits)), rng.Intn(4)
 		if n := p.g.MutableNode(id); n != nil {
-			n.Name, n.Cost.PerTuple = name, cost
+			edits[e](n, v)
 		}
 		if n := p.r.nodes[id]; n != nil {
-			n.Name, n.Cost.PerTuple = name, cost
+			edits[e](n, v)
 		}
-		return "MutableNode " + string(id), nil
+		return fmt.Sprintf("MutableNode %s edit %d", id, e), nil
 	}
 	if (err == nil) != (werr == nil) || werr != nil && !errors.Is(err, werr) {
 		return desc, fmt.Errorf("%s: error %v, reference %v", desc, err, werr)
@@ -470,7 +489,9 @@ func modelStep(rng *rand.Rand, pairs *[]modelPair, fresh *int) (string, error) {
 // under random sequences of every mutation, Clone included. After each step
 // every graph of the sequence (a parent and all its clones) is compared
 // with its own reference, so a clone's edit leaking into its parent, or the
-// reverse, fails the step. The flows every sequence passes through must
+// reverse, fails the step; its fingerprint and cone keys, computed
+// incrementally from the memo its last clone point published, must equal a
+// scratch pass. The flows every sequence passes through must
 // also fingerprint into the same equality classes as the WL refinement.
 func TestGraphMatchesMapModel(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {

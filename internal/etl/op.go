@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -369,29 +370,29 @@ func (n *Node) String() string {
 	return fmt.Sprintf("%s(%s:%s)", n.ID, n.Kind, n.Name)
 }
 
-// canonical renders a deterministic node description for fingerprinting.
-// Node identity (ID) is excluded so that two graphs with identical structure
-// but different ID spellings hash alike once positions are accounted for.
-func (n *Node) canonical() string {
-	keys := make([]string, 0, len(n.Params))
+// appendCanonical appends the node's deterministic description for
+// fingerprinting: kind/name/schema/p<parallelism>, then /key=value for every
+// param in sorted key order, with the schema's attributes rendered and
+// sorted as in Schema.appendCanonical. Node identity (ID) is excluded so
+// that two graphs with identical structure but different ID spellings hash
+// alike once positions are accounted for. The params are sorted in a stack
+// array, so a node with up to 16 params and a schema that fits
+// appendCanonical's scratch costs no allocation beyond growing b.
+func (n *Node) appendCanonical(b []byte) []byte {
+	b = append(b, n.Kind.String()...)
+	b = append(append(b, '/'), n.Name...)
+	b = n.Out.appendCanonical(append(b, '/'))
+	b = strconv.AppendInt(append(b, "/p"...), int64(n.Parallelism), 10)
+	var stack [16]string
+	keys := stack[:0]
 	for k := range n.Params {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(n.Kind.String())
-	b.WriteByte('/')
-	b.WriteString(n.Name)
-	b.WriteByte('/')
-	b.WriteString(n.Out.canonical())
-	fmt.Fprintf(&b, "/p%d", n.Parallelism)
+	slices.Sort(keys)
 	for _, k := range keys {
-		b.WriteByte('/')
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(n.Params[k])
+		b = append(append(append(append(b, '/'), k...), '='), n.Params[k]...)
 	}
-	return b.String()
+	return b
 }
 
 // The params the simulator's data path reads. The kernels look them up
@@ -409,7 +410,7 @@ var dataParams = [...]string{ParamAttrs, ParamGroupBy, ParamRoute}
 // nodeDigests is the memo of the node's hashes, filled together by the first
 // caller that needs any of them so that a node costs one allocation.
 type nodeDigests struct {
-	// canon hashes canonical(): the node's part of Fingerprint.
+	// canon hashes appendCanonical: the node's part of Fingerprint.
 	canon hash128
 	// data hashes what the simulator reads of the node itself: kind, ID,
 	// name, ordered output schema, the data params and selectivity.
@@ -421,13 +422,17 @@ type nodeDigests struct {
 
 // digests returns the node's hashes, computed on first use and memoized on
 // the node. Clones of a flow share their unedited nodes, so one memo serves
-// every alternative the planner derives from the flow.
+// every alternative the planner derives from the flow. The three encodings
+// are written into one stack buffer in turn, so the memo itself is the only
+// allocation of a typical node.
 func (n *Node) digests() *nodeDigests {
 	if d := n.dig.Load(); d != nil {
 		return d
 	}
-	d := &nodeDigests{canon: sum128([]byte(n.canonical()))}
-	buf := n.Out.appendOrdered(make([]byte, 0, 256))
+	var stack [512]byte
+	buf := n.appendCanonical(stack[:0])
+	d := &nodeDigests{canon: sum128(buf)}
+	buf = n.Out.appendOrdered(buf[:0])
 	d.out = sum128(buf)
 	buf = append(buf[:0], byte(n.Kind))
 	buf = appendString(buf, string(n.ID))
@@ -442,7 +447,7 @@ func (n *Node) digests() *nodeDigests {
 	return d
 }
 
-// digest returns the hash of canonical().
+// digest returns the hash of the node's canonical description.
 func (n *Node) digest() hash128 { return n.digests().canon }
 
 // appendString appends s with its length in front, so that adjacent fields

@@ -11,8 +11,9 @@
 package etl
 
 import (
+	"bytes"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -321,15 +322,36 @@ func (s Schema) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// canonical renders a deterministic representation used by fingerprinting:
-// attributes sorted by name so that attribute order does not affect identity.
-func (s Schema) canonical() string {
-	parts := make([]string, len(s.Attrs))
-	for i, a := range s.Attrs {
-		parts[i] = a.String()
+// appendCanonical appends the deterministic rendering fingerprinting uses:
+// the attributes' String forms, sorted bytewise and joined by commas, so
+// that attribute order does not affect identity. The renderings are built
+// in a stack scratch buffer and sorted by span, so a schema of up to 32
+// attributes whose renderings fit 512 bytes costs no allocation beyond
+// growing b.
+func (s Schema) appendCanonical(b []byte) []byte {
+	type span struct{ lo, hi int }
+	var scratch [512]byte
+	var spans [32]span
+	buf, sp := scratch[:0], spans[:0]
+	for _, a := range s.Attrs {
+		lo := len(buf)
+		buf = append(append(append(buf, a.Name...), ':'), a.Type.String()...)
+		if a.Nullable {
+			buf = append(buf, '?')
+		}
+		if a.Key {
+			buf = append(buf, '!')
+		}
+		sp = append(sp, span{lo, len(buf)})
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	slices.SortFunc(sp, func(x, y span) int { return bytes.Compare(buf[x.lo:x.hi], buf[y.lo:y.hi]) })
+	for i, x := range sp {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, buf[x.lo:x.hi]...)
+	}
+	return b
 }
 
 // appendOrdered appends a binary encoding of the schema in attribute order:
