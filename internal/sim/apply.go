@@ -97,10 +97,10 @@ func nonSharedPositions(from, other etl.Schema) []int {
 // apply executes one operation on its input batches and returns the output
 // batches (one logical output stream; routing to successors happens later).
 // Kernels are per-column loops over selection vectors.
-func (e *Engine) apply(g *etl.Graph, n *etl.Node, in []*colBatch, bind Binding, ar *batchArena) ([]*colBatch, error) {
+func (e *Engine) apply(g *etl.Graph, n *etl.Node, in []*batch, bind Binding, ar *batchArena) ([]*batch, error) {
 	if n.Kind.IsPassThrough() {
 		// With one input the engine forwards these without calling apply.
-		return []*colBatch{colFlatten(in, ar)}, nil
+		return []*batch{flatten(in, ar)}, nil
 	}
 	switch n.Kind {
 	case etl.OpExtract:
@@ -109,57 +109,57 @@ func (e *Engine) apply(g *etl.Graph, n *etl.Node, in []*colBatch, bind Binding, 
 			spec = e.defaultSpec(n)
 		}
 		rs := data.Generate(spec)
-		return []*colBatch{colFromRows(rs.Rows, spec.Schema.ValueKinds())}, nil
+		return []*batch{batchFromRows(rs.Rows, spec.Schema.ValueKinds())}, nil
 
 	case etl.OpRecovery:
-		return []*colBatch{nil}, nil
+		return []*batch{nil}, nil
 
 	case etl.OpLoad:
 		return in, nil
 
 	case etl.OpFilter:
-		return []*colBatch{e.colFilter(n, colFlatten(in, ar), ar)}, nil
+		return []*batch{e.filterRows(n, flatten(in, ar), ar)}, nil
 
 	case etl.OpFilterNull:
-		return []*colBatch{colFilterNulls(g, n, colFlatten(in, ar), ar)}, nil
+		return []*batch{filterNullRows(g, n, flatten(in, ar), ar)}, nil
 
 	case etl.OpDedup:
-		return []*colBatch{colDedup(g, n, colFlatten(in, ar), ar)}, nil
+		return []*batch{dedupRows(g, n, flatten(in, ar), ar)}, nil
 
 	case etl.OpCrosscheck:
-		return []*colBatch{colCrosscheck(in[0], ar)}, nil
+		return []*batch{crosscheckRows(in[0], ar)}, nil
 
 	case etl.OpDerive:
-		return []*colBatch{colDerive(g, n, colFlatten(in, ar), ar)}, nil
+		return []*batch{deriveRows(g, n, flatten(in, ar), ar)}, nil
 
 	case etl.OpProject:
-		return []*colBatch{colProject(g, n, colFlatten(in, ar))}, nil
+		return []*batch{projectRows(g, n, flatten(in, ar))}, nil
 
 	case etl.OpSurrogate:
-		return []*colBatch{colSurrogate(g, n, colFlatten(in, ar))}, nil
+		return []*batch{surrogateRows(g, n, flatten(in, ar))}, nil
 
 	case etl.OpJoin, etl.OpLookup:
 		if len(in) < 2 {
-			return []*colBatch{colFlatten(in, ar)}, nil
+			return []*batch{flatten(in, ar)}, nil
 		}
-		out, err := colJoin(g, n, in[0], in[1], ar)
+		out, err := joinRows(g, n, in[0], in[1], ar)
 		if err != nil {
 			return nil, err
 		}
-		return []*colBatch{out}, nil
+		return []*batch{out}, nil
 
 	case etl.OpAggregate:
-		return []*colBatch{colAggregate(g, n, colFlatten(in, ar), ar)}, nil
+		return []*batch{aggregateRows(g, n, flatten(in, ar), ar)}, nil
 
 	default:
 		return nil, fmt.Errorf("unsupported operation kind %s (inputs %s)", n.Kind, describe(in))
 	}
 }
 
-// colFilter drops rows with the exact keep decisions of filter: the per-row
+// filterRows drops rows with the exact keep decisions of filter: the per-row
 // hash is computed by one typed pass over the first column (selectHashes) and
 // the survivors become a selection vector over the shared batch.
-func (e *Engine) colFilter(n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
+func (e *Engine) filterRows(n *etl.Node, b *batch, ar *batchArena) *batch {
 	sel := n.Cost.Selectivity
 	if sel >= 1 || b.len() == 0 {
 		return b
@@ -177,10 +177,10 @@ func (e *Engine) colFilter(n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
 	return withSel(b, ownedSel(keep))
 }
 
-// colFilterNulls drops rows with a NULL in the named (or all) attributes: one
+// filterNullRows drops rows with a NULL in the named (or all) attributes: one
 // bitmap/nil scan per tested column marks the victims, then a single pass
 // builds the selection vector.
-func colFilterNulls(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
+func filterNullRows(g *etl.Graph, n *etl.Node, b *batch, ar *batchArena) *batch {
 	nrows := b.len()
 	if nrows == 0 {
 		return b
@@ -208,18 +208,18 @@ func colFilterNulls(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *col
 	return withSel(b, ownedSel(keep))
 }
 
-// colDedup keeps the first row of every distinct key without rendering keys:
+// dedupRows keeps the first row of every distinct key without rendering keys:
 // column-wise key hashing plus typed-equality verification.
-func colDedup(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
+func dedupRows(g *etl.Graph, n *etl.Node, b *batch, ar *batchArena) *batch {
 	if b.len() == 0 {
 		return b
 	}
 	return firstByKey(b, keyOrAllPositions(g.InputSchemaView(n.ID)), ar)
 }
 
-// colCrosscheck drops rows carrying an injected defect in any cell, using the
+// crosscheckRows drops rows carrying an injected defect in any cell, using the
 // per-kind defect scans of markErroneous.
-func colCrosscheck(b *colBatch, ar *batchArena) *colBatch {
+func crosscheckRows(b *batch, ar *batchArena) *batch {
 	nrows := b.len()
 	if nrows == 0 {
 		return b
@@ -237,11 +237,11 @@ func colCrosscheck(b *colBatch, ar *batchArena) *colBatch {
 	return withSel(b, ownedSel(keep))
 }
 
-// colDerive appends computed columns: the numeric accumulator is built by one
+// deriveRows appends computed columns: the numeric accumulator is built by one
 // typed pass per numeric input column, then each new attribute materializes as
 // a dense column. The input compacts first so new and shared columns index
 // identically.
-func colDerive(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
+func deriveRows(g *etl.Graph, n *etl.Node, b *batch, ar *batchArena) *batch {
 	in := g.InputSchemaView(n.ID)
 	var newAttrs []etl.Attribute
 	for _, a := range n.Out.Attrs {
@@ -262,12 +262,12 @@ func colDerive(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch
 	for _, a := range newAttrs {
 		cols = append(cols, derivedColumn(a, acc))
 	}
-	return &colBatch{cols: cols, n: d.n}
+	return &batch{cols: cols, n: d.n}
 }
 
-// colProject picks the output schema's columns by reference — a pure
+// projectRows picks the output schema's columns by reference — a pure
 // metadata operation sharing storage and selection with the input.
-func colProject(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
+func projectRows(g *etl.Graph, n *etl.Node, b *batch) *batch {
 	if b.len() == 0 {
 		return b
 	}
@@ -280,11 +280,11 @@ func colProject(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
 			cols = append(cols, column{})
 		}
 	}
-	return &colBatch{cols: cols, n: b.n, sel: b.sel}
+	return &batch{cols: cols, n: b.n, sel: b.sel}
 }
 
-// colSurrogate writes the dense surrogate key as one int64 column.
-func colSurrogate(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
+// surrogateRows writes the dense surrogate key as one int64 column.
+func surrogateRows(g *etl.Graph, n *etl.Node, b *batch) *batch {
 	in := g.InputSchemaView(n.ID)
 	pos := -1
 	for _, a := range n.Out.Attrs {
@@ -307,15 +307,15 @@ func colSurrogate(g *etl.Graph, n *etl.Node, b *colBatch) *colBatch {
 	for i := 0; i < d.n; i++ {
 		ids = append(ids, int64(i+1))
 	}
-	cols[pos] = column{kind: colInt, ints: ids}
-	return &colBatch{cols: cols, n: d.n}
+	cols[pos] = column{kind: storeInt, ints: ids}
+	return &batch{cols: cols, n: d.n}
 }
 
-// colJoin hash-joins left and right on their shared key attributes: the right
+// joinRows hash-joins left and right on their shared key attributes: the right
 // side is indexed by column-wise key hash (last row wins per key, like the
 // row oracle's map build), the left side probes with typed cross-batch
 // equality, and the output gathers both sides by match vectors.
-func colJoin(g *etl.Graph, n *etl.Node, left, right *colBatch, ar *batchArena) (*colBatch, error) {
+func joinRows(g *etl.Graph, n *etl.Node, left, right *batch, ar *batchArena) (*batch, error) {
 	preds := g.Pred(n.ID)
 	if len(preds) < 2 {
 		return left, nil
@@ -364,7 +364,7 @@ func colJoin(g *etl.Graph, n *etl.Node, left, right *colBatch, ar *batchArena) (
 	if right != nil {
 		rw = len(right.cols)
 	}
-	out := &colBatch{n: len(lidx), cols: make([]column, 0, len(left.cols)+len(extra))}
+	out := &batch{n: len(lidx), cols: make([]column, 0, len(left.cols)+len(extra))}
 	for j := range left.cols {
 		out.cols = append(out.cols, gatherColumn(&left.cols[j], lidx))
 	}
@@ -378,8 +378,8 @@ func colJoin(g *etl.Graph, n *etl.Node, left, right *colBatch, ar *batchArena) (
 	return out, nil
 }
 
-// colAggregate emits one representative row per group, keyed like aggregate.
-func colAggregate(g *etl.Graph, n *etl.Node, b *colBatch, ar *batchArena) *colBatch {
+// aggregateRows emits one representative row per group, keyed like aggregate.
+func aggregateRows(g *etl.Graph, n *etl.Node, b *batch, ar *batchArena) *batch {
 	if b.len() == 0 {
 		return b
 	}

@@ -58,7 +58,7 @@ type EvalCache struct {
 // downstream wiring, which the cone key deliberately excludes), as is all
 // timing. Sink nodes additionally memoize their output-quality scan.
 type coneRecord struct {
-	out    []*colBatch
+	out    []*batch
 	rowsIn int
 	flat   int
 

@@ -1,6 +1,6 @@
 // Columnar batch representation: the engine's data path.
 //
-// A colBatch stores one typed slice per attribute position (int64, float64,
+// A batch stores one typed slice per attribute position (int64, float64,
 // string, bool — with a []etl.Value fallback for mixed or unknown types) plus
 // a packed null bitmap per column, built once from the binding's generated
 // rows at extract. Operators
@@ -30,26 +30,26 @@ import (
 	"poiesis/internal/etl"
 )
 
-// colKind is the physical storage of one column. The zero value is colNull —
-// a column of all NULLs with no storage — so zero-value padding columns are
-// safe to read.
-type colKind uint8
+// storage is how one column holds its cells. The zero value is storeNull — a
+// column of all NULLs with no backing slice — so zero-value padding columns
+// are safe to read.
+type storage uint8
 
 const (
-	colNull colKind = iota
-	colInt
-	colFloat
-	colStr
-	colBool
-	colAny
+	storeNull storage = iota
+	storeInt
+	storeFloat
+	storeStr
+	storeBool
+	storeAny
 )
 
 // column is one attribute position across a batch. Exactly the slice matching
 // kind is populated; nulls is the packed null bitmap (bit set = NULL), nil
-// when no cell is NULL. colAny columns represent NULL as a nil element and
+// when no cell is NULL. storeAny columns represent NULL as a nil element and
 // carry no bitmap. Slots under a set null bit hold the zero value.
 type column struct {
-	kind   colKind
+	kind   storage
 	ints   []int64
 	floats []float64
 	strs   []string
@@ -64,9 +64,9 @@ func setBit(words []uint64, p int) { words[p>>6] |= 1 << (uint(p) & 63) }
 
 func (c *column) nullAt(p int) bool {
 	switch c.kind {
-	case colNull:
+	case storeNull:
 		return true
-	case colAny:
+	case storeAny:
 		return c.anys[p] == nil
 	default:
 		return c.nulls != nil && c.nulls[p>>6]&(1<<(uint(p)&63)) != 0
@@ -79,34 +79,34 @@ func (c *column) value(p int) etl.Value {
 		return nil
 	}
 	switch c.kind {
-	case colInt:
+	case storeInt:
 		return c.ints[p]
-	case colFloat:
+	case storeFloat:
 		return c.floats[p]
-	case colStr:
+	case storeStr:
 		return c.strs[p]
-	case colBool:
+	case storeBool:
 		return c.bools[p]
-	case colAny:
+	case storeAny:
 		return c.anys[p]
 	default:
 		return nil
 	}
 }
 
-// colBatch is one logical stream of rows in columnar form. n is the physical
+// batch is one logical stream of rows in columnar form. n is the physical
 // row count (the length of every column); sel, when non-nil, is the selection
 // vector: the batch's logical rows are sel's physical indices, in order.
 // Batches share column storage freely and never mutate it — operators either
 // narrow a batch with a new selection vector or build new columns.
-type colBatch struct {
+type batch struct {
 	cols []column
 	n    int
 	sel  []int32
 }
 
 // len is the logical row count; a nil batch is empty.
-func (b *colBatch) len() int {
+func (b *batch) len() int {
 	if b == nil {
 		return 0
 	}
@@ -117,7 +117,7 @@ func (b *colBatch) len() int {
 }
 
 // phys maps a logical row index to its physical index.
-func (b *colBatch) phys(i int) int {
+func (b *batch) phys(i int) int {
 	if b.sel != nil {
 		return int(b.sel[i])
 	}
@@ -126,8 +126,8 @@ func (b *colBatch) phys(i int) int {
 
 // withSel narrows the batch to the given physical row indices, sharing
 // column storage.
-func withSel(b *colBatch, keep []int32) *colBatch {
-	return &colBatch{cols: b.cols, n: b.n, sel: keep}
+func withSel(b *batch, keep []int32) *batch {
+	return &batch{cols: b.cols, n: b.n, sel: keep}
 }
 
 // ---------------------------------------------------------------------------
@@ -181,22 +181,22 @@ func (c *column) cell(p int) cellRef {
 		return cellRef{}
 	}
 	switch c.kind {
-	case colInt:
+	case storeInt:
 		return cellRef{cls: cellInt, i: c.ints[p]}
-	case colFloat:
+	case storeFloat:
 		return cellRef{cls: cellFloat, f: math.Float64bits(c.floats[p])}
-	case colStr:
+	case storeStr:
 		return cellRef{cls: cellStr, s: c.strs[p]}
-	case colBool:
+	case storeBool:
 		return cellRef{cls: cellBool, b: c.bools[p]}
 	default:
 		return cellOf(c.anys[p])
 	}
 }
 
-// colCell views the cell at (column j, physical row p); out-of-range columns
+// cellAt views the cell at (column j, physical row p); out-of-range columns
 // are NULL, as cells beyond a row's width are for the row oracle.
-func colCell(b *colBatch, j, p int) cellRef {
+func cellAt(b *batch, j, p int) cellRef {
 	if j < 0 || j >= len(b.cols) {
 		return cellRef{}
 	}
@@ -279,7 +279,7 @@ func (r cellRef) keyHash() uint64 {
 // foldKeyHash folds column j into the per-logical-row key hashes in dst
 // (seeded by the caller): one typed pass over the column per key attribute,
 // so composite keys hash without rendering any value.
-func (b *colBatch) foldKeyHash(j int, dst []uint64) {
+func (b *batch) foldKeyHash(j int, dst []uint64) {
 	n := b.len()
 	if j < 0 || j >= len(b.cols) {
 		for i := 0; i < n; i++ {
@@ -290,11 +290,11 @@ func (b *colBatch) foldKeyHash(j int, dst []uint64) {
 	c := &b.cols[j]
 	sel := b.sel
 	switch c.kind {
-	case colNull:
+	case storeNull:
 		for i := 0; i < n; i++ {
 			dst[i] = (dst[i] ^ keyNullHash) * fnvPrime
 		}
-	case colInt:
+	case storeInt:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -306,7 +306,7 @@ func (b *colBatch) foldKeyHash(j int, dst []uint64) {
 			}
 			dst[i] = (dst[i] ^ vh) * fnvPrime
 		}
-	case colFloat:
+	case storeFloat:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -318,7 +318,7 @@ func (b *colBatch) foldKeyHash(j int, dst []uint64) {
 			}
 			dst[i] = (dst[i] ^ vh) * fnvPrime
 		}
-	case colStr:
+	case storeStr:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -330,7 +330,7 @@ func (b *colBatch) foldKeyHash(j int, dst []uint64) {
 			}
 			dst[i] = (dst[i] ^ vh) * fnvPrime
 		}
-	case colBool:
+	case storeBool:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -359,7 +359,7 @@ func (b *colBatch) foldKeyHash(j int, dst []uint64) {
 }
 
 // keyHashes computes the per-logical-row composite key hash over positions.
-func (b *colBatch) keyHashes(positions []int, dst []uint64) {
+func (b *batch) keyHashes(positions []int, dst []uint64) {
 	for i := range dst {
 		dst[i] = fnvOffset
 	}
@@ -373,7 +373,7 @@ func (b *colBatch) keyHashes(positions []int, dst []uint64) {
 // value that decides filter keeps and hash-split routing, so every typed fast
 // path must produce exactly hashValue's bytes. The type switch is hoisted out
 // of the row loop.
-func (b *colBatch) selectHashes(dst []uint64) {
+func (b *batch) selectHashes(dst []uint64) {
 	n := b.len()
 	if b == nil || len(b.cols) == 0 {
 		for i := 0; i < n; i++ {
@@ -385,11 +385,11 @@ func (b *colBatch) selectHashes(dst []uint64) {
 	sel := b.sel
 	var buf [32]byte
 	switch c.kind {
-	case colNull:
+	case storeNull:
 		for i := 0; i < n; i++ {
 			dst[i] = hashOrdinal(i)
 		}
-	case colInt:
+	case storeInt:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -401,7 +401,7 @@ func (b *colBatch) selectHashes(dst []uint64) {
 			}
 			dst[i] = h
 		}
-	case colFloat:
+	case storeFloat:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -413,7 +413,7 @@ func (b *colBatch) selectHashes(dst []uint64) {
 			}
 			dst[i] = h
 		}
-	case colStr:
+	case storeStr:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -425,7 +425,7 @@ func (b *colBatch) selectHashes(dst []uint64) {
 			}
 			dst[i] = h
 		}
-	case colBool:
+	case storeBool:
 		for i := 0; i < n; i++ {
 			p := i
 			if sel != nil {
@@ -461,9 +461,9 @@ func (b *colBatch) selectHashes(dst []uint64) {
 // is exactly "group by value" (which, over the engine's homogeneous typed
 // columns, matches the row oracle's rendered-key grouping).
 
-func (b *colBatch) keyEqualAt(p, q int, positions []int) bool {
+func (b *batch) keyEqualAt(p, q int, positions []int) bool {
 	for _, j := range positions {
-		if !cellEqual(colCell(b, j, p), colCell(b, j, q)) {
+		if !cellEqual(cellAt(b, j, p), cellAt(b, j, q)) {
 			return false
 		}
 	}
@@ -517,7 +517,7 @@ func (t *keyTable) add(h uint64, p int32) {
 // order.
 type groupTable struct {
 	keyTable
-	b   *colBatch
+	b   *batch
 	pos []int
 }
 
@@ -534,7 +534,7 @@ func (t *groupTable) insert(p int32, h uint64) bool {
 
 // firstByKey keeps the first logical row of every distinct key — the shared
 // kernel of dedup and aggregate (and the duplicate count of measureColumns).
-func firstByKey(b *colBatch, positions []int, ar *batchArena) *colBatch {
+func firstByKey(b *batch, positions []int, ar *batchArena) *batch {
 	n := b.len()
 	if n == 0 {
 		return b
@@ -553,9 +553,9 @@ func firstByKey(b *colBatch, positions []int, ar *batchArena) *colBatch {
 }
 
 // crossKeyEqual compares left row lp (at lpos) with right row rp (at rpos).
-func crossKeyEqual(lb *colBatch, lp int, lpos []int, rb *colBatch, rp int, rpos []int) bool {
+func crossKeyEqual(lb *batch, lp int, lpos []int, rb *batch, rp int, rpos []int) bool {
 	for k := range lpos {
-		if !cellEqual(colCell(lb, lpos[k], lp), colCell(rb, rpos[k], rp)) {
+		if !cellEqual(cellAt(lb, lpos[k], lp), cellAt(rb, rpos[k], rp)) {
 			return false
 		}
 	}
@@ -567,7 +567,7 @@ func crossKeyEqual(lb *colBatch, lp int, lpos []int, rb *colBatch, rp int, rpos 
 // distinct key.
 type joinTable struct {
 	keyTable
-	left, right *colBatch
+	left, right *batch
 	lpos, rpos  []int
 }
 
@@ -593,34 +593,34 @@ func (t *joinTable) get(lp int32, h uint64) (int32, bool) {
 // ---------------------------------------------------------------------------
 // Building, gathering, flattening, conversion.
 
-// colBuilder accumulates one output column cell by cell. Every appended cell
+// columnBuilder accumulates one output column cell by cell. Every appended cell
 // consumes one slot (nulls append the zero value), so slots and bitmap stay
 // aligned and no stale scratch value is ever observable.
-type colBuilder struct {
+type columnBuilder struct {
 	col   column
 	n     int
 	total int
 }
 
-func newColBuilder(kind colKind, total int) *colBuilder {
-	w := &colBuilder{col: column{kind: kind}, total: total}
+func newColumnBuilder(kind storage, total int) *columnBuilder {
+	w := &columnBuilder{col: column{kind: kind}, total: total}
 	switch kind {
-	case colInt:
+	case storeInt:
 		w.col.ints = make([]int64, 0, total)
-	case colFloat:
+	case storeFloat:
 		w.col.floats = make([]float64, 0, total)
-	case colStr:
+	case storeStr:
 		w.col.strs = make([]string, 0, total)
-	case colBool:
+	case storeBool:
 		w.col.bools = make([]bool, 0, total)
-	case colAny:
+	case storeAny:
 		w.col.anys = make([]etl.Value, 0, total)
 	}
 	return w
 }
 
-func (w *colBuilder) markNull() {
-	if w.col.kind == colAny || w.col.kind == colNull {
+func (w *columnBuilder) markNull() {
+	if w.col.kind == storeAny || w.col.kind == storeNull {
 		return
 	}
 	if w.col.nulls == nil {
@@ -629,18 +629,18 @@ func (w *colBuilder) markNull() {
 	setBit(w.col.nulls, w.n)
 }
 
-func (w *colBuilder) appendNull() {
+func (w *columnBuilder) appendNull() {
 	w.markNull()
 	switch w.col.kind {
-	case colInt:
+	case storeInt:
 		w.col.ints = append(w.col.ints, 0)
-	case colFloat:
+	case storeFloat:
 		w.col.floats = append(w.col.floats, 0)
-	case colStr:
+	case storeStr:
 		w.col.strs = append(w.col.strs, "")
-	case colBool:
+	case storeBool:
 		w.col.bools = append(w.col.bools, false)
-	case colAny:
+	case storeAny:
 		w.col.anys = append(w.col.anys, nil)
 	}
 	w.n++
@@ -648,35 +648,35 @@ func (w *colBuilder) appendNull() {
 
 // appendFrom appends cells idx of source column c (physical indices; -1
 // appends NULL). The source must either match the builder's kind, be all-NULL,
-// or the builder must be colAny.
-func (w *colBuilder) appendFrom(c *column, idx []int32) {
-	if c.kind == w.col.kind && c.kind != colAny && c.kind != colNull {
+// or the builder must be storeAny.
+func (w *columnBuilder) appendFrom(c *column, idx []int32) {
+	if c.kind == w.col.kind && c.kind != storeAny && c.kind != storeNull {
 		for _, p := range idx {
 			if p < 0 || c.nullAt(int(p)) {
 				w.appendNull()
 				continue
 			}
 			switch w.col.kind {
-			case colInt:
+			case storeInt:
 				w.col.ints = append(w.col.ints, c.ints[p])
-			case colFloat:
+			case storeFloat:
 				w.col.floats = append(w.col.floats, c.floats[p])
-			case colStr:
+			case storeStr:
 				w.col.strs = append(w.col.strs, c.strs[p])
-			case colBool:
+			case storeBool:
 				w.col.bools = append(w.col.bools, c.bools[p])
 			}
 			w.n++
 		}
 		return
 	}
-	if c.kind == colNull {
+	if c.kind == storeNull {
 		for range idx {
 			w.appendNull()
 		}
 		return
 	}
-	// Fallback: box through values (builder is colAny, or kinds diverged).
+	// Fallback: box through values (builder is storeAny, or kinds diverged).
 	for _, p := range idx {
 		if p < 0 {
 			w.appendNull()
@@ -692,15 +692,15 @@ func (w *colBuilder) appendFrom(c *column, idx []int32) {
 	}
 }
 
-func (w *colBuilder) build() column { return w.col }
+func (w *columnBuilder) build() column { return w.col }
 
 // gatherColumn materializes the cells of c at idx into a dense column.
 func gatherColumn(c *column, idx []int32) column {
 	kind := c.kind
-	if kind == colNull {
-		return column{kind: colNull}
+	if kind == storeNull {
+		return column{kind: storeNull}
 	}
-	w := newColBuilder(kind, len(idx))
+	w := newColumnBuilder(kind, len(idx))
 	w.appendFrom(c, idx)
 	return w.build()
 }
@@ -708,22 +708,22 @@ func gatherColumn(c *column, idx []int32) column {
 // compact materializes the selection vector into dense columns. Operators
 // that add dense per-logical-row columns (derive, surrogate) compact first so
 // new and existing columns share indexing.
-func (b *colBatch) compact() *colBatch {
+func (b *batch) compact() *batch {
 	if b == nil || b.sel == nil {
 		return b
 	}
-	nb := &colBatch{n: len(b.sel), cols: make([]column, len(b.cols))}
+	nb := &batch{n: len(b.sel), cols: make([]column, len(b.cols))}
 	for j := range b.cols {
 		nb.cols[j] = gatherColumn(&b.cols[j], b.sel)
 	}
 	return nb
 }
 
-// colFlatten merges output batches into one logical stream; a single batch is
+// flatten merges output batches into one logical stream; a single batch is
 // returned as-is (selection intact). Multi-input merges pad narrower batches
 // with NULL columns, mirroring how the row oracle's ragged rows read as NULL
 // beyond their width.
-func colFlatten(batches []*colBatch, ar *batchArena) *colBatch {
+func flatten(batches []*batch, ar *batchArena) *batch {
 	if len(batches) == 1 {
 		return batches[0]
 	}
@@ -737,29 +737,29 @@ func colFlatten(batches []*colBatch, ar *batchArena) *colBatch {
 	if total == 0 {
 		return nil
 	}
-	out := &colBatch{n: total, cols: make([]column, width)}
+	out := &batch{n: total, cols: make([]column, width)}
 	for j := 0; j < width; j++ {
 		// Unify the column kind across inputs; mixed kinds fall back to any.
-		kind := colNull
+		kind := storeNull
 		for _, b := range batches {
 			if b == nil || b.len() == 0 || j >= len(b.cols) {
 				continue
 			}
 			k := b.cols[j].kind
-			if k == colNull {
+			if k == storeNull {
 				continue
 			}
-			if kind == colNull {
+			if kind == storeNull {
 				kind = k
 			} else if kind != k {
-				kind = colAny
+				kind = storeAny
 				break
 			}
 		}
-		if kind == colNull {
+		if kind == storeNull {
 			continue
 		}
-		w := newColBuilder(kind, total)
+		w := newColumnBuilder(kind, total)
 		for _, b := range batches {
 			n := b.len()
 			if n == 0 {
@@ -782,18 +782,18 @@ func colFlatten(batches []*colBatch, ar *batchArena) *colBatch {
 	return out
 }
 
-// colFromRows builds a batch from generated rows using the schema's physical
+// batchFromRows builds a batch from generated rows using the schema's physical
 // kinds as typed-storage hints; cells that do not match their hint demote the
 // column to the any fallback. Missing trailing cells (rows shorter than the
 // widest) read as NULL.
-func colFromRows(rows []etl.Row, kinds []etl.ValueKind) *colBatch {
+func batchFromRows(rows []etl.Row, kinds []etl.ValueKind) *batch {
 	width := len(kinds)
 	for _, r := range rows {
 		if len(r) > width {
 			width = len(r)
 		}
 	}
-	b := &colBatch{n: len(rows), cols: make([]column, width)}
+	b := &batch{n: len(rows), cols: make([]column, width)}
 	for j := 0; j < width; j++ {
 		hint := etl.KindAny
 		if j < len(kinds) {
@@ -804,62 +804,62 @@ func colFromRows(rows []etl.Row, kinds []etl.ValueKind) *colBatch {
 	return b
 }
 
-func inferKind(rows []etl.Row, j int) colKind {
+func inferKind(rows []etl.Row, j int) storage {
 	for _, r := range rows {
 		if j >= len(r) || r[j] == nil {
 			continue
 		}
 		switch r[j].(type) {
 		case int64:
-			return colInt
+			return storeInt
 		case float64:
-			return colFloat
+			return storeFloat
 		case string:
-			return colStr
+			return storeStr
 		case bool:
-			return colBool
+			return storeBool
 		default:
-			return colAny
+			return storeAny
 		}
 	}
-	return colNull
+	return storeNull
 }
 
-func hintKind(h etl.ValueKind) colKind {
+func hintKind(h etl.ValueKind) storage {
 	switch h {
 	case etl.KindInt64:
-		return colInt
+		return storeInt
 	case etl.KindFloat64:
-		return colFloat
+		return storeFloat
 	case etl.KindString:
-		return colStr
+		return storeStr
 	case etl.KindBool:
-		return colBool
+		return storeBool
 	default:
-		return colAny
+		return storeAny
 	}
 }
 
 func columnFromRows(rows []etl.Row, j int, hint etl.ValueKind) column {
 	kind := hintKind(hint)
-	if kind == colAny {
+	if kind == storeAny {
 		kind = inferKind(rows, j)
 	}
-	if kind == colNull {
-		return column{kind: colNull}
+	if kind == storeNull {
+		return column{kind: storeNull}
 	}
-	if kind == colAny {
+	if kind == storeAny {
 		return anyColumnFromRows(rows, j)
 	}
 	c := column{kind: kind}
 	switch kind {
-	case colInt:
+	case storeInt:
 		c.ints = make([]int64, len(rows))
-	case colFloat:
+	case storeFloat:
 		c.floats = make([]float64, len(rows))
-	case colStr:
+	case storeStr:
 		c.strs = make([]string, len(rows))
-	case colBool:
+	case storeBool:
 		c.bools = make([]bool, len(rows))
 	}
 	for i, r := range rows {
@@ -872,19 +872,19 @@ func columnFromRows(rows []etl.Row, j int, hint etl.ValueKind) column {
 		}
 		ok := false
 		switch kind {
-		case colInt:
+		case storeInt:
 			var v int64
 			v, ok = r[j].(int64)
 			c.ints[i] = v
-		case colFloat:
+		case storeFloat:
 			var v float64
 			v, ok = r[j].(float64)
 			c.floats[i] = v
-		case colStr:
+		case storeStr:
 			var v string
 			v, ok = r[j].(string)
 			c.strs[i] = v
-		case colBool:
+		case storeBool:
 			var v bool
 			v, ok = r[j].(bool)
 			c.bools[i] = v
@@ -903,23 +903,23 @@ func anyColumnFromRows(rows []etl.Row, j int) column {
 			vals[i] = r[j]
 		}
 	}
-	return column{kind: colAny, anys: vals}
+	return column{kind: storeAny, anys: vals}
 }
 
 // ---------------------------------------------------------------------------
 // Quality measurement: measureColumns counts what a row-wise scan would, cell
 // for cell, without materializing rows.
 
-func (b *colBatch) nullCountAt(j int) int {
+func (b *batch) nullCountAt(j int) int {
 	n := b.len()
 	if j < 0 || j >= len(b.cols) {
 		return n
 	}
 	c := &b.cols[j]
 	switch c.kind {
-	case colNull:
+	case storeNull:
 		return n
-	case colAny:
+	case storeAny:
 		cnt := 0
 		for i := 0; i < n; i++ {
 			if c.anys[b.phys(i)] == nil {
@@ -950,10 +950,10 @@ func (b *colBatch) nullCountAt(j int) int {
 
 // markErroneous sets bad[i] for logical rows whose cell in this column is an
 // injected defect (the data.IsErroneous oracle, specialized per kind).
-func (c *column) markErroneous(b *colBatch, bad []bool) {
+func (c *column) markErroneous(b *batch, bad []bool) {
 	n := b.len()
 	switch c.kind {
-	case colInt:
+	case storeInt:
 		for i := 0; i < n; i++ {
 			p := b.phys(i)
 			if !c.nullAt(p) {
@@ -962,21 +962,21 @@ func (c *column) markErroneous(b *colBatch, bad []bool) {
 				}
 			}
 		}
-	case colFloat:
+	case storeFloat:
 		for i := 0; i < n; i++ {
 			p := b.phys(i)
 			if !c.nullAt(p) && c.floats[p] <= -1e9 {
 				bad[i] = true
 			}
 		}
-	case colStr:
+	case storeStr:
 		for i := 0; i < n; i++ {
 			p := b.phys(i)
 			if !c.nullAt(p) && strings.HasPrefix(c.strs[p], data.ErrMarker) {
 				bad[i] = true
 			}
 		}
-	case colAny:
+	case storeAny:
 		for i := 0; i < n; i++ {
 			if data.IsErroneous(c.anys[b.phys(i)]) {
 				bad[i] = true
@@ -997,7 +997,7 @@ func schemaKeyPositions(s etl.Schema) []int {
 
 // measureColumns counts the NULL cells, erroneous rows and duplicate keys of
 // the batch's logical rows against the schema, by per-column scans.
-func measureColumns(schema etl.Schema, b *colBatch, ar *batchArena) data.Stats {
+func measureColumns(schema etl.Schema, b *batch, ar *batchArena) data.Stats {
 	n := b.len()
 	if n == 0 {
 		return data.Stats{}
@@ -1040,7 +1040,7 @@ func ownedSel(keep []int32) []int32 {
 }
 
 // markNullRows sets dst[i] for logical rows whose cell in column j is NULL.
-func (b *colBatch) markNullRows(j int, dst []bool) {
+func (b *batch) markNullRows(j int, dst []bool) {
 	n := b.len()
 	if j < 0 || j >= len(b.cols) {
 		for i := 0; i < n; i++ {
@@ -1050,11 +1050,11 @@ func (b *colBatch) markNullRows(j int, dst []bool) {
 	}
 	c := &b.cols[j]
 	switch c.kind {
-	case colNull:
+	case storeNull:
 		for i := 0; i < n; i++ {
 			dst[i] = true
 		}
-	case colAny:
+	case storeAny:
 		for i := 0; i < n; i++ {
 			if c.anys[b.phys(i)] == nil {
 				dst[i] = true
@@ -1075,28 +1075,28 @@ func (b *colBatch) markNullRows(j int, dst []bool) {
 
 // addNumeric adds column j's non-NULL numeric cells into the per-logical-row
 // accumulator — the columnar half of computeDerived.
-func (b *colBatch) addNumeric(j int, acc []float64) {
+func (b *batch) addNumeric(j int, acc []float64) {
 	if j < 0 || j >= len(b.cols) {
 		return
 	}
 	c := &b.cols[j]
 	n := b.len()
 	switch c.kind {
-	case colInt:
+	case storeInt:
 		for i := 0; i < n; i++ {
 			p := b.phys(i)
 			if !c.nullAt(p) {
 				acc[i] += float64(c.ints[p])
 			}
 		}
-	case colFloat:
+	case storeFloat:
 		for i := 0; i < n; i++ {
 			p := b.phys(i)
 			if !c.nullAt(p) {
 				acc[i] += c.floats[p]
 			}
 		}
-	case colAny:
+	case storeAny:
 		for i := 0; i < n; i++ {
 			switch v := c.anys[b.phys(i)].(type) {
 			case int64:
@@ -1119,13 +1119,13 @@ func derivedColumn(a etl.Attribute, acc []float64) column {
 		for _, x := range acc {
 			vals = append(vals, int64(x))
 		}
-		return column{kind: colInt, ints: vals}
+		return column{kind: storeInt, ints: vals}
 	case etl.TypeFloat:
 		vals := make([]float64, 0, n)
 		for _, x := range acc {
 			vals = append(vals, x*1.1)
 		}
-		return column{kind: colFloat, floats: vals}
+		return column{kind: storeFloat, floats: vals}
 	case etl.TypeString:
 		vals := make([]string, 0, n)
 		var buf [40]byte
@@ -1134,19 +1134,19 @@ func derivedColumn(a etl.Attribute, acc []float64) column {
 			b = strconv.AppendFloat(b, x, 'f', 0, 64)
 			vals = append(vals, string(b))
 		}
-		return column{kind: colStr, strs: vals}
+		return column{kind: storeStr, strs: vals}
 	case etl.TypeBool:
 		vals := make([]bool, 0, n)
 		for _, x := range acc {
 			vals = append(vals, x > 0)
 		}
-		return column{kind: colBool, bools: vals}
+		return column{kind: storeBool, bools: vals}
 	case etl.TypeDate:
 		vals := make([]int64, 0, n)
 		for range acc {
 			vals = append(vals, int64(17000))
 		}
-		return column{kind: colInt, ints: vals}
+		return column{kind: storeInt, ints: vals}
 	default:
 		return column{}
 	}

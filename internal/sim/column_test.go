@@ -260,7 +260,7 @@ func TestColumnarConversionRoundTrip(t *testing.T) {
 		{int64(4), 0.0, "d"}, // short row: trailing cell reads as NULL
 	}
 	kinds := []etl.ValueKind{etl.KindInt64, etl.KindFloat64, etl.KindString, etl.KindBool}
-	got := colFromRows(rows, kinds).toRows()
+	got := batchFromRows(rows, kinds).toRows()
 	want := []etl.Row{
 		{int64(1), 2.5, "a", true},
 		{int64(2), nil, "b", false},
@@ -274,7 +274,7 @@ func TestColumnarConversionRoundTrip(t *testing.T) {
 	// A column whose cells contradict the typed hint demotes to the any
 	// fallback rather than corrupting values.
 	mixed := []etl.Row{{int64(1)}, {"two"}, {nil}}
-	back := colFromRows(mixed, []etl.ValueKind{etl.KindInt64}).toRows()
+	back := batchFromRows(mixed, []etl.ValueKind{etl.KindInt64}).toRows()
 	if !reflect.DeepEqual(mixed, back) {
 		t.Errorf("mixed column round trip: got %v", back)
 	}

@@ -292,7 +292,7 @@ func (a *batchArena) zeroedFloats(n int) []float64 {
 
 // groupTable returns the arena's group table, emptied for up to n rows of b
 // keyed by pos.
-func (a *batchArena) groupTable(b *colBatch, pos []int, n int) *groupTable {
+func (a *batchArena) groupTable(b *batch, pos []int, n int) *groupTable {
 	t := &a.groups
 	t.reset(n)
 	t.b, t.pos = b, pos
@@ -300,7 +300,7 @@ func (a *batchArena) groupTable(b *colBatch, pos []int, n int) *groupTable {
 }
 
 // joinTable returns the arena's join table, emptied for up to n right rows.
-func (a *batchArena) joinTable(left, right *colBatch, lpos, rpos []int, n int) *joinTable {
+func (a *batchArena) joinTable(left, right *batch, lpos, rpos []int, n int) *joinTable {
 	t := &a.joins
 	t.reset(n)
 	t.left, t.right, t.lpos, t.rpos = left, right, lpos, rpos
@@ -434,7 +434,7 @@ func hashValue(h uint64, val etl.Value) uint64 {
 		h *= 1099511628211
 		// Cold fallback for dynamic types no column kind covers; never hit
 		// by the typed kernels, and the rendered form is the documented
-		// canonical identity (colAny equality renders the same way).
+		// canonical identity (storeAny equality renders the same way).
 		//lint:ignore nofmtkernel off-hot-path fallback for unknown dynamic types
 		h = hashStringInto(h, fmt.Sprintf("%T", val))
 		h ^= 0x00
@@ -608,19 +608,19 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 
 	// outs[i] holds node i's pre-routing output batches; routing to specific
 	// successors is derived lazily, only when a (dirty) consumer needs it.
-	outs := make([][]*colBatch, nn)
+	outs := make([][]*batch, nn)
 	flat := make([]int, nn)
-	var routed [][]*colBatch
+	var routed [][]*batch
 	// input returns the batch the node in slot ps routes to the node in
 	// slot s.
-	input := func(ps, s int32) *colBatch {
+	input := func(ps, s int32) *batch {
 		if routed == nil {
-			routed = make([][]*colBatch, nn)
+			routed = make([][]*batch, nn)
 		}
 		succs := g.SuccSlots(ps)
 		i := pos[ps]
 		if routed[i] == nil {
-			routed[i] = colRoute(g.NodeAt(ps), outs[i], len(succs), ar)
+			routed[i] = routeBatches(g.NodeAt(ps), outs[i], len(succs), ar)
 		}
 		return routed[i][slices.Index(succs, s)]
 	}
@@ -634,7 +634,7 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		preds := g.PredSlots(s)
 		if len(preds) == 1 && n.Kind.IsPassThrough() {
 			b := input(preds[0], s)
-			outs[i], flat[i] = []*colBatch{b}, b.len()
+			outs[i], flat[i] = []*batch{b}, b.len()
 			p.RowsIn[i] = flat[i]
 			e.finishNode(p, n, i, flat[i], nsucc)
 			if stats != nil {
@@ -659,7 +659,7 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		}
 
 		ar.reset()
-		var in []*colBatch
+		var in []*batch
 		rowsIn := 0
 		for _, ps := range preds {
 			b := input(ps, s)
@@ -698,7 +698,7 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		if cache != nil {
 			rec := &coneRecord{out: out, rowsIn: rowsIn, flat: f}
 			if n.Kind.IsSink() && nsucc == 0 {
-				all := colFlatten(out, ar)
+				all := flatten(out, ar)
 				schema := g.InputSchemaView(n.ID)
 				rec.sink = true
 				rec.sinkStats = measureColumns(schema, all, ar)
@@ -731,17 +731,17 @@ func topoPositions(g *etl.Graph) (slots, pos []int32, err error) {
 	return slots, pos, nil
 }
 
-// colRoute distributes a node's output batches across its k successors,
+// routeBatches distributes a node's output batches across its k successors,
 // returning the batch for each output port: partition deals rows
 // round-robin, hash-split routes by selectHashes, and everything else copies
 // the full stream to every successor. Partition and hash-split emit
 // selection vectors over the shared flattened batch instead of copying rows.
-func colRoute(n *etl.Node, out []*colBatch, k int, ar *batchArena) []*colBatch {
-	m := make([]*colBatch, k)
+func routeBatches(n *etl.Node, out []*batch, k int, ar *batchArena) []*batch {
+	m := make([]*batch, k)
 	if k == 0 {
 		return m
 	}
-	all := colFlatten(out, ar)
+	all := flatten(out, ar)
 	if all.len() == 0 {
 		return m
 	}
@@ -792,7 +792,7 @@ func colRoute(n *etl.Node, out []*colBatch, k int, ar *batchArena) []*colBatch {
 // measureOutputs scans the batches delivered to the sinks and records quality
 // statistics. Sinks whose upstream cone hit the cache contribute their
 // memoized statistics without re-scanning.
-func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, slots []int32, outs [][]*colBatch, recs []*coneRecord, ar *batchArena) {
+func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, slots []int32, outs [][]*batch, recs []*coneRecord, ar *batchArena) {
 	var sinks []int
 	for i, s := range slots {
 		if g.NodeAt(s).Kind.IsSink() && len(g.SuccSlots(s)) == 0 {
@@ -812,7 +812,7 @@ func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, slots []int32, outs []
 			continue
 		}
 		id := p.Order[i]
-		all := colFlatten(outs[i], ar)
+		all := flatten(outs[i], ar)
 		schema := g.InputSchemaView(id)
 		st := measureColumns(schema, all, ar)
 		p.RowsLoaded += all.len()
@@ -825,7 +825,7 @@ func (e *Engine) measureOutputs(g *etl.Graph, p *Profile, slots []int32, outs []
 }
 
 // describe renders batch cardinalities for error messages.
-func describe(batches []*colBatch) string {
+func describe(batches []*batch) string {
 	parts := make([]string, len(batches))
 	for i, b := range batches {
 		parts[i] = strconv.Itoa(b.len())

@@ -497,7 +497,7 @@ func measureRows(schema etl.Schema, rows []etl.Row) data.Stats {
 
 // toRows materializes a column batch back into rows (full batch width,
 // explicit nils for NULL cells).
-func (b *colBatch) toRows() []etl.Row {
+func (b *batch) toRows() []etl.Row {
 	n := b.len()
 	if n == 0 {
 		return nil
