@@ -271,6 +271,47 @@ func TestSpanCapBoundsMemory(t *testing.T) {
 	}
 }
 
+// A fragment far over the cap keeps the spans that end last: a plan span
+// with 5,000 children keeps the plan span and the root, and drops from the
+// middle.
+func TestSpanCapKeepsLastSpans(t *testing.T) {
+	tr := NewTracer("s", 1, 8)
+	ctx, root := tr.StartRequest(context.Background(), "", "req")
+	pctx, plan := StartSpan(ctx, "planner.plan")
+	for i := 0; i < 5000; i++ {
+		_, sp := StartSpan(pctx, "planner.alternative")
+		sp.SetInt("i", int64(i))
+		sp.End()
+	}
+	plan.SetInt("generated", 5000)
+	plan.End()
+	root.End()
+	got, ok := tr.Trace(root.TraceIDString())
+	if !ok {
+		t.Fatal("trace not published")
+	}
+	if len(got.Spans) != defaultMaxSpans || got.Dropped != 5002-defaultMaxSpans {
+		t.Fatalf("kept %d spans, dropped %d; want %d and %d", len(got.Spans), got.Dropped, defaultMaxSpans, 5002-defaultMaxSpans)
+	}
+	if st := tr.Stats(); st.DroppedSpans != int64(got.Dropped) {
+		t.Errorf("tracer counted %d dropped spans, the trace %d", st.DroppedSpans, got.Dropped)
+	}
+	kept := map[string]bool{}
+	for _, sp := range got.Spans {
+		kept[sp.Name] = true
+		for _, a := range sp.Attrs {
+			kept[sp.Name+"/"+a.Key+"="+a.Value] = true
+		}
+	}
+	if got.Root != "req" || !kept["planner.plan/generated=5000"] {
+		t.Fatalf("root %q, plan span kept %v; want the root and the plan span with its totals", got.Root, kept["planner.plan"])
+	}
+	// The head keeps the first children to end and the tail the last.
+	if !kept["planner.alternative/i=0"] || !kept["planner.alternative/i=4999"] || kept["planner.alternative/i=2500"] {
+		t.Error("want the first and the last children kept and the middle dropped")
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	ctx, sp := tr.StartRequest(context.Background(), "", "req")

@@ -48,32 +48,60 @@ type TracerStats struct {
 	Buffered     int   `json:"buffered"`
 }
 
-// traceBuf accumulates the completed spans of one local trace fragment.
-// It is sealed when the fragment's local root ends; spans arriving after
-// the seal (stray goroutines) are dropped and counted rather than leaking
-// into a published trace.
+// traceBuf accumulates the completed spans of one local trace fragment,
+// at most max of them. Spans are kept in the order they end: the first
+// max-tailSpans in spans, and after that the last tailSpans to end in the
+// tail ring, so a fragment over the cap still keeps the spans that end last
+// (a plan's planner.plan span with its totals, and the local root) and
+// drops from the middle. It is sealed when the fragment's local root ends;
+// spans arriving after the seal (stray goroutines) are dropped and counted
+// rather than leaking into a published trace.
 type traceBuf struct {
 	max int
 
 	mu      sync.Mutex
 	spans   []SpanData
+	tail    []SpanData // ring of the latest spans once spans is full
+	next    int        // tail slot the next span overwrites once tail is full
 	dropped int
 	errored bool
 	sealed  bool
 }
 
+// tailSpans is how many of the last spans to end a fragment over its cap
+// keeps: room for the plan span, the root and the handler spans that end
+// between them.
+const tailSpans = 16
+
 func (b *traceBuf) add(sd SpanData) {
 	b.mu.Lock()
-	if b.sealed || len(b.spans) >= b.max {
+	defer b.mu.Unlock()
+	if b.sealed {
 		b.dropped++
-		b.mu.Unlock()
 		return
 	}
 	if sd.Err != "" {
 		b.errored = true
 	}
-	b.spans = append(b.spans, sd)
-	b.mu.Unlock()
+	tail := min(tailSpans, b.max/2)
+	switch {
+	case len(b.spans) < b.max-tail:
+		b.spans = append(b.spans, sd)
+	case len(b.tail) < tail:
+		b.tail = append(b.tail, sd)
+	default:
+		b.tail[b.next] = sd
+		b.next = (b.next + 1) % tail
+		b.dropped++
+	}
+}
+
+// take returns the kept spans in the order they ended and empties b.
+func (b *traceBuf) take() []SpanData {
+	spans := append(b.spans, b.tail[b.next:]...)
+	spans = append(spans, b.tail[:b.next]...)
+	b.spans, b.tail, b.next = nil, nil, 0
+	return spans
 }
 
 func (b *traceBuf) noteError() {
@@ -215,8 +243,7 @@ func (t *Tracer) StartDetached(ctx context.Context, name string) (context.Contex
 func (t *Tracer) seal(b *traceBuf, tid TraceID, sampled bool) {
 	b.mu.Lock()
 	b.sealed = true
-	spans := b.spans
-	b.spans = nil
+	spans := b.take()
 	dropped := b.dropped
 	errored := b.errored
 	b.mu.Unlock()
