@@ -34,7 +34,7 @@ func sortHashes(hs []hash128) {
 // Planner deduplicate the alternative space.
 //
 // The canonical form is position-based. One pass in topological order labels
-// every node with the hash of its own digest (its canonical() description)
+// every node with the hash of its own digest (its canonical description)
 // and the sorted labels of its predecessors, which are final by then, so a
 // label encodes the node's whole upstream unfolding tree. The fingerprint
 // hashes the flow name and the sorted multiset of labels.

@@ -22,10 +22,9 @@ func scratchCopy(g *Graph) *Graph {
 	return c
 }
 
-// ScratchKeys recomputes g's fingerprint and cone keys (aligned with its
-// topological order) without any memo. Tests outside the package compare
-// the memoized, incremental values against it.
-func ScratchKeys(g *Graph) (string, []ConeKey, error) {
+// scratchKeys recomputes g's fingerprint and cone keys (aligned with its
+// topological order) without any memo.
+func scratchKeys(g *Graph) (string, []ConeKey, error) {
 	c := scratchCopy(g)
 	order, err := c.TopoOrder()
 	if err != nil {
@@ -34,9 +33,10 @@ func ScratchKeys(g *Graph) (string, []ConeKey, error) {
 	return c.Fingerprint(), c.ConeKeys(order), nil
 }
 
-// checkKeys compares g's fingerprint and cone keys with ScratchKeys.
-func checkKeys(g *Graph) error {
-	fp, keys, err := ScratchKeys(g)
+// CheckKeys compares g's memoized, incremental fingerprint and cone keys
+// with a scratch recompute; tests outside the package use it too.
+func CheckKeys(g *Graph) error {
+	fp, keys, err := scratchKeys(g)
 	if got := g.Fingerprint(); got != fp {
 		return fmt.Errorf("Fingerprint %s, from scratch %s", got, fp)
 	}
@@ -96,7 +96,7 @@ func TestIncrementalKeysAfterEachEdit(t *testing.T) {
 	}
 	for what, edit := range edits {
 		parent := build()
-		if err := checkKeys(parent); err != nil {
+		if err := CheckKeys(parent); err != nil {
 			t.Fatal(err)
 		}
 		c := parent.Clone()
@@ -106,7 +106,7 @@ func TestIncrementalKeysAfterEachEdit(t *testing.T) {
 		if err := edit(c); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if err := checkKeys(c); err != nil {
+		if err := CheckKeys(c); err != nil {
 			t.Errorf("%s: %v", what, err)
 		}
 		// A grandchild keys from the clone's memo, built incrementally.
@@ -115,10 +115,10 @@ func TestIncrementalKeysAfterEachEdit(t *testing.T) {
 		if err := gc.InsertOnEdge(e.From, e.To, NewNode("cp", "CP", OpCheckpoint, s)); err != nil {
 			t.Fatal(err)
 		}
-		if err := checkKeys(gc); err != nil {
+		if err := CheckKeys(gc); err != nil {
 			t.Errorf("%s, then a grandchild: %v", what, err)
 		}
-		if err := checkKeys(parent); err != nil {
+		if err := CheckKeys(parent); err != nil {
 			t.Errorf("%s: the parent changed: %v", what, err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestMemoRebasesOnMutation(t *testing.T) {
 	}
 	second := g.Clone()
 	for i, c := range []*Graph{g, first, second} {
-		if err := checkKeys(c); err != nil {
+		if err := CheckKeys(c); err != nil {
 			t.Errorf("graph %d: %v", i, err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestLeafClonesKeepNoMemo(t *testing.T) {
 	if err := c.InsertOnEdge(e.From, e.To, NewNode("x", "x", OpFilter, Schema{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkKeys(c); err != nil {
+	if err := CheckKeys(c); err != nil {
 		t.Fatal(err)
 	}
 	if c.memo.Load() != nil {
@@ -187,7 +187,7 @@ func TestConcurrentMemoFill(t *testing.T) {
 			e := c.Edges()[w%c.EdgeCount()]
 			errs[w] = c.InsertOnEdge(e.From, e.To, NewNode(NodeID(fmt.Sprintf("w%d", w)), "w", OpDerive, Schema{}))
 			if errs[w] == nil {
-				errs[w] = checkKeys(c)
+				errs[w] = CheckKeys(c)
 			}
 			clones[w] = c
 		}()

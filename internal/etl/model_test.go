@@ -376,7 +376,7 @@ func compareModel(g *Graph, r *refGraph) error {
 	if got, want := g.Fingerprint(), r.rebuild().Fingerprint(); got != want {
 		return fmt.Errorf("Fingerprint %s, rebuilt flow %s", got, want)
 	}
-	return checkKeys(g)
+	return CheckKeys(g)
 }
 
 // modelPair is one graph under test and its reference.

@@ -2,7 +2,6 @@ package etl_test
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,23 +13,6 @@ import (
 	"poiesis/internal/sim"
 	"poiesis/internal/workloads"
 )
-
-// keysMatchScratch reports how g's memoized, incremental fingerprint and
-// cone keys differ from a scratch recompute, or nil.
-func keysMatchScratch(g *etl.Graph) error {
-	fp, keys, err := etl.ScratchKeys(g)
-	if g.Fingerprint() != fp {
-		return fmt.Errorf("%s: fingerprint differs from scratch", g.Name)
-	}
-	if err != nil {
-		return nil
-	}
-	order, _ := g.TopoOrder()
-	if !slices.Equal(g.ConeKeys(order), keys) {
-		return fmt.Errorf("%s: cone keys differ from scratch", g.Name)
-	}
-	return nil
-}
 
 // checkedPattern keys every flow its pattern builds, right after the
 // application, and records the first mismatch.
@@ -44,7 +26,7 @@ func (c checkedPattern) Apply(g *etl.Graph, p fcp.Point) (fcp.Application, error
 	app, err := c.Pattern.Apply(g, p)
 	if err == nil {
 		c.applied.Add(1)
-		if kerr := keysMatchScratch(g); kerr != nil {
+		if kerr := etl.CheckKeys(g); kerr != nil {
 			c.failure.CompareAndSwap(nil, &kerr)
 		}
 	}
@@ -97,7 +79,7 @@ func TestPlannerKeysMatchScratch(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					for _, alt := range append([]core.Alternative{res.Initial}, res.Alternatives...) {
-						if err := keysMatchScratch(alt.Graph); err != nil {
+						if err := etl.CheckKeys(alt.Graph); err != nil {
 							t.Fatalf("%s: alternative %s: %v", name, alt.Label(), err)
 						}
 					}
