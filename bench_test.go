@@ -637,52 +637,6 @@ func BenchmarkA3Dedup(b *testing.B) {
 }
 
 // -----------------------------------------------------------------------
-// A5 — delta evaluation ablation: the shared-prefix simulation cache makes
-// per-alternative evaluation cost proportional to the changed region of the
-// flow instead of its size. Fig.4-scale planning (exhaustive, depth 2,
-// thousands of alternatives) with DeltaEval on vs off; identical results are
-// enforced by core's TestDeltaEquivalenceMatrix.
-
-func BenchmarkA5DeltaEval(b *testing.B) {
-	flow := tpcds.SalesETL()
-	bind := tpcds.Binding(flow, 300, 1)
-	for _, mode := range []struct {
-		name string
-		m    core.DeltaMode
-	}{
-		{"delta=on", core.DeltaOn},
-		{"delta=off", core.DeltaOff},
-	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			planner := core.NewPlanner(nil, core.Options{
-				Policy:          policy.Exhaustive{},
-				Depth:           2,
-				MaxAlternatives: 4096,
-				Sim:             benchSim(300),
-				DeltaEval:       mode.m,
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = planner.Plan(flow, bind)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(res.Alternatives)), "alternatives")
-			once("a5:"+mode.name, func() {
-				fmt.Printf("[A5] %s: %d alternatives evaluated, skyline %d\n",
-					mode.name, len(res.Alternatives), len(res.SkylineIdx))
-			})
-		})
-	}
-}
-
-// -----------------------------------------------------------------------
 // A4 — pipeline-overlap model ablation: how much of the cycle time comes
 // from the partial pipelining assumption of the simulator.
 

@@ -21,17 +21,15 @@ import (
 // session's result to another.
 //
 // Components that do not influence the result are excluded from the key:
-// Workers, Progress and DeltaEval (delta evaluation is enforced
-// byte-identical to full evaluation, so both modes may share cached
-// results).
+// Workers and Progress.
 //
 // ok is false when the options contain components the canonicalization
 // cannot see through — custom measures, or a Policy implementation other
 // than the built-in ones — in which case the request must not be served from
 // (or stored in) a cache. Constraints are canonicalized by Name(); the
-// built-in constraint constructors encode their bounds in the name, but
-// hand-built policy.NewConstraint values must use distinct names for
-// distinct predicates to be cache-safe.
+// built-in constraint constructors encode their bounds in the name, but a
+// caller-implemented policy.Constraint must use distinct names for distinct
+// predicates to be cache-safe.
 func PlanKey(g *etl.Graph, bind sim.Binding, opts Options) (string, bool) {
 	if g == nil {
 		return "", false
@@ -49,10 +47,7 @@ func PlanKey(g *etl.Graph, bind sim.Binding, opts Options) (string, bool) {
 	fmt.Fprintf(&b, "flow:%s\n", g.Fingerprint())
 	fmt.Fprintf(&b, "palette:%q\n", o.Palette)
 	fmt.Fprintf(&b, "policy:%s\n", pol)
-	// StaticPrune is keyed even though Alternatives and the skyline are
-	// mode-independent: Stats (StaticPruned vs Evaluated/ConstraintRejected
-	// splits) are part of the cached Result.
-	fmt.Fprintf(&b, "depth:%d max:%d dedup:%t prune:%d\n", o.Depth, o.MaxAlternatives, !o.DisableDedup, o.StaticPrune)
+	fmt.Fprintf(&b, "depth:%d max:%d dedup:%t\n", o.Depth, o.MaxAlternatives, !o.DisableDedup)
 	dims := make([]string, len(o.Dims))
 	for i, d := range o.Dims {
 		dims[i] = string(d)

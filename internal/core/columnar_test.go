@@ -22,18 +22,17 @@ func TestColumnarEquivalenceMatrix(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			opts := tc.opts
-			opts.DeltaEval = DeltaOff
-			if got := resultDigest(t, planSequential(t, tc.flow, tc.bind, opts)); got != want[tc.name] {
+			full := oracleMode{fullEval: true}
+			if got := resultDigest(t, planSequential(t, tc.flow, tc.bind, tc.opts, full)); got != want[tc.name] {
 				t.Errorf("full columnar evaluation digests %s, frozen %s", got, want[tc.name])
 			}
 		})
 	}
 }
 
-// TestColumnarEquivalenceStreaming closes the 2x2 on a multi-pattern space:
-// the streaming pipeline and the sequential oracle, each with delta and with
-// full evaluation, all reproduce the digest the row engine produced for the
+// TestColumnarEquivalenceStreaming checks a multi-pattern space: the
+// streaming planner and the sequential oracle, with delta and with full
+// evaluation, all reproduce the digest the row engine produced for the
 // exhaustive depth-2 golden case.
 func TestColumnarEquivalenceStreaming(t *testing.T) {
 	var tc goldenCase
@@ -43,14 +42,12 @@ func TestColumnarEquivalenceStreaming(t *testing.T) {
 		}
 	}
 	want := frozenDigests(t)[tc.name]
-	for _, d := range []DeltaMode{DeltaOn, DeltaOff} {
-		opts := tc.opts
-		opts.DeltaEval = d
-		if got := planDigest(t, tc, opts); got != want {
-			t.Errorf("streaming, delta=%v: digest %s, frozen %s", d, got, want)
-		}
-		if got := resultDigest(t, planSequential(t, tc.flow, tc.bind, opts)); got != want {
-			t.Errorf("sequential, delta=%v: digest %s, frozen %s", d, got, want)
+	if got := planDigest(t, tc, tc.opts); got != want {
+		t.Errorf("streaming: digest %s, frozen %s", got, want)
+	}
+	for _, full := range []bool{false, true} {
+		if got := resultDigest(t, planSequential(t, tc.flow, tc.bind, tc.opts, oracleMode{fullEval: full})); got != want {
+			t.Errorf("sequential, full evaluation=%t: digest %s, frozen %s", full, got, want)
 		}
 	}
 }

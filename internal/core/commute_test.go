@@ -75,7 +75,7 @@ func TestCommutationSkipMatchesOracle(t *testing.T) {
 			for depth := 1; depth <= 3; depth++ {
 				opts := Options{Policy: pol, Depth: depth, MaxAlternatives: 300, Sim: deltaMatrixSim()}
 				t.Run(fmt.Sprintf("%s/%s/depth=%d", wl, pol.Name(), depth), func(t *testing.T) {
-					seq := planSequential(t, flow, bind, opts)
+					seq := planSequential(t, flow, bind, opts, oracleMode{})
 					for _, workers := range []int{1, 4} {
 						o := opts
 						o.Workers = workers
@@ -124,7 +124,7 @@ func TestCommutationSkipOptions(t *testing.T) {
 		opts := withCap(base, c)
 		st, n := generateOnly(t, nil, flow, opts)
 		var want Stats
-		generateSequential(NewPlanner(nil, opts), palette, flow, &want)
+		generateSequential(NewPlanner(nil, opts), palette, flow, &want, false)
 		if st != want {
 			t.Fatalf("cap %d: generation stats %+v, oracle %+v", c, st, want)
 		}
@@ -143,7 +143,7 @@ func TestCommutationSkipOptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireEquivalent(t, stream, planSequential(t, flow, bind, opts))
+			requireEquivalent(t, stream, planSequential(t, flow, bind, opts, oracleMode{}))
 			if !stream.Stats.Capped {
 				t.Error("run not capped")
 			}
@@ -161,7 +161,7 @@ func TestCommutationSkipOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireEquivalent(t, stream, planSequential(t, flow, bind, opts))
+		requireEquivalent(t, stream, planSequential(t, flow, bind, opts, oracleMode{}))
 	})
 
 	t.Run("custom-palette", func(t *testing.T) {
@@ -176,7 +176,7 @@ func TestCommutationSkipOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireEquivalent(t, stream, planSequentialWith(t, reg, flow, bind, opts))
+		requireEquivalent(t, stream, planSequentialWith(t, reg, flow, bind, opts, oracleMode{}))
 	})
 }
 

@@ -49,9 +49,11 @@ func signatureOf(res *Result) resultSignature {
 }
 
 // TestDeltaEquivalenceMatrix is the acceptance oracle for delta evaluation:
-// over every builtin workload × every registry pattern × depths 1–2, planning
-// with DeltaEval on and off must produce identical Results — same stats, same
-// alternatives with byte-identical measure reports, same skyline.
+// over every builtin workload × every registry pattern × depths 1–2, the
+// streaming planner (one cone cache shared by every evaluation) and the
+// sequential oracle with full evaluation must produce identical Results —
+// same stats, same alternatives with byte-identical measure reports, same
+// skyline.
 func TestDeltaEquivalenceMatrix(t *testing.T) {
 	patterns := fcp.DefaultRegistry().Names()
 	for _, wl := range workloads.Names() {
@@ -65,25 +67,21 @@ func TestDeltaEquivalenceMatrix(t *testing.T) {
 						t.Fatalf("unknown workload %s", wl)
 					}
 					bind := sim.AutoBinding(flow, 80, 1)
-					run := func(mode DeltaMode) *Result {
-						planner := NewPlanner(nil, Options{
-							Palette:         []string{pat},
-							Policy:          policy.Exhaustive{},
-							Depth:           depth,
-							MaxAlternatives: 48,
-							Sim:             deltaMatrixSim(),
-							DeltaEval:       mode,
-						})
-						res, err := planner.Plan(flow, bind)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
+					opts := Options{
+						Palette:         []string{pat},
+						Policy:          policy.Exhaustive{},
+						Depth:           depth,
+						MaxAlternatives: 48,
+						Sim:             deltaMatrixSim(),
 					}
-					on, off := run(DeltaOn), run(DeltaOff)
-					if !reflect.DeepEqual(signatureOf(on), signatureOf(off)) {
-						t.Errorf("DeltaOn and DeltaOff disagree:\non:  %+v\noff: %+v",
-							signatureOf(on), signatureOf(off))
+					delta, err := NewPlanner(nil, opts).Plan(flow, bind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					full := planSequential(t, flow, bind, opts, oracleMode{fullEval: true})
+					if !reflect.DeepEqual(signatureOf(delta), signatureOf(full)) {
+						t.Errorf("delta and full evaluation disagree:\ndelta: %+v\nfull:  %+v",
+							signatureOf(delta), signatureOf(full))
 					}
 				})
 			}
@@ -91,27 +89,21 @@ func TestDeltaEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestDeltaEquivalenceStreaming closes the 2x2: the streaming pipeline with
-// delta evaluation (the production default) equals the sequential oracle
-// with full evaluation on a multi-pattern space.
+// TestDeltaEquivalenceStreaming checks a multi-pattern space: the streaming
+// planner and the sequential oracle with delta evaluation both equal the
+// sequential oracle with full evaluation.
 func TestDeltaEquivalenceStreaming(t *testing.T) {
 	flow, _ := workloads.Get("tpcds-purchases")
 	bind := sim.AutoBinding(flow, 120, 1)
-	opts := func(d DeltaMode) Options {
-		return Options{Policy: policy.Exhaustive{}, Depth: 2, Sim: deltaMatrixSim(), DeltaEval: d}
+	opts := Options{Policy: policy.Exhaustive{}, Depth: 2, Sim: deltaMatrixSim()}
+	stream, err := NewPlanner(nil, opts).Plan(flow, bind)
+	if err != nil {
+		t.Fatal(err)
 	}
-	stream := func(d DeltaMode) *Result {
-		res, err := NewPlanner(nil, opts(d)).Plan(flow, bind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := signatureOf(planSequential(t, flow, bind, opts(DeltaOff)))
+	want := signatureOf(planSequential(t, flow, bind, opts, oracleMode{fullEval: true}))
 	for name, res := range map[string]*Result{
-		"stream+delta":     stream(DeltaOn),
-		"stream+full":      stream(DeltaOff),
-		"sequential+delta": planSequential(t, flow, bind, opts(DeltaOn)),
+		"stream+delta":     stream,
+		"sequential+delta": planSequential(t, flow, bind, opts, oracleMode{}),
 	} {
 		if got := signatureOf(res); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s differs from sequential full evaluation", name)
@@ -127,11 +119,10 @@ func TestDeltaSharedCacheRace(t *testing.T) {
 	bind := sim.AutoBinding(flow, 60, 1)
 	for rep := 0; rep < 3; rep++ {
 		planner := NewPlanner(nil, Options{
-			Policy:    policy.Exhaustive{},
-			Depth:     2,
-			Workers:   16,
-			Sim:       deltaMatrixSim(),
-			DeltaEval: DeltaOn,
+			Policy:  policy.Exhaustive{},
+			Depth:   2,
+			Workers: 16,
+			Sim:     deltaMatrixSim(),
 		})
 		if _, err := planner.Plan(flow, bind); err != nil {
 			t.Fatal(err)

@@ -173,7 +173,7 @@ func TestPlanGolden(t *testing.T) {
 				t.Parallel()
 				d := planDigest(t, tc, tc.opts)
 				if *regen {
-					if seq := resultDigest(t, planSequential(t, tc.flow, tc.bind, tc.opts)); seq != d {
+					if seq := resultDigest(t, planSequential(t, tc.flow, tc.bind, tc.opts, oracleMode{})); seq != d {
 						t.Fatalf("pipeline digests %s, sequential oracle %s", d, seq)
 					}
 					mu.Lock()

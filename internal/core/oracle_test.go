@@ -15,17 +15,30 @@ import (
 // three planner stages run strictly in order on one goroutine — breadth-first
 // generation of the whole space, then evaluation of every alternative, then
 // constraint filtering and one O(n²) skyline pass (skyline.Compute). It
-// honours every result-relevant option, including DeltaEval and StaticPrune,
-// and reports no stage timings. It applies and fingerprints every candidate,
-// so it is also the oracle for the streaming planner's commutation skip.
-func planSequential(t testing.TB, initial *etl.Graph, bind sim.Binding, opts Options) *Result {
+// honours every result-relevant option and reports no stage timings. It
+// applies and fingerprints every candidate, so it is also the oracle for the
+// streaming planner's commutation skip. Its switches (oracleMode) reach the
+// two behaviours the planner no longer offers: full evaluation and no static
+// pruning.
+func planSequential(t testing.TB, initial *etl.Graph, bind sim.Binding, opts Options, mode oracleMode) *Result {
 	t.Helper()
-	return planSequentialWith(t, nil, initial, bind, opts)
+	return planSequentialWith(t, nil, initial, bind, opts, mode)
+}
+
+// oracleMode holds the sequential oracle's switches. The zero value is the
+// planner's own configuration: one cone cache shared by every evaluation,
+// and static pruning.
+type oracleMode struct {
+	// fullEval re-executes every flow from its sources, with no cone cache.
+	fullEval bool
+	// noPrune evaluates every generated flow and leaves rejection to the
+	// post-evaluation constraint filter.
+	noPrune bool
 }
 
 // planSequentialWith is planSequential over a given pattern registry (nil is
 // the default one).
-func planSequentialWith(t testing.TB, reg *fcp.Registry, initial *etl.Graph, bind sim.Binding, opts Options) *Result {
+func planSequentialWith(t testing.TB, reg *fcp.Registry, initial *etl.Graph, bind sim.Binding, opts Options, mode oracleMode) *Result {
 	t.Helper()
 	p := NewPlanner(reg, opts)
 	opts = p.opts
@@ -33,8 +46,12 @@ func planSequentialWith(t testing.TB, reg *fcp.Registry, initial *etl.Graph, bin
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := newEvaluator(sim.NewEngine(opts.Sim), opts.DeltaEval)
-	baseProfile, baseBatch, err := ev.evaluate(initial, bind, nil)
+	engine := sim.NewEngine(opts.Sim)
+	var cache *sim.EvalCache
+	if !mode.fullEval {
+		cache = sim.NewEvalCache()
+	}
+	baseProfile, baseBatch, err := engine.EvaluateDeltaStats(initial, bind, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +63,11 @@ func planSequentialWith(t testing.TB, reg *fcp.Registry, initial *etl.Graph, bin
 		Dims:    opts.Dims,
 		Initial: Alternative{Graph: initial, Report: est.Estimate(initial, baseProfile, baseBatch)},
 	}
-	alts := generateSequential(p, palette, initial, &res.Stats)
+	alts := generateSequential(p, palette, initial, &res.Stats, mode.noPrune)
 
 	// Evaluation and constraint filtering.
 	for _, a := range alts {
-		profile, batch, err := ev.evaluate(a.Graph, bind, nil)
+		profile, batch, err := engine.EvaluateDeltaStats(a.Graph, bind, cache, nil)
 		if err != nil {
 			continue
 		}
@@ -74,13 +91,17 @@ func planSequentialWith(t testing.TB, reg *fcp.Registry, initial *etl.Graph, bin
 
 // generateSequential is planSequential's generation stage, one candidate at
 // a time: each round applies every proposed candidate to every frontier
-// design, deduplicated by fingerprint, statically pruned after dedup. It
-// fills stats' generation counts and returns the alternatives in order.
-func generateSequential(p *Planner, palette []fcp.Pattern, initial *etl.Graph, stats *Stats) []Alternative {
+// design, deduplicated by fingerprint, statically pruned after dedup unless
+// noPrune. It fills stats' generation counts and returns the alternatives in
+// order.
+func generateSequential(p *Planner, palette []fcp.Pattern, initial *etl.Graph, stats *Stats, noPrune bool) []Alternative {
 	opts := p.opts
 	seen := map[string]bool{initial.Fingerprint(): true}
 	frontier := []Alternative{{Graph: initial}}
-	pruner := newStaticPruner(opts)
+	var pruner *staticPruner
+	if !noPrune {
+		pruner = newStaticPruner(opts)
+	}
 	var alts []Alternative
 generate:
 	for round := 0; round < opts.Depth; round++ {

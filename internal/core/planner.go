@@ -43,7 +43,6 @@ import (
 	"poiesis/internal/obs"
 	"poiesis/internal/policy"
 	"poiesis/internal/sim"
-	"poiesis/internal/trace"
 )
 
 // Options configures one planning run.
@@ -73,21 +72,6 @@ type Options struct {
 	// CustomMeasures extends the estimator with user-defined quality
 	// metrics (P3); they appear in every report of the run.
 	CustomMeasures []measures.CustomMeasure
-	// DeltaEval selects the per-alternative evaluation strategy. The zero
-	// value (DeltaOn) shares one sim.EvalCache across the run, so each
-	// candidate re-simulates only the dirty cone downstream of its pattern
-	// application point; DeltaOff re-executes every flow from its sources
-	// (the oracle for the A5 ablation). Both produce identical results.
-	DeltaEval DeltaMode
-	// StaticPrune selects constraint-achievability pruning. The zero value
-	// (PruneOn) statically drops generated flows — and their whole
-	// pattern-combination subtrees — that provably violate a Max bound on a
-	// monotone structural measure, before any evaluation (see staticPruner
-	// for the soundness argument). Alternatives and the skyline are
-	// identical either way as long as MaxAlternatives does not cap the run;
-	// Stats differ (StaticPruned vs Evaluated+ConstraintRejected), which is
-	// why PlanKey keys on the mode. PruneOff is the oracle/ablation path.
-	StaticPrune PruneMode
 	// Progress, when non-nil, receives one event per alternative as the
 	// pipeline finishes processing it, in generation order from a single
 	// goroutine.
@@ -160,8 +144,8 @@ type Stats struct {
 	// ConstraintRejected counts evaluated flows that violated constraints.
 	ConstraintRejected int
 	// StaticPruned counts flows dropped before evaluation because they — and
-	// their whole pattern subtree — provably violate a constraint
-	// (Options.StaticPrune).
+	// their whole pattern subtree — provably violate a constraint (see
+	// staticPruner).
 	StaticPruned int
 	// Capped reports whether MaxAlternatives stopped generation early.
 	Capped bool
@@ -267,18 +251,22 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 	if err != nil {
 		return nil, err
 	}
-	ev := newEvaluator(sim.NewEngine(p.opts.Sim), p.opts.DeltaEval)
+	// One engine and one run-scoped cone cache: every evaluation worker shares
+	// the cache, so an alternative re-simulates only the cones its pattern
+	// applications dirtied. The cache serves exactly this (engine config,
+	// binding) pair — the sharing contract of sim.EvalCache.
+	engine, cache := sim.NewEngine(p.opts.Sim), sim.NewEvalCache()
 	clock := &stageClock{}
 
 	// Baseline evaluation anchors the measure normalisation and Fig. 5
-	// relative changes — and, under delta evaluation, seeds the shared cache
-	// with the initial flow's cones, the common prefix of every alternative.
+	// relative changes — and seeds the shared cache with the initial flow's
+	// cones, the common prefix of every alternative.
 	baseStart := time.Now()
 	var baseES *sim.ExecStats
 	if span != nil {
 		baseES = &sim.ExecStats{}
 	}
-	baseProfile, baseBatch, err := ev.evaluate(initial, bind, baseES)
+	baseProfile, baseBatch, err := engine.EvaluateDeltaStats(initial, bind, cache, baseES)
 	clock.observe(siEval, baseStart)
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluating initial flow: %w", err)
@@ -300,11 +288,10 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 		Report: est.Estimate(initial, baseProfile, baseBatch),
 	}
 
-	if err := p.planStream(ctx, initial, bind, palette, ev, est, res, clock); err != nil {
+	if err := p.planStream(ctx, initial, bind, palette, engine, cache, est, res, clock); err != nil {
 		return nil, err
 	}
 	if span != nil {
-		span.SetBool("delta", p.opts.DeltaEval == DeltaOn)
 		span.SetInt("candidates_seen", int64(res.Stats.CandidatesSeen))
 		span.SetInt("generated", int64(res.Stats.Generated))
 		span.SetInt("deduped", int64(res.Stats.Deduped))
@@ -316,43 +303,17 @@ func (p *Planner) planContext(ctx context.Context, span *obs.Span, initial *etl.
 	return res, nil
 }
 
-// evaluator binds an engine to the run's evaluation strategy: under DeltaOn
-// it carries the run-scoped sim.EvalCache every evaluation worker shares, so
-// alternatives re-simulate only the cones their pattern applications dirtied.
-// One evaluator serves exactly one (engine config, binding) pair — the
-// cache-sharing contract of sim.EvalCache.
-type evaluator struct {
-	engine *sim.Engine
-	cache  *sim.EvalCache
-}
-
-func newEvaluator(engine *sim.Engine, mode DeltaMode) *evaluator {
-	ev := &evaluator{engine: engine}
-	if mode == DeltaOn {
-		ev.cache = sim.NewEvalCache()
-	}
-	return ev
-}
-
-func (ev *evaluator) evaluate(g *etl.Graph, bind sim.Binding, stats *sim.ExecStats) (*sim.Profile, *trace.Batch, error) {
-	return ev.engine.EvaluateDeltaStats(g, bind, ev.cache, stats)
-}
-
 // recordAlternative files the tracing spans for one evaluated alternative:
-// a planner.alternative span annotated with the flow fingerprint and the
-// evaluation strategy, and the simulation itself as a sim.evaluate child
-// carrying the cone-splice accounting (how much of the flow was served from
-// the delta cache versus actually re-simulated). A nil sp is the untraced
-// path and costs nothing.
-func recordAlternative(sp *obs.Span, a *Alternative, delta bool, es *sim.ExecStats, start time.Time) {
+// a planner.alternative span annotated with the flow fingerprint, and the
+// simulation itself as a sim.evaluate child carrying the cone-splice
+// accounting (how much of the flow was served from the delta cache versus
+// actually re-simulated). A nil sp is the untraced path and costs nothing.
+func recordAlternative(sp *obs.Span, a *Alternative, es *sim.ExecStats, start time.Time) {
 	if sp == nil {
 		return
 	}
 	d := time.Since(start)
-	attrs := []obs.Attr{
-		obs.String("fingerprint", shortFingerprint(a.Graph)),
-		obs.Bool("delta", delta),
-	}
+	attrs := []obs.Attr{obs.String("fingerprint", shortFingerprint(a.Graph))}
 	if a.Err != nil {
 		attrs = append(attrs, obs.String("error", a.Err.Error()))
 	}

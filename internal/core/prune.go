@@ -6,21 +6,6 @@ import (
 	"poiesis/internal/policy"
 )
 
-// PruneMode selects static achievability pruning (Options.StaticPrune).
-type PruneMode int
-
-const (
-	// PruneOn (the zero value, hence the default) drops generated
-	// alternatives that provably violate a constraint before evaluating
-	// them, and prunes their entire subtree from the pattern-combination
-	// frontier. See staticPruner for the soundness argument.
-	PruneOn PruneMode = iota
-	// PruneOff evaluates every generated alternative and leaves rejection to
-	// the post-evaluation constraint filter — the behavioural oracle the
-	// pruning path is tested against, and the ablation baseline.
-	PruneOff
-)
-
 // staticPruner decides, without simulating, that a generated flow — and
 // every flow derivable from it by further pattern applications — will be
 // rejected by the constraint filter.
@@ -38,14 +23,14 @@ const (
 // evaluated.
 //
 // Soundness of the result: a pruned flow would have been evaluated and then
-// constraint-rejected, so Result.Alternatives and the skyline are
-// byte-identical with pruning on or off. (Only Min bounds cannot prune — a
-// too-small value can still grow into range deeper in the tree.) Two
-// caveats, both documented on Options.StaticPrune: Stats differ between
-// modes (pruned flows are not Generated-for-evaluation, so Evaluated,
-// ConstraintRejected, Deduped and StaticPruned shift — which is why PlanKey
-// includes the mode), and when MaxAlternatives caps the run the two modes
-// may cap at different points of the generation order.
+// constraint-rejected, so Result.Alternatives and the skyline equal those of
+// evaluating every flow, as the no-prune switch of the test oracle checks
+// (only Min bounds cannot prune — a too-small value can still grow into
+// range deeper in the tree). Stats differ from the no-prune run: pruned
+// flows count as StaticPruned instead of Evaluated and ConstraintRejected,
+// and when MaxAlternatives caps the run the two may cap at different points
+// of the generation order. TestPatternsGrowStructuralMeasures checks the
+// monotonicity premise for every registry and example custom pattern.
 type staticPruner struct {
 	// bounds holds only Max bounds on monotone structural manageability
 	// measures; everything else is ignored.
@@ -53,12 +38,8 @@ type staticPruner struct {
 }
 
 // newStaticPruner extracts the prunable bounds of the run's constraints.
-// Returns nil (prune nothing) when pruning is off or no constraint is
-// statically decidable.
+// Returns nil (prune nothing) when no constraint is statically decidable.
 func newStaticPruner(opts Options) *staticPruner {
-	if opts.StaticPrune == PruneOff {
-		return nil
-	}
 	structural := map[string]bool{}
 	for _, m := range etl.StructuralMeasures() {
 		structural[m] = true

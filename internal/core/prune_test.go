@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"poiesis/internal/etl"
+	"poiesis/internal/fcp"
 	"poiesis/internal/measures"
 	"poiesis/internal/policy"
 	"poiesis/internal/sim"
@@ -15,20 +16,20 @@ import (
 // bound tight enough to reject part of the generated space: the flow may
 // grow by at most one inserted node, so every depth-2 double-insertion
 // subtree is statically infeasible.
-func pruneOptions(g *etl.Graph, mode PruneMode) Options {
+func pruneOptions(g *etl.Graph) Options {
 	return Options{
 		Policy: policy.Greedy{TopK: 2},
 		Depth:  2,
 		Constraints: []policy.Constraint{
 			policy.MaxMeasure(measures.Manageability, measures.MSize, float64(g.Len()+1)),
 		},
-		Sim:         fastSim(),
-		StaticPrune: mode,
+		Sim: fastSim(),
 	}
 }
 
 // TestStaticPruneSkylineUnchanged is the soundness acceptance check: with a
-// binding structural Max constraint, pruning on and off must produce
+// binding structural Max constraint, the pruning planner and the sequential
+// oracle without pruning and with full evaluation must produce
 // byte-identical alternative sets and skylines on every builtin workload —
 // pruned flows are exactly the ones the constraint filter would have
 // rejected after paying for evaluation.
@@ -45,8 +46,8 @@ func TestStaticPruneSkylineUnchanged(t *testing.T) {
 			}
 			bind := sim.AutoBinding(g, 400, 1)
 
-			resOn := planSequential(t, g, bind, pruneOptions(g, PruneOn))
-			resOff := planSequential(t, g, bind, pruneOptions(g, PruneOff))
+			resOn := planSequential(t, g, bind, pruneOptions(g), oracleMode{})
+			resOff := planSequential(t, g, bind, pruneOptions(g), oracleMode{fullEval: true, noPrune: true})
 
 			assertSameSpace(t, resOn, resOff)
 
@@ -65,7 +66,7 @@ func TestStaticPruneSkylineUnchanged(t *testing.T) {
 
 			// Streaming path places the prune at the same pipeline position;
 			// its result must match the sequential pruned run.
-			stream := NewPlanner(nil, pruneOptions(g, PruneOn))
+			stream := NewPlanner(nil, pruneOptions(g))
 			resStream, err := stream.Plan(g, bind)
 			if err != nil {
 				t.Fatal(err)
@@ -132,12 +133,6 @@ func TestStaticPrunerSelectsBounds(t *testing.T) {
 	if sp == nil || len(sp.bounds) != 2 {
 		t.Fatalf("pruner bounds = %+v, want the two structural Max bounds", sp)
 	}
-
-	opts := mk(policy.MaxMeasure(measures.Manageability, measures.MSize, 5))
-	opts.StaticPrune = PruneOff
-	if newStaticPruner(opts) != nil {
-		t.Error("PruneOff must disable the pruner entirely")
-	}
 }
 
 func TestStaticPrunerPrune(t *testing.T) {
@@ -180,4 +175,143 @@ func TestLintBoundsRoundTrip(t *testing.T) {
 		bounds[1].Min == nil || *bounds[1].Min != 0.25 {
 		t.Errorf("minScore bound mapped wrong: %+v", bounds[1])
 	}
+}
+
+// TestPatternsGrowStructuralMeasures checks the premise the static pruner
+// (and etl.Lint's unachievable-bound pass) rests on. Chirkova, Doyle and
+// Reutter (arXiv:1703.09141) call a quality constraint achievable when some
+// sequence of the available procedures yields a result that satisfies it.
+// The pruner uses a sufficient condition for the opposite: when no procedure
+// can lower a measure, a flow whose value already exceeds a Max bound has no
+// descendant that satisfies it. Here the procedures are pattern
+// applications, so the test applies every pattern at every application
+// point, up to depth 2, on every builtin flow, and checks:
+//
+//   - each structural measure of the child is at least its parent's;
+//   - a flow the pruner cuts (for Max bounds just below, at and just above
+//     the initial value of each measure) has no descendant the pruner keeps.
+//
+// It runs over the default registry, and again with the two custom patterns
+// of examples/custompattern registered beside it. A failure is a pruner bug:
+// the fix is in the pruner or its bounds, never in this test.
+func TestPatternsGrowStructuralMeasures(t *testing.T) {
+	extended := fcp.DefaultRegistry()
+	for _, spec := range []fcp.CustomSpec{
+		{Name: "EncryptInTransit", Kind: fcp.EdgePoint, Improves: measures.Manageability,
+			OpKind: etl.OpEncrypt, OpName: "encrypt_stream", Params: map[string]string{"algo": "aes-256-gcm"},
+			Conditions:        []fcp.Condition{fcp.UpstreamDistanceAtMost(1), fcp.NoAdjacentKind(etl.OpEncrypt)},
+			FitnessNearSource: true},
+		{Name: "EnableRBAC", Kind: fcp.GraphPoint, Improves: measures.Manageability,
+			Params: map[string]string{"security.rbac": "1"}},
+	} {
+		pat, err := fcp.NewCustomPattern(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extended.MustRegister(pat)
+	}
+	for _, tc := range []struct {
+		name string
+		reg  *fcp.Registry
+	}{{"builtin", fcp.DefaultRegistry()}, {"custompattern", extended}} {
+		t.Run(tc.name, func(t *testing.T) {
+			palette, err := tc.reg.Palette()
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied, cut := 0, 0
+			for _, wl := range workloads.Names() {
+				g, _ := workloads.Get(wl)
+				a, c := checkStructuralGrowth(t, wl, g, palette, 2)
+				applied, cut = applied+a, cut+c
+			}
+			t.Logf("%d pattern applications, %d of them below a generated flow the pruner cuts", applied, cut)
+			if cut == 0 {
+				t.Error("the pruner cut no generated flow: its half of the check is vacuous")
+			}
+		})
+	}
+}
+
+// checkStructuralGrowth walks the pattern-application tree of g to the given
+// depth, expanding each distinct flow once, and checks every application
+// against its parent. It returns the number of applications and how many of
+// them lie below a generated flow the pruner cuts (bounds that already cut
+// the initial flow are checked but not counted).
+func checkStructuralGrowth(t *testing.T, wl string, g *etl.Graph, palette []fcp.Pattern, depth int) (applied, belowCut int) {
+	t.Helper()
+	names := etl.StructuralMeasures()
+	var pruners []*staticPruner
+	for _, m := range names {
+		v0, _ := g.StructuralValue(m)
+		for _, max := range []float64{v0 - 1, v0, v0 + 1} {
+			sp := newStaticPruner(Options{Constraints: []policy.Constraint{
+				policy.MaxMeasure(measures.Manageability, m, max),
+			}})
+			if sp == nil {
+				t.Fatalf("no pruner for a Max bound on %s", m)
+			}
+			pruners = append(pruners, sp)
+		}
+	}
+	type flow struct {
+		g    *etl.Graph
+		vals []float64
+		cut  []bool // per pruner: this flow or an ancestor is cut
+		path string
+	}
+	measure := func(x *etl.Graph) []float64 {
+		vals := make([]float64, len(names))
+		for i, m := range names {
+			vals[i], _ = x.StructuralValue(m)
+		}
+		return vals
+	}
+	root := flow{g: g, vals: measure(g), cut: make([]bool, len(pruners)), path: wl}
+	for j, sp := range pruners {
+		root.cut[j] = sp.prune(g)
+	}
+	seen := map[string]bool{g.Fingerprint(): true}
+	frontier := []flow{root}
+	for d := 0; d < depth; d++ {
+		var next []flow
+		for _, par := range frontier {
+			for _, pat := range palette {
+				for _, pt := range fcp.ApplicationPoints(pat, par.g) {
+					child := par.g.Clone()
+					app, err := pat.Apply(child, pt)
+					if err != nil {
+						t.Fatalf("%s: %s at a proposed point: %v", par.path, pat.Name(), err)
+					}
+					applied++
+					c := flow{g: child, vals: measure(child), cut: make([]bool, len(pruners)),
+						path: par.path + " + " + app.String()}
+					for i, m := range names {
+						if c.vals[i] < par.vals[i] {
+							t.Errorf("%s: %s fell from %g to %g", c.path, m, par.vals[i], c.vals[i])
+						}
+					}
+					below := false
+					for j, sp := range pruners {
+						c.cut[j] = sp.prune(child)
+						if par.cut[j] {
+							below = below || !root.cut[j]
+							if !c.cut[j] {
+								t.Errorf("%s: satisfies %s although an ancestor was cut", c.path, sp.bounds[0].Label)
+							}
+						}
+					}
+					if below {
+						belowCut++
+					}
+					if fp := child.Fingerprint(); !seen[fp] {
+						seen[fp] = true
+						next = append(next, c)
+					}
+				}
+			}
+		}
+		frontier = next
+	}
+	return applied, belowCut
 }

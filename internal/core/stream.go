@@ -16,24 +16,6 @@ import (
 	"poiesis/internal/skyline"
 )
 
-// DeltaMode selects the planner's per-alternative evaluation strategy
-// (Options.DeltaEval).
-type DeltaMode int
-
-const (
-	// DeltaOn (the zero value, hence the default) shares one sim.EvalCache
-	// across the planning run: every node's materialized output is memoized
-	// by its upstream-cone fingerprint, so evaluating a candidate costs work
-	// proportional to the region its pattern application changed, not to the
-	// whole flow. The cache is scoped to the run (one engine configuration,
-	// one binding) and is safe under the concurrent evaluation pool.
-	DeltaOn DeltaMode = iota
-	// DeltaOff evaluates every alternative from scratch — the behavioural
-	// oracle delta evaluation is tested against, and the baseline of the A5
-	// ablation benchmark.
-	DeltaOff
-)
-
 // ProgressEvent describes one alternative as the streaming pipeline finishes
 // processing it. Events are delivered in generation order from a single
 // goroutine, so callbacks need no synchronisation of their own.
@@ -87,7 +69,7 @@ type streamItem struct {
 // alternative set, stats and skyline do not depend on worker scheduling: they
 // equal a strictly sequential generate-evaluate-skyline pass (the test
 // oracle in oracle_test.go).
-func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.Binding, palette []fcp.Pattern, ev *evaluator, est *measures.Estimator, res *Result, clock *stageClock) error {
+func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.Binding, palette []fcp.Pattern, engine *sim.Engine, cache *sim.EvalCache, est *measures.Estimator, res *Result, clock *stageClock) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -125,14 +107,14 @@ func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.B
 				if sp != nil {
 					es = &sim.ExecStats{}
 				}
-				profile, batch, err := ev.evaluate(it.alt.Graph, bind, es)
+				profile, batch, err := engine.EvaluateDeltaStats(it.alt.Graph, bind, cache, es)
 				if err != nil {
 					it.alt.Err = err
 				} else {
 					it.alt.Report = est.Estimate(it.alt.Graph, profile, batch)
 				}
 				clock.observe(siEval, start)
-				recordAlternative(sp, &it.alt, ev.cache != nil, es, start)
+				recordAlternative(sp, &it.alt, es, start)
 				select {
 				case evalCh <- it:
 				case <-ctx.Done():
@@ -221,8 +203,10 @@ func (p *Planner) planStream(ctx context.Context, initial *etl.Graph, bind sim.B
 // result counts them.
 func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palette []fcp.Pattern, out chan<- streamItem, generated *atomic.Int64, clock *stageClock) (Stats, int, error) {
 	var stats Stats
-	seen := newFingerprintSet()
-	seen.Add(initial.Fingerprint())
+	// seen is the committer's alone: the apply workers fingerprint in
+	// parallel, and only the commit loop below reads and writes the set, in
+	// candidate order.
+	seen := map[string]bool{initial.Fingerprint(): true}
 	frontier := []*genNode{{alt: Alternative{Graph: initial}}}
 	pruner := newStaticPruner(p.opts)
 	seq, commuted := 0, 0
@@ -245,8 +229,8 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 			if !p.opts.DisableDedup {
 				node.markCommuted()
 			}
-			// Prefetch one chunk ahead: the apply workers of chunk k+1 probe
-			// the fingerprint set while the committer inserts chunk k's.
+			// Prefetch one chunk ahead: the apply workers of chunk k+1 clone,
+			// apply and fingerprint while the committer settles chunk k.
 			fetch := func(start int) chan []applyResult {
 				end := start + chunk
 				if end > len(cands) {
@@ -261,7 +245,7 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 				ch := make(chan []applyResult, 1)
 				go func() {
 					t0 := time.Now()
-					results := p.applyBatch(ctx, cur, cands[start:end], skip, seen)
+					results := p.applyBatch(ctx, cur, cands[start:end], skip)
 					clock.observe(siApply, t0)
 					if sp != nil {
 						sp.Record("planner.apply", t0, time.Since(t0),
@@ -301,14 +285,11 @@ func (p *Planner) streamGenerate(ctx context.Context, initial *etl.Graph, palett
 					stats.Generated++
 					node.committed[start+k] = true
 					if !p.opts.DisableDedup {
-						// r.dup is the apply workers' concurrent fast-path
-						// probe; the set is add-only, so true is
-						// authoritative. Add settles the racy false case in
-						// commit order.
-						if r.dup || !seen.Add(r.fp) {
+						if seen[r.fp] {
 							stats.Deduped++
 							continue
 						}
+						seen[r.fp] = true
 					}
 					// After dedup, before emission: a statically infeasible
 					// flow is dropped together with its whole subtree (it
@@ -416,14 +397,13 @@ type applyResult struct {
 	graph *etl.Graph
 	app   fcp.Application
 	fp    string
-	dup   bool
 }
 
 // applyBatch clones the parent flow and applies every candidate not marked in
 // skip on a bounded worker pool, returning results in candidate order.
-// Fingerprints are computed by the workers, which also probe the shared
-// fingerprint set concurrently with the committer's inserts.
-func (p *Planner) applyBatch(ctx context.Context, cur *Alternative, cands []policy.Candidate, skip []bool, seen *fingerprintSet) []applyResult {
+// Fingerprints are computed by the workers; the committer alone decides
+// duplicates.
+func (p *Planner) applyBatch(ctx context.Context, cur *Alternative, cands []policy.Candidate, skip []bool) []applyResult {
 	results := make([]applyResult, len(cands))
 	if len(cands) == 0 {
 		return results
@@ -443,7 +423,6 @@ func (p *Planner) applyBatch(ctx context.Context, cur *Alternative, cands []poli
 		results[i].graph, results[i].app = clone, app
 		if !p.opts.DisableDedup {
 			results[i].fp = clone.Fingerprint()
-			results[i].dup = seen.Contains(results[i].fp)
 		}
 	}
 	// Half the Workers budget: the apply pool runs concurrently with the

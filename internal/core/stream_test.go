@@ -29,7 +29,7 @@ func planBoth(t *testing.T, flow string, opts Options) (stream, seq *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stream, planSequential(t, g, bind, opts)
+	return stream, planSequential(t, g, bind, opts, oracleMode{})
 }
 
 // requireEquivalent asserts the streaming planner reproduced the sequential
@@ -215,65 +215,10 @@ func TestSessionExploreContext(t *testing.T) {
 	}
 }
 
-// TestFingerprintSetConcurrentProducers hammers the sharded set from many
-// goroutines with overlapping keys; run with -race. Exactly one Add per
-// distinct key may win.
-func TestFingerprintSetConcurrentProducers(t *testing.T) {
-	s := newFingerprintSet()
-	const producers = 16
-	const keys = 500
-	wins := make([]int64, keys)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < keys; k++ {
-				fp := fmt.Sprintf("fp-%d", k)
-				_ = s.Contains(fp)
-				if s.Add(fp) {
-					mu.Lock()
-					wins[k]++
-					mu.Unlock()
-				}
-				if !s.Contains(fp) {
-					t.Error("Contains false after Add")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for k, n := range wins {
-		if n != 1 {
-			t.Fatalf("key %d added %d times, want exactly 1", k, n)
-		}
-	}
-	if s.Len() != keys {
-		t.Fatalf("Len = %d, want %d", s.Len(), keys)
-	}
-}
-
-func TestFingerprintSetBasics(t *testing.T) {
-	s := newFingerprintSet()
-	if s.Contains("a") {
-		t.Error("empty set contains a")
-	}
-	if !s.Add("a") {
-		t.Error("first Add returned false")
-	}
-	if s.Add("a") {
-		t.Error("second Add returned true")
-	}
-	if !s.Contains("a") || s.Len() != 1 {
-		t.Errorf("Contains/Len wrong after Add")
-	}
-}
-
 // TestStreamingDedupUnderLoad runs the full streaming planner with many
 // workers repeatedly; combined with -race this exercises the apply workers'
-// concurrent Contains probes against the committer's Adds.
+// concurrent fingerprinting against the committer's dedup decisions, which
+// must not depend on the schedule.
 func TestStreamingDedupUnderLoad(t *testing.T) {
 	g := tpcds.PurchasesFlow()
 	bind := tpcds.Binding(g, 400, 1)

@@ -1,9 +1,6 @@
 package etl
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // LongestPath returns the number of nodes on the longest source-to-sink path.
 // It is the manageability measure "length of process workflow's longest path"
@@ -236,12 +233,4 @@ func (g *Graph) InputSchemaView(id NodeID) Schema {
 		}
 	}
 	return g.InputSchema(id)
-}
-
-// SortedNodeIDs returns node IDs sorted lexicographically; used where a
-// canonical (insertion-order independent) ordering is required.
-func (g *Graph) SortedNodeIDs() []NodeID {
-	ids := g.NodeIDs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

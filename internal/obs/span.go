@@ -252,15 +252,6 @@ func (s *Span) RecordChildOf(parent SpanID, name string, start time.Time, d time
 
 type spanKey struct{}
 
-// ContextWithSpan attaches a span to the context. Attaching nil returns
-// the context unchanged.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
 // SpanFrom returns the span attached to the context, or nil.
 func SpanFrom(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)

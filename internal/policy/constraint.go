@@ -25,14 +25,9 @@ type constraintFunc struct {
 func (c constraintFunc) Name() string                      { return c.name }
 func (c constraintFunc) Satisfied(r *measures.Report) bool { return c.fn(r) }
 
-// NewConstraint builds a constraint from a name and predicate.
-func NewConstraint(name string, fn func(*measures.Report) bool) Constraint {
-	return constraintFunc{name: name, fn: fn}
-}
-
 // Bound is the declarative shape of a constraint: one interval endpoint on a
 // measure (or, with Measure empty, a characteristic's composite score).
-// Opaque predicate constraints (NewConstraint) have no Bound; the standard
+// A caller-implemented Constraint that is not Bounded has none; the standard
 // Max/Min/MinScore constructors expose theirs through the Bounded interface
 // so static achievability checking (etl.Lint, planner pruning) can reason
 // about them without evaluating anything.

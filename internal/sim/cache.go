@@ -37,7 +37,7 @@ type EvalCache struct {
 	m  map[etl.ConeKey]*coneRecord
 
 	// rows counts the flattened row cardinality of stored records; once it
-	// exceeds budget, store becomes a no-op. This bounds a run's resident
+	// exceeds evalCacheRows, store becomes a no-op. This bounds a run's resident
 	// memory: without it, every terminal-depth alternative would park its
 	// freshly simulated dirty cone in the cache even though most of those
 	// cones are never looked up again. The early, high-value entries — the
@@ -45,8 +45,7 @@ type EvalCache struct {
 	// generated later — always land before the budget runs out. The count
 	// overstates physical memory (pass-through outputs alias their inputs),
 	// which errs on the bounded side.
-	rows   int64
-	budget int64
+	rows int64
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -68,22 +67,15 @@ type coneRecord struct {
 	sinkCells int
 }
 
-// DefaultEvalCacheRows is the default row budget of an evaluation cache
-// (counted rows, see EvalCache.budget).
-const DefaultEvalCacheRows = 4 << 20
+// evalCacheRows is the row budget of an evaluation cache (counted rows, see
+// EvalCache.rows).
+const evalCacheRows = 4 << 20
 
-// NewEvalCache returns an empty evaluation cache with the default row
-// budget.
+// NewEvalCache returns an empty evaluation cache that stops admitting new
+// records once the counted stored rows exceed evalCacheRows (lookups of
+// already-stored cones keep hitting).
 func NewEvalCache() *EvalCache {
-	return NewEvalCacheWithBudget(DefaultEvalCacheRows)
-}
-
-// NewEvalCacheWithBudget returns an empty evaluation cache that stops
-// admitting new records once the counted stored rows exceed maxRows
-// (lookups of already-stored cones keep hitting); maxRows <= 0 means
-// unbounded.
-func NewEvalCacheWithBudget(maxRows int64) *EvalCache {
-	return &EvalCache{m: map[etl.ConeKey]*coneRecord{}, budget: maxRows}
+	return &EvalCache{m: map[etl.ConeKey]*coneRecord{}}
 }
 
 func (c *EvalCache) lookup(k etl.ConeKey) *coneRecord {
@@ -109,7 +101,7 @@ func (c *EvalCache) store(k etl.ConeKey, rec *coneRecord) *coneRecord {
 	if got, ok := c.m[k]; ok {
 		return got
 	}
-	if c.budget <= 0 || c.rows <= c.budget {
+	if c.rows <= evalCacheRows {
 		c.m[k] = rec
 		c.rows += int64(rec.flat)
 	}

@@ -66,7 +66,7 @@ func TestDeltaExecuteEquivalence(t *testing.T) {
 	graphs["base"] = base
 
 	// Seed the cache with the base flow, as the planner does.
-	if _, err := e.ExecuteDelta(base, bind, cache); err != nil {
+	if _, err := e.ExecuteDeltaStats(base, bind, cache, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, g := range graphs {
@@ -74,7 +74,7 @@ func TestDeltaExecuteEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: full: %v", name, err)
 		}
-		delta, err := e.ExecuteDelta(g, bind, cache)
+		delta, err := e.ExecuteDeltaStats(g, bind, cache, nil)
 		if err != nil {
 			t.Fatalf("%s: delta: %v", name, err)
 		}
@@ -86,7 +86,7 @@ func TestDeltaExecuteEquivalence(t *testing.T) {
 	// Cost-only changes must share the entire row simulation with the base
 	// flow: evaluating the cost-only variant again misses nothing.
 	h0, m0 := cache.Stats()
-	if _, err := e.ExecuteDelta(graphs["cost-only"], bind, cache); err != nil {
+	if _, err := e.ExecuteDeltaStats(graphs["cost-only"], bind, cache, nil); err != nil {
 		t.Fatal(err)
 	}
 	h1, m1 := cache.Stats()
@@ -123,7 +123,7 @@ func TestDeltaEvaluateEquivalence(t *testing.T) {
 	bind := binding(g, 900, data.Defects{NullRate: 0.1})
 	e := NewEngine(DefaultConfig())
 	cache := NewEvalCache()
-	if _, _, err := e.EvaluateDelta(g, bind, cache); err != nil {
+	if _, _, err := e.EvaluateDeltaStats(g, bind, cache, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +137,7 @@ func TestDeltaEvaluateEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pDelta, bDelta, err := e.EvaluateDelta(g2, bind, cache)
+	pDelta, bDelta, err := e.EvaluateDeltaStats(g2, bind, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
 				g := variants[(w+rep)%len(variants)]
-				p, err := e.ExecuteDelta(g, bind, cache)
+				p, err := e.ExecuteDeltaStats(g, bind, cache, nil)
 				if err != nil {
 					errs <- err
 					return

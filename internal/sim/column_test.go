@@ -141,11 +141,11 @@ func TestColumnarDeltaEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	e := NewEngine(cfg)
 	cache := NewEvalCache()
-	if _, err := e.ExecuteDelta(base, bind, cache); err != nil {
+	if _, err := e.ExecuteDeltaStats(base, bind, cache, nil); err != nil {
 		t.Fatal(err)
 	}
 	for name, g := range deltaMutations(t, base) {
-		delta, err := e.ExecuteDelta(g, bind, cache)
+		delta, err := e.ExecuteDeltaStats(g, bind, cache, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -193,7 +193,7 @@ func TestColumnarSharedCacheRace(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				for i, g := range variants {
-					p, err := e.ExecuteDelta(g, bind, cache)
+					p, err := e.ExecuteDeltaStats(g, bind, cache, nil)
 					if err != nil {
 						errs <- err
 						return

@@ -12,11 +12,12 @@
 //
 // For the planner's explore loop — thousands of alternatives that each differ
 // from a parent flow by a single pattern application — the engine supports
-// delta evaluation: ExecuteDelta memoizes every node's materialized output in
-// an EvalCache keyed by the node's data identity (etl.Graph.ConeKeys), which
-// hashes exactly what the data path reads, so a candidate flow re-simulates
-// only the nodes whose inputs or data-relevant settings the application
-// changed and splices cached results in everywhere else.
+// delta evaluation: ExecuteDeltaStats memoizes every node's materialized
+// output in an EvalCache keyed by the node's data identity
+// (etl.Graph.ConeKeys), which hashes exactly what the data path reads, so a
+// candidate flow re-simulates only the nodes whose inputs or data-relevant
+// settings the application changed and splices cached results in everywhere
+// else.
 //
 // Pass-through operations (etl.OpKind.IsPassThrough: checkpoint, convert,
 // encrypt, sort, split, partition, merge, union, noop) with one input are
@@ -153,9 +154,6 @@ func (p *Profile) RowsInOf(id etl.NodeID) int { return valueOf(p, p.RowsIn, id) 
 
 // RowsOutOf returns the output cardinality of the node, 0 for unknown IDs.
 func (p *Profile) RowsOutOf(id etl.NodeID) int { return valueOf(p, p.RowsOut, id) }
-
-// TimeOf returns the busy time of the node, 0 for unknown IDs.
-func (p *Profile) TimeOf(id etl.NodeID) float64 { return valueOf(p, p.TimeMs, id) }
 
 // CompletionOf returns the completion time of the node, 0 for unknown IDs.
 func (p *Profile) CompletionOf(id etl.NodeID) float64 { return valueOf(p, p.Completion, id) }
@@ -341,20 +339,6 @@ type KernelStats struct {
 // Execute runs the data path of the flow once and returns its profile.
 func (e *Engine) Execute(g *etl.Graph, bind Binding) (*Profile, error) {
 	return e.ExecuteDeltaStats(g, bind, nil, nil)
-}
-
-// ExecuteDelta runs the data path reusing (and populating) the per-node
-// results memoized in cache; a nil cache degenerates to Execute. Nodes whose
-// upstream-cone fingerprint hits the cache contribute their materialized
-// outputs without re-simulation, so the row-level work is proportional to
-// the dirty region of the flow, not its size. The resulting profile is
-// byte-identical to a full execution.
-//
-// The cache must only be shared between evaluations that use the same engine
-// configuration and the same binding (the planner scopes one cache per
-// planning run). Sharing a cache across concurrent goroutines is safe.
-func (e *Engine) ExecuteDelta(g *etl.Graph, bind Binding, cache *EvalCache) (*Profile, error) {
-	return e.ExecuteDeltaStats(g, bind, cache, nil)
 }
 
 // finishNode derives the routing-dependent profile values of node i from its
@@ -576,10 +560,21 @@ func (e *Engine) SourceUpdatesPerHour(g *etl.Graph, bind Binding) float64 {
 	return max
 }
 
-// ExecuteDeltaStats is ExecuteDelta reporting splice accounting into stats
-// (ignored when nil). Collection is a few integer increments per node, plus
-// two clock reads per kernel run when stats.Clock is set; callers that do
-// not need the numbers pass nil and pay nothing.
+// ExecuteDeltaStats runs the data path reusing (and populating) the per-node
+// results memoized in cache; a nil cache degenerates to Execute. Nodes whose
+// upstream-cone fingerprint hits the cache contribute their materialized
+// outputs without re-simulation, so the row-level work is proportional to
+// the dirty region of the flow, not its size. The resulting profile is
+// byte-identical to a full execution.
+//
+// The cache must only be shared between evaluations that use the same engine
+// configuration and the same binding (the planner scopes one cache per
+// planning run). Sharing a cache across concurrent goroutines is safe.
+//
+// Splice accounting goes into stats (ignored when nil). Collection is a few
+// integer increments per node, plus two clock reads per kernel run when
+// stats.Clock is set; callers that do not need the numbers pass nil and pay
+// nothing.
 //
 // The data path runs in topological order. A pass-through node with one
 // input is forwarded: its output is the stream routed to it, with no cache

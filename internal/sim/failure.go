@@ -114,20 +114,15 @@ func opStats(g *etl.Graph, p *Profile) []trace.OpStats {
 // returning the full trace batch plus the profile. This is the per-design
 // evaluation step of the Planner's "Measures Estimation" stage (Fig. 3).
 func (e *Engine) Evaluate(g *etl.Graph, bind Binding) (*Profile, *trace.Batch, error) {
-	return e.EvaluateDelta(g, bind, nil)
+	return e.EvaluateDeltaStats(g, bind, nil, nil)
 }
 
-// EvaluateDelta is Evaluate with delta evaluation of the data path: node
+// EvaluateDeltaStats is Evaluate with delta evaluation of the data path: node
 // results memoized in cache (keyed by upstream-cone fingerprint) are spliced
 // in instead of re-simulated, so only the dirty cone of the flow runs. A nil
 // cache is a full evaluation. Results are identical to Evaluate; see
-// ExecuteDelta for the cache-sharing contract.
-func (e *Engine) EvaluateDelta(g *etl.Graph, bind Binding, cache *EvalCache) (*Profile, *trace.Batch, error) {
-	return e.EvaluateDeltaStats(g, bind, cache, nil)
-}
-
-// EvaluateDeltaStats is EvaluateDelta reporting splice accounting into stats
-// (ignored when nil) — see ExecuteDeltaStats.
+// ExecuteDeltaStats for the cache-sharing contract and for stats (ignored
+// when nil).
 func (e *Engine) EvaluateDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, *trace.Batch, error) {
 	p, err := e.ExecuteDeltaStats(g, bind, cache, stats)
 	if err != nil {

@@ -60,7 +60,7 @@ func TestArenaScratchNeverReachesCache(t *testing.T) {
 	}
 	engine := sim.NewEngine(cfg)
 	cache := sim.NewEvalCache()
-	if _, err := engine.ExecuteDelta(flow, bind, cache); err != nil {
+	if _, err := engine.ExecuteDeltaStats(flow, bind, cache, nil); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 4
@@ -72,7 +72,7 @@ func TestArenaScratchNeverReachesCache(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(alts); i += workers {
 				g := alts[i]
-				got, err := engine.ExecuteDelta(g, bind, cache)
+				got, err := engine.ExecuteDeltaStats(g, bind, cache, nil)
 				if err != nil {
 					errs <- err.Error()
 					continue
@@ -143,7 +143,7 @@ func TestDeltaMatchesUncachedFullSpace(t *testing.T) {
 	for _, sp := range spaces {
 		cache := sim.NewEvalCache()
 		for i, g := range append([]*etl.Graph{sp.flow}, sp.alts...) {
-			got, err := engine.ExecuteDelta(g, sp.bind, cache)
+			got, err := engine.ExecuteDeltaStats(g, sp.bind, cache, nil)
 			if err != nil {
 				t.Fatalf("%s alternative %d: %v", sp.name, i, err)
 			}
@@ -175,7 +175,7 @@ func TestCheckpointRunsNoKernel(t *testing.T) {
 	bind := tpcds.Binding(flow, 120, 1)
 	engine := sim.NewEngine(cfg)
 	cache := sim.NewEvalCache()
-	if _, err := engine.ExecuteDelta(flow, bind, cache); err != nil {
+	if _, err := engine.ExecuteDeltaStats(flow, bind, cache, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := flow.Clone()
@@ -205,43 +205,56 @@ func TestCheckpointRunsNoKernel(t *testing.T) {
 var profileSink *sim.Profile
 
 // BenchmarkEvaluateFig4Alternatives times the simulator alone at Fig. 4
-// scale: execute and sample every alternative of the Fig. 4 plan on one
-// shared evaluation cache, as the planner's evaluation stage does, without
-// proposing, applying, fingerprinting or estimating. It collects ExecStats
-// with kernel timing and reports how nodes were served and the kernel runs
-// of every operation kind that ran one, per operation.
+// scale: execute and sample every alternative of the Fig. 4 plan, without
+// proposing, applying, fingerprinting or estimating. Sub-benchmark
+// cache=shared evaluates them on one shared evaluation cache, as the
+// planner's evaluation stage does; cache=none re-executes every flow from its
+// sources, the baseline of the delta-evaluation ablation. Each collects
+// ExecStats with kernel timing and reports how nodes were served and the
+// kernel runs of every operation kind that ran one, per operation.
 func BenchmarkEvaluateFig4Alternatives(b *testing.B) {
 	cfg := fig4Sim(300)
 	flow, bind, alts := fig4Alternatives(b, 300, 4096, cfg)
 	flows := append([]*etl.Graph{flow}, alts...)
 	engine := sim.NewEngine(cfg)
-	es := sim.ExecStats{Clock: time.Now}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache := sim.NewEvalCache()
-		for _, g := range flows {
-			p, _, err := engine.EvaluateDeltaStats(g, bind, cache, &es)
-			if err != nil {
-				b.Fatal(err)
+	for _, shared := range []bool{true, false} {
+		name := "cache=none"
+		if shared {
+			name = "cache=shared"
+		}
+		b.Run(name, func(b *testing.B) {
+			es := sim.ExecStats{Clock: time.Now}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var cache *sim.EvalCache
+				if shared {
+					cache = sim.NewEvalCache()
+				}
+				for _, g := range flows {
+					p, _, err := engine.EvaluateDeltaStats(g, bind, cache, &es)
+					if err != nil {
+						b.Fatal(err)
+					}
+					profileSink = p
+				}
 			}
-			profileSink = p
-		}
-	}
-	b.StopTimer()
-	perOp := func(v int64, unit string) { b.ReportMetric(float64(v)/float64(b.N), unit) }
-	b.ReportMetric(float64(len(alts)), "alternatives")
-	perOp(int64(es.Executed), "kernels/op")
-	perOp(int64(es.Forwarded), "forwarded/op")
-	perOp(int64(es.ConeHits), "cone-hits/op")
-	for kind, k := range es.Kernels {
-		if k.Count == 0 {
-			continue
-		}
-		name := etl.OpKind(kind).String()
-		perOp(int64(k.Count), name+"-runs/op")
-		perOp(k.Nanos, name+"-ns/op")
-		perOp(k.RowsIn, name+"-rows-in/op")
-		perOp(k.RowsOut, name+"-rows-out/op")
+			b.StopTimer()
+			perOp := func(v int64, unit string) { b.ReportMetric(float64(v)/float64(b.N), unit) }
+			b.ReportMetric(float64(len(alts)), "alternatives")
+			perOp(int64(es.Executed), "kernels/op")
+			perOp(int64(es.Forwarded), "forwarded/op")
+			perOp(int64(es.ConeHits), "cone-hits/op")
+			for kind, k := range es.Kernels {
+				if k.Count == 0 {
+					continue
+				}
+				name := etl.OpKind(kind).String()
+				perOp(int64(k.Count), name+"-runs/op")
+				perOp(k.Nanos, name+"-ns/op")
+				perOp(k.RowsIn, name+"-rows-in/op")
+				perOp(k.RowsOut, name+"-rows-out/op")
+			}
+		})
 	}
 }
