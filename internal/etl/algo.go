@@ -121,7 +121,7 @@ func (g *Graph) Components() int {
 // unless it lies on a cycle, which Validate forbids).
 func (g *Graph) Reachable(id NodeID) map[NodeID]bool {
 	out := map[NodeID]bool{}
-	s, ok := g.index[id]
+	s, ok := g.slotOf(id)
 	if !ok {
 		return out
 	}
@@ -144,7 +144,7 @@ func (g *Graph) Reachable(id NodeID) map[NodeID]bool {
 // upstream distance ("as close as possible to the operations for inputting
 // data sources"). They are memoized with the topological order.
 func (g *Graph) UpstreamDistance(id NodeID) int {
-	s, ok := g.index[id]
+	s, ok := g.slotOf(id)
 	t, err := g.topoOrder()
 	if !ok || err != nil {
 		return 0
@@ -183,7 +183,7 @@ func (g *Graph) UpstreamCheckpointFree(id NodeID, maxHops int) bool {
 // checkpointFree is a breadth-first search from id along adj (succ or pred)
 // that fails on the first checkpoint within maxHops edges.
 func (g *Graph) checkpointFree(id NodeID, maxHops int, adj [][]int32) bool {
-	start, ok := g.index[id]
+	start, ok := g.slotOf(id)
 	if !ok {
 		return true
 	}

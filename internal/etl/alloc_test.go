@@ -2,6 +2,7 @@ package etl_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"poiesis/internal/etl"
@@ -65,5 +66,47 @@ func TestGraphPassAllocations(t *testing.T) {
 	})
 	if got, max := keyed-base, 5.0; got > max {
 		t.Errorf("keying a clone after one InsertOnEdge allocates %.0f objects, want at most %.0f (%.0f in all)", got, max, keyed)
+	}
+}
+
+// A clone shares its parent's ID index, so adding a node to it must not copy
+// the index: AddNode on a clone of a 258-node chain allocates no more
+// objects than on a 10-node chain, and no more bytes beyond the clone's
+// per-slot ownership stamps (one uint64 per slot).
+func TestCloneAddNodeAllocsFlatInNodeCount(t *testing.T) {
+	const clones = 200
+	measure := func(n int) (allocs, bytes int64) {
+		g := etl.New("chain")
+		prev := etl.NodeID("n0")
+		g.MustAddNode(etl.NewNode(prev, "n0", etl.OpExtract, etl.Schema{}))
+		for i := 1; i < n; i++ {
+			id := etl.NodeID(fmt.Sprintf("n%d", i))
+			g.MustAddNode(etl.NewNode(id, string(id), etl.OpNoop, etl.Schema{}))
+			g.MustAddEdge(prev, id)
+			prev = id
+		}
+		x := etl.NewNode("x", "x", etl.OpNoop, etl.Schema{})
+		cs := make([]*etl.Graph, clones)
+		for i := range cs {
+			cs[i] = g.Clone()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, c := range cs {
+			if err := c.AddNode(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(cs)
+		return int64(after.Mallocs-before.Mallocs) / clones, int64(after.TotalAlloc-before.TotalAlloc) / clones
+	}
+	smallAllocs, smallBytes := measure(10)
+	bigAllocs, bigBytes := measure(258)
+	if bigAllocs > smallAllocs {
+		t.Errorf("AddNode on a clone allocates %d objects on a 258-node chain, %d on a 10-node chain", bigAllocs, smallAllocs)
+	}
+	if grow := bigBytes - smallBytes; grow > 16*248 {
+		t.Errorf("AddNode on a clone allocates %d bytes more on a 258-node chain than on a 10-node chain", grow)
 	}
 }

@@ -285,7 +285,7 @@ func (g *Graph) ConeKeys(order []NodeID) []ConeKey {
 	} else {
 		slots = scratch(slotStack[:], len(order))
 		for i, id := range order {
-			slots[i] = g.index[id]
+			slots[i], _ = g.slotOf(id)
 		}
 	}
 	var cones []ConeKey

@@ -37,11 +37,12 @@ var (
 //
 // Cloning is copy-on-write: Clone copies the slot tables but shares the
 // Node values (and their schemas and parameter maps), the adjacency lists
-// and the ID index between the original and the copy. Structural mutations
-// (AddNode, AddEdge, InsertOnEdge, ...) are always safe on either graph; to
-// modify a node in place after a Clone, use MutableNode, which unshares the
-// node first. Mutating a Node obtained from Node() directly on a graph that
-// has live clones writes through to every clone sharing it.
+// and the ID index (with its overlay) between the original and the copy.
+// Structural mutations (AddNode, AddEdge, InsertOnEdge, ...) are always
+// safe on either graph; to modify a node in place after a Clone, use
+// MutableNode, which unshares the node first. Mutating a Node obtained from
+// Node() directly on a graph that has live clones writes through to every
+// clone sharing it.
 //
 // Fingerprints are cached on the graph and node digests on the nodes. Once a
 // graph has been fingerprinted (or its cone keys computed), every in-place
@@ -75,10 +76,18 @@ type Graph struct {
 	// live and edges count the nodes |V| and edges |E|.
 	live, edges int
 
-	// index maps node IDs to slots. Clones share it until one of them adds
-	// or removes a node: the graph owns it while indexEpoch equals epoch.
-	index      map[NodeID]int32
-	indexEpoch uint64
+	// index maps node IDs to slots. Clones share it, and a graph writes
+	// into it only while it owns it: while indexEpoch equals epoch, that is
+	// until its first Clone. A graph that adds or removes a node while the
+	// index is shared records the change in overlay instead, a small map
+	// (the new slot, or -1 for a removed ID) that lookups consult first.
+	// The overlay is shared with clones and copied before a write the same
+	// way (overlayEpoch), and it is folded into a fresh index of the graph's
+	// own once it holds maxOverlay IDs.
+	index        map[NodeID]int32
+	indexEpoch   uint64
+	overlay      map[NodeID]int32
+	overlayEpoch uint64
 
 	// seq generates fresh node IDs for pattern-inserted operations.
 	seq int
@@ -129,6 +138,7 @@ func (g *Graph) adopt(src *Graph) {
 	g.nodes, g.succ, g.pred = src.nodes, src.succ, src.pred
 	g.live, g.edges = src.live, src.edges
 	g.index, g.indexEpoch = src.index, src.indexEpoch
+	g.overlay, g.overlayEpoch = src.overlay, src.overlayEpoch
 	g.seq = src.seq
 	g.stamp = src.stamp
 	g.epoch.Store(src.epoch.Load())
@@ -182,20 +192,66 @@ func (g *Graph) rebase() bool {
 	return g.base != nil
 }
 
-// writableIndex returns the ID index for an insertion or deletion, first
-// copying it when a clone may share it.
-func (g *Graph) writableIndex() map[NodeID]int32 {
-	if ep := g.epoch.Load(); g.indexEpoch != ep {
-		g.index = maps.Clone(g.index)
-		g.indexEpoch = ep
+// maxOverlay is the size at which a graph folds its ID overlay into an
+// index of its own, so that generations of clones do not pile up overlays.
+const maxOverlay = 16
+
+// slotOf returns the slot of the node with the given ID.
+func (g *Graph) slotOf(id NodeID) (int32, bool) {
+	if g.overlay != nil {
+		if s, ok := g.overlay[id]; ok {
+			return s, s >= 0
+		}
 	}
-	return g.index
+	s, ok := g.index[id]
+	return s, ok
 }
 
-// setStamp marks the node at slot as owned by this graph at epoch ep.
+// setSlot maps id to slot s, or unmaps it when s is -1: in the index when
+// the graph owns it, else in the graph's overlay, which is copied first
+// when a clone may share it. Adding a node to a clone thus costs a map of a
+// few entries, not a copy of the flow's index.
+func (g *Graph) setSlot(id NodeID, s int32) {
+	ep := g.epoch.Load()
+	if g.indexEpoch == ep {
+		if s < 0 {
+			delete(g.index, id)
+		} else {
+			g.index[id] = s
+		}
+		return
+	}
+	if g.overlay == nil || g.overlayEpoch != ep {
+		ov := make(map[NodeID]int32, len(g.overlay)+1)
+		maps.Copy(ov, g.overlay)
+		g.overlay, g.overlayEpoch = ov, ep
+	}
+	g.overlay[id] = s
+	if len(g.overlay) >= maxOverlay {
+		index := maps.Clone(g.index)
+		for id, s := range g.overlay {
+			if s < 0 {
+				delete(index, id)
+			} else {
+				index[id] = s
+			}
+		}
+		g.index, g.indexEpoch, g.overlay = index, ep, nil
+	}
+}
+
+// setStamp marks the node at slot as owned by this graph at epoch ep. The
+// stamp table grows to the slot table's capacity in one allocation, so the
+// few nodes a pattern weaves into a clone do not regrow it.
 func (g *Graph) setStamp(slot int32, ep uint64) {
-	if len(g.stamp) < len(g.nodes) {
-		g.stamp = append(g.stamp, make([]uint64, len(g.nodes)-len(g.stamp))...)
+	if n := len(g.nodes); len(g.stamp) < n {
+		if cap(g.stamp) >= n {
+			g.stamp = g.stamp[:n] // never shrunk, so the tail is still zero
+		} else {
+			st := make([]uint64, n, cap(g.nodes))
+			copy(st, g.stamp)
+			g.stamp = st
+		}
 	}
 	g.stamp[slot] = ep
 }
@@ -205,7 +261,7 @@ func (g *Graph) AddNode(n *Node) error {
 	if n == nil || n.ID == "" {
 		return fmt.Errorf("%w: empty node", ErrUnknownNode)
 	}
-	if _, ok := g.index[n.ID]; ok {
+	if _, ok := g.slotOf(n.ID); ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, n.ID)
 	}
 	slot := int32(len(g.nodes))
@@ -213,7 +269,7 @@ func (g *Graph) AddNode(n *Node) error {
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
 	g.live++
-	g.writableIndex()[n.ID] = slot
+	g.setSlot(n.ID, slot)
 	if ep := g.epoch.Load(); ep != 0 {
 		g.setStamp(slot, ep)
 	}
@@ -234,7 +290,7 @@ func (g *Graph) MustAddNode(n *Node) *Node {
 // RemoveNode deletes a node and every edge touching it. Its slot stays
 // behind, empty.
 func (g *Graph) RemoveNode(id NodeID) error {
-	s, ok := g.index[id]
+	s, ok := g.slotOf(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
@@ -249,7 +305,7 @@ func (g *Graph) RemoveNode(id NodeID) error {
 	g.edges -= len(g.pred[s]) + len(g.succ[s])
 	g.nodes[s], g.succ[s], g.pred[s] = nil, nil, nil
 	g.live--
-	delete(g.writableIndex(), id)
+	g.setSlot(id, -1)
 	g.invalidate()
 	return nil
 }
@@ -260,11 +316,11 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	if from == to {
 		return fmt.Errorf("%w: %s", ErrSelfLoop, from)
 	}
-	f, ok := g.index[from]
+	f, ok := g.slotOf(from)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, from)
 	}
-	t, ok := g.index[to]
+	t, ok := g.slotOf(to)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, to)
 	}
@@ -291,8 +347,8 @@ func (g *Graph) MustAddEdge(from, to NodeID) {
 
 // RemoveEdge deletes the transition from -> to.
 func (g *Graph) RemoveEdge(from, to NodeID) error {
-	f, fok := g.index[from]
-	t, tok := g.index[to]
+	f, fok := g.slotOf(from)
+	t, tok := g.slotOf(to)
 	if !fok || !tok || !slices.Contains(g.succ[f], t) {
 		return fmt.Errorf("%w: %s->%s", ErrUnknownNode, from, to)
 	}
@@ -322,8 +378,8 @@ func withoutSlot(list []int32, s int32) []int32 {
 
 // HasEdge reports whether the transition from -> to exists.
 func (g *Graph) HasEdge(from, to NodeID) bool {
-	f, fok := g.index[from]
-	t, tok := g.index[to]
+	f, fok := g.slotOf(from)
+	t, tok := g.slotOf(to)
 	return fok && tok && slices.Contains(g.succ[f], t)
 }
 
@@ -331,7 +387,7 @@ func (g *Graph) HasEdge(from, to NodeID) bool {
 // shared with clones of this graph; callers that intend to modify it must go
 // through MutableNode instead.
 func (g *Graph) Node(id NodeID) *Node {
-	if s, ok := g.index[id]; ok {
+	if s, ok := g.slotOf(id); ok {
 		return g.nodes[s]
 	}
 	return nil
@@ -346,7 +402,7 @@ func (g *Graph) Node(id NodeID) *Node {
 // edit, so finish editing the returned node before the next Fingerprint,
 // ConeKeys or Clone call on this graph.
 func (g *Graph) MutableNode(id NodeID) *Node {
-	s, ok := g.index[id]
+	s, ok := g.slotOf(id)
 	if !ok {
 		return nil
 	}
@@ -405,7 +461,7 @@ func (g *Graph) Edges() []Edge {
 // adjOf returns the slot list of id in adj (succ or pred), nil for an
 // unknown ID.
 func (g *Graph) adjOf(adj [][]int32, id NodeID) []int32 {
-	if s, ok := g.index[id]; ok {
+	if s, ok := g.slotOf(id); ok {
 		return adj[s]
 	}
 	return nil
@@ -480,7 +536,7 @@ func (g *Graph) FreshID(prefix string) NodeID {
 	for {
 		g.seq++
 		id := NodeID(fmt.Sprintf("%s_%d", prefix, g.seq))
-		if _, ok := g.index[id]; !ok {
+		if _, ok := g.slotOf(id); !ok {
 			return id
 		}
 	}
@@ -496,8 +552,8 @@ const cloneSlack = 4
 // The clone copies the three slot tables and shares everything they point
 // to: the Node values (with their schemas and parameter maps) until one
 // graph modifies a node through MutableNode, the adjacency lists (which no
-// mutation edits in place) and the ID index until one graph adds or removes
-// a node. The planner clones every frontier design once per candidate
+// mutation edits in place) and the ID index, over which a graph that adds
+// or removes a node keeps a small overlay of its own. The planner clones every frontier design once per candidate
 // pattern application, so this is the per-candidate cost of generation.
 //
 // The first Clone after a mutation also builds and publishes g's key memo
@@ -508,17 +564,18 @@ const cloneSlack = 4
 func (g *Graph) Clone() *Graph {
 	n := len(g.nodes) + cloneSlack
 	c := &Graph{
-		Name:  g.Name,
-		nodes: append(make([]*Node, 0, n), g.nodes...),
-		succ:  append(make([][]int32, 0, n), g.succ...),
-		pred:  append(make([][]int32, 0, n), g.pred...),
-		live:  g.live,
-		edges: g.edges,
-		index: g.index,
-		seq:   g.seq,
+		Name:    g.Name,
+		nodes:   append(make([]*Node, 0, n), g.nodes...),
+		succ:    append(make([][]int32, 0, n), g.succ...),
+		pred:    append(make([][]int32, 0, n), g.pred...),
+		live:    g.live,
+		edges:   g.edges,
+		index:   g.index,
+		overlay: g.overlay,
+		seq:     g.seq,
 	}
-	// Epoch 1 with indexEpoch 0 and no stamps: the clone owns neither the
-	// index nor any node.
+	// Epoch 1 with indexEpoch and overlayEpoch 0 and no stamps: the clone owns
+	// neither the index, nor the overlay, nor any node.
 	c.epoch.Store(1)
 	// The structure is identical, so the clone inherits the cached topological
 	// order and fingerprint; its own mutations will invalidate only its

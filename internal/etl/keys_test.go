@@ -12,7 +12,7 @@ import (
 // adjacency lists, fresh copies of the nodes (no digest memo), and no topo
 // order, fingerprint, key memo, base or log. Its key passes hash every slot.
 func scratchCopy(g *Graph) *Graph {
-	c := &Graph{Name: g.Name, succ: g.succ, pred: g.pred, live: g.live, edges: g.edges, index: g.index, seq: g.seq}
+	c := &Graph{Name: g.Name, succ: g.succ, pred: g.pred, live: g.live, edges: g.edges, index: g.index, overlay: g.overlay, seq: g.seq}
 	c.nodes = make([]*Node, len(g.nodes))
 	for s, n := range g.nodes {
 		if n != nil {

@@ -132,7 +132,7 @@ func (g *Graph) Merge(other *Graph) error {
 // Callers are responsible for schema feasibility (Validate catches the
 // rest).
 func (g *Graph) SwapWithPredecessor(id NodeID) error {
-	n, ok := g.index[id]
+	n, ok := g.slotOf(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}

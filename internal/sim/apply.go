@@ -238,9 +238,9 @@ func crosscheckRows(b *batch, ar *batchArena) *batch {
 }
 
 // deriveRows appends computed columns: the numeric accumulator is built by one
-// typed pass per numeric input column, then each new attribute materializes as
-// a dense column. The input compacts first so new and shared columns index
-// identically.
+// typed pass per numeric input column, then each new attribute becomes a
+// column indexed by physical row, so the output keeps the input's columns
+// and selection vector as they are.
 func deriveRows(g *etl.Graph, n *etl.Node, b *batch, ar *batchArena) *batch {
 	in := g.InputSchemaView(n.ID)
 	var newAttrs []etl.Attribute
@@ -252,17 +252,16 @@ func deriveRows(g *etl.Graph, n *etl.Node, b *batch, ar *batchArena) *batch {
 	if len(newAttrs) == 0 || b.len() == 0 {
 		return b
 	}
-	d := b.compact()
-	acc := ar.zeroedFloats(d.n)
+	acc := ar.zeroedFloats(b.n)
 	for _, p := range numericPositions(in) {
-		d.addNumeric(p, acc)
+		b.sumNumeric(p, acc)
 	}
-	cols := make([]column, len(d.cols), len(d.cols)+len(newAttrs))
-	copy(cols, d.cols)
+	cols := make([]column, len(b.cols), len(b.cols)+len(newAttrs))
+	copy(cols, b.cols)
 	for _, a := range newAttrs {
-		cols = append(cols, derivedColumn(a, acc))
+		cols = append(cols, b.deriveColumn(a, acc))
 	}
-	return &batch{cols: cols, n: d.n}
+	return &batch{cols: cols, n: b.n, sel: b.sel}
 }
 
 // projectRows picks the output schema's columns by reference — a pure
@@ -283,7 +282,9 @@ func projectRows(g *etl.Graph, n *etl.Node, b *batch) *batch {
 	return &batch{cols: cols, n: b.n, sel: b.sel}
 }
 
-// surrogateRows writes the dense surrogate key as one int64 column.
+// surrogateRows writes the dense surrogate key as one int64 column indexed by
+// physical row: logical row i gets key i+1, and the input's columns and
+// selection vector are kept.
 func surrogateRows(g *etl.Graph, n *etl.Node, b *batch) *batch {
 	in := g.InputSchemaView(n.ID)
 	pos := -1
@@ -296,25 +297,23 @@ func surrogateRows(g *etl.Graph, n *etl.Node, b *batch) *batch {
 	if pos < 0 || b.len() == 0 {
 		return b
 	}
-	d := b.compact()
-	width := len(d.cols)
-	if pos+1 > width {
-		width = pos + 1
-	}
-	cols := make([]column, width)
-	copy(cols, d.cols)
-	ids := make([]int64, 0, d.n)
-	for i := 0; i < d.n; i++ {
-		ids = append(ids, int64(i+1))
+	cols := make([]column, max(len(b.cols), pos+1))
+	copy(cols, b.cols)
+	ids := make([]int64, b.n)
+	for i := range b.len() {
+		ids[b.phys(i)] = int64(i + 1)
 	}
 	cols[pos] = column{kind: storeInt, ints: ids}
-	return &batch{cols: cols, n: d.n}
+	return &batch{cols: cols, n: b.n, sel: b.sel}
 }
 
 // joinRows hash-joins left and right on their shared key attributes: the right
 // side is indexed by column-wise key hash (last row wins per key, like the
-// row oracle's map build), the left side probes with typed cross-batch
-// equality, and the output gathers both sides by match vectors.
+// row oracle's map build) and the left side probes with typed cross-batch
+// equality. The output is late-materialized: it keeps the left input's
+// columns as they are, with the matched left rows as its selection vector,
+// and builds only the right side's extra columns, scattered into the left
+// side's physical row space (an unmatched lookup row reads NULL there).
 func joinRows(g *etl.Graph, n *etl.Node, left, right *batch, ar *batchArena) (*batch, error) {
 	preds := g.Pred(n.ID)
 	if len(preds) < 2 {
@@ -364,18 +363,16 @@ func joinRows(g *etl.Graph, n *etl.Node, left, right *batch, ar *batchArena) (*b
 	if right != nil {
 		rw = len(right.cols)
 	}
-	out := &batch{n: len(lidx), cols: make([]column, 0, len(left.cols)+len(extra))}
-	for j := range left.cols {
-		out.cols = append(out.cols, gatherColumn(&left.cols[j], lidx))
-	}
+	cols := make([]column, len(left.cols), len(left.cols)+len(extra))
+	copy(cols, left.cols)
 	for _, p := range extra {
 		if p < rw {
-			out.cols = append(out.cols, gatherColumn(&right.cols[p], ridx))
+			cols = append(cols, scatterColumn(&right.cols[p], lidx, ridx, left.n))
 		} else {
-			out.cols = append(out.cols, column{})
+			cols = append(cols, column{})
 		}
 	}
-	return out, nil
+	return &batch{cols: cols, n: left.n, sel: ownedSel(lidx)}, nil
 }
 
 // aggregateRows emits one representative row per group, keyed like aggregate.

@@ -30,8 +30,12 @@ import (
 // run, which pins both).
 //
 // Cached outputs are immutable once stored. Operations never mutate their
-// input batches, and pass-through operations alias rather than copy, so
-// records freely share column storage with one another.
+// input batches: pass-through operations alias them, and the kernels are
+// late-materialized — filters, dedup and joins narrow their input with a
+// selection vector, and joins, derive and surrogate add columns beside the
+// input's own — so records share column storage with one another and with
+// the extract batches they descend from. A record therefore costs only the
+// columns and selection vectors its kernel created.
 type EvalCache struct {
 	mu sync.RWMutex
 	m  map[etl.ConeKey]*coneRecord
@@ -43,7 +47,7 @@ type EvalCache struct {
 	// cones are never looked up again. The early, high-value entries — the
 	// initial flow and the shallow rounds, which are prefixes of everything
 	// generated later — always land before the budget runs out. The count
-	// overstates physical memory (pass-through outputs alias their inputs),
+	// overstates physical memory (outputs share their inputs' columns),
 	// which errs on the bounded side.
 	rows int64
 
@@ -52,7 +56,8 @@ type EvalCache struct {
 }
 
 // coneRecord is the memoized simulation result of one node cone: the
-// pre-routing output batches plus the cardinalities the profile needs.
+// pre-routing output batches (sharing storage with their kernels' inputs)
+// plus the cardinalities the profile needs.
 // Routing to concrete successors is recomputed per graph (it depends on
 // downstream wiring, which the cone key deliberately excludes), as is all
 // timing. Sink nodes additionally memoize their output-quality scan.

@@ -3,11 +3,13 @@
 // A batch stores one typed slice per attribute position (int64, float64,
 // string, bool — with a []etl.Value fallback for mixed or unknown types) plus
 // a packed null bitmap per column, built once from the binding's generated
-// rows at extract. Operators
-// run as tight per-column loops and communicate row subsets through selection
-// vectors (a []int32 of physical row indices) instead of materializing
-// filtered copies, so a chain of filters over one extract shares a single set
-// of column arrays.
+// rows at extract. Operators run as tight per-column loops and are
+// late-materialized: they communicate row subsets through selection vectors
+// (a []int32 of physical row indices) instead of materializing filtered
+// copies, and operators that add attributes (join, derive, surrogate) build
+// only the new columns, indexed by the input's physical rows, beside the
+// input's own. So a chain of filters and joins over one extract shares a
+// single set of column arrays.
 //
 // Hashing is column-wise where the hash is an internal detail (dedup,
 // aggregate, join build keys: one typed pass per key column folds value
@@ -97,8 +99,10 @@ func (c *column) value(p int) etl.Value {
 // batch is one logical stream of rows in columnar form. n is the physical
 // row count (the length of every column); sel, when non-nil, is the selection
 // vector: the batch's logical rows are sel's physical indices, in order.
-// Batches share column storage freely and never mutate it — operators either
-// narrow a batch with a new selection vector or build new columns.
+// Batches share column storage freely and never mutate it — operators
+// narrow a batch with a new selection vector, add new columns indexed by
+// physical row, or both. Physical rows outside the selection may hold any
+// value in added columns; nothing reads them.
 type batch struct {
 	cols []column
 	n    int
@@ -694,29 +698,48 @@ func (w *columnBuilder) appendFrom(c *column, idx []int32) {
 
 func (w *columnBuilder) build() column { return w.col }
 
-// gatherColumn materializes the cells of c at idx into a dense column.
-func gatherColumn(c *column, idx []int32) column {
-	kind := c.kind
-	if kind == storeNull {
-		return column{kind: storeNull}
+// scatterColumn builds an n-row column whose cell at physical row to[k] is
+// c's cell at physical row from[k], NULL where from[k] < 0. Rows no to[k]
+// names keep the zero value: they lie outside the selection vector of the
+// batch the column joins, so no kernel reads them.
+func scatterColumn(c *column, to, from []int32, n int) column {
+	out := column{kind: c.kind}
+	switch c.kind {
+	case storeNull:
+		return out
+	case storeInt:
+		out.ints = scatter(make([]int64, n), c.ints, to, from)
+	case storeFloat:
+		out.floats = scatter(make([]float64, n), c.floats, to, from)
+	case storeStr:
+		out.strs = scatter(make([]string, n), c.strs, to, from)
+	case storeBool:
+		out.bools = scatter(make([]bool, n), c.bools, to, from)
+	case storeAny:
+		// A nil element is NULL: unmatched rows need no bitmap.
+		out.anys = scatter(make([]etl.Value, n), c.anys, to, from)
+		return out
 	}
-	w := newColumnBuilder(kind, len(idx))
-	w.appendFrom(c, idx)
-	return w.build()
+	for k, q := range from {
+		if q < 0 || c.nullAt(int(q)) {
+			if out.nulls == nil {
+				out.nulls = make([]uint64, nullWords(n))
+			}
+			setBit(out.nulls, int(to[k]))
+		}
+	}
+	return out
 }
 
-// compact materializes the selection vector into dense columns. Operators
-// that add dense per-logical-row columns (derive, surrogate) compact first so
-// new and existing columns share indexing.
-func (b *batch) compact() *batch {
-	if b == nil || b.sel == nil {
-		return b
+// scatter copies src[from[k]] to dst[to[k]] for every from[k] >= 0. A NULL
+// source slot holds the zero value, so the copy keeps that invariant.
+func scatter[T any](dst, src []T, to, from []int32) []T {
+	for k, q := range from {
+		if q >= 0 {
+			dst[to[k]] = src[q]
+		}
 	}
-	nb := &batch{n: len(b.sel), cols: make([]column, len(b.cols))}
-	for j := range b.cols {
-		nb.cols[j] = gatherColumn(&b.cols[j], b.sel)
-	}
-	return nb
+	return dst
 }
 
 // flatten merges output batches into one logical stream; a single batch is
@@ -1073,9 +1096,9 @@ func (b *batch) markNullRows(j int, dst []bool) {
 	}
 }
 
-// addNumeric adds column j's non-NULL numeric cells into the per-logical-row
-// accumulator — the columnar half of computeDerived.
-func (b *batch) addNumeric(j int, acc []float64) {
+// sumNumeric adds column j's non-NULL numeric cells of the logical rows into
+// acc, indexed by physical row — the columnar half of computeDerived.
+func (b *batch) sumNumeric(j int, acc []float64) {
 	if j < 0 || j >= len(b.cols) {
 		return
 	}
@@ -1086,65 +1109,71 @@ func (b *batch) addNumeric(j int, acc []float64) {
 		for i := 0; i < n; i++ {
 			p := b.phys(i)
 			if !c.nullAt(p) {
-				acc[i] += float64(c.ints[p])
+				acc[p] += float64(c.ints[p])
 			}
 		}
 	case storeFloat:
 		for i := 0; i < n; i++ {
 			p := b.phys(i)
 			if !c.nullAt(p) {
-				acc[i] += c.floats[p]
+				acc[p] += c.floats[p]
 			}
 		}
 	case storeAny:
 		for i := 0; i < n; i++ {
-			switch v := c.anys[b.phys(i)].(type) {
+			p := b.phys(i)
+			switch v := c.anys[p].(type) {
 			case int64:
-				acc[i] += float64(v)
+				acc[p] += float64(v)
 			case float64:
-				acc[i] += v
+				acc[p] += v
 			}
 		}
 	}
 }
 
-// derivedColumn materializes one derived attribute from the accumulator,
-// matching computeDerived value for value (including the rendered form of
-// string derivations).
-func derivedColumn(a etl.Attribute, acc []float64) column {
-	n := len(acc)
+// deriveColumn builds one derived attribute of the batch's logical rows from
+// the physically indexed accumulator, matching computeDerived value for
+// value (including the rendered form of string derivations). Physical rows
+// outside the selection keep the zero value.
+func (b *batch) deriveColumn(a etl.Attribute, acc []float64) column {
+	n := b.len()
 	switch a.Type {
 	case etl.TypeInt:
-		vals := make([]int64, 0, n)
-		for _, x := range acc {
-			vals = append(vals, int64(x))
+		vals := make([]int64, b.n)
+		for i := 0; i < n; i++ {
+			p := b.phys(i)
+			vals[p] = int64(acc[p])
 		}
 		return column{kind: storeInt, ints: vals}
 	case etl.TypeFloat:
-		vals := make([]float64, 0, n)
-		for _, x := range acc {
-			vals = append(vals, x*1.1)
+		vals := make([]float64, b.n)
+		for i := 0; i < n; i++ {
+			p := b.phys(i)
+			vals[p] = acc[p] * 1.1
 		}
 		return column{kind: storeFloat, floats: vals}
 	case etl.TypeString:
-		vals := make([]string, 0, n)
+		vals := make([]string, b.n)
 		var buf [40]byte
-		for _, x := range acc {
-			b := append(buf[:0], 'd')
-			b = strconv.AppendFloat(b, x, 'f', 0, 64)
-			vals = append(vals, string(b))
+		for i := 0; i < n; i++ {
+			p := b.phys(i)
+			s := append(buf[:0], 'd')
+			s = strconv.AppendFloat(s, acc[p], 'f', 0, 64)
+			vals[p] = string(s)
 		}
 		return column{kind: storeStr, strs: vals}
 	case etl.TypeBool:
-		vals := make([]bool, 0, n)
-		for _, x := range acc {
-			vals = append(vals, x > 0)
+		vals := make([]bool, b.n)
+		for i := 0; i < n; i++ {
+			p := b.phys(i)
+			vals[p] = acc[p] > 0
 		}
 		return column{kind: storeBool, bools: vals}
 	case etl.TypeDate:
-		vals := make([]int64, 0, n)
-		for range acc {
-			vals = append(vals, int64(17000))
+		vals := make([]int64, b.n)
+		for i := 0; i < n; i++ {
+			vals[b.phys(i)] = 17000
 		}
 		return column{kind: storeInt, ints: vals}
 	default:

@@ -167,10 +167,13 @@ func (p *Profile) RestartsFromCheckpoint(id etl.NodeID) bool {
 	return valueOf(p, p.RestartFromCheckpoint, id)
 }
 
-// Engine executes flows. It is stateless; methods are safe for concurrent
-// use with distinct arguments.
+// Engine executes flows. Besides its configuration it holds only a memo of
+// the failure patterns Sample has drawn (see failureMemo), which depends on
+// nothing but that configuration; methods are safe for concurrent use with
+// distinct arguments.
 type Engine struct {
-	cfg Config
+	cfg      Config
+	failures failureMemo
 }
 
 // NewEngine returns an engine with the given configuration. It executes flows
@@ -226,12 +229,13 @@ func (p *subPool[T]) reset() { p.next = 0 }
 // batchArena holds the scratch of one execution: buffers that never escape
 // the kernel that takes them — key and routing hashes, join index vectors,
 // identity selections, per-row marks and accumulators — plus one group table
-// and one join table, cleared and reused by each kernel. Output columns and
-// selection vectors are always freshly allocated, because node outputs
-// outlive the execution in the EvalCache. Every execution borrows an arena
-// from a sync.Pool, resets it before each node and returns it when the
-// profile has been assembled, so steady-state evaluation allocates no
-// temporaries.
+// and one join table, cleared and reused by each kernel. Nothing a kernel
+// returns lives here, because node outputs outlive the execution in the
+// EvalCache: a kernel's output either shares its input's columns (and then
+// its selection vector, or a fresh copy of one built here, see ownedSel) or
+// adds freshly allocated columns. Every execution borrows an arena from a
+// sync.Pool, resets it before each node and returns it when the profile has
+// been assembled, so steady-state evaluation allocates no temporaries.
 type batchArena struct {
 	i32s   subPool[int32]
 	u64s   subPool[uint64]
@@ -584,9 +588,16 @@ func (e *Engine) SourceUpdatesPerHour(g *etl.Graph, bind Binding) float64 {
 // are then derived from the cardinalities, and the sinks' output quality is
 // scanned.
 func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, error) {
+	p, _, err := e.execute(g, bind, cache, stats)
+	return p, err
+}
+
+// execute is ExecuteDeltaStats that also returns every node's pre-routing
+// output batches, indexed by topological position.
+func (e *Engine) execute(g *etl.Graph, bind Binding, cache *EvalCache, stats *ExecStats) (*Profile, [][]*batch, error) {
 	slots, pos, err := topoPositions(g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	order, _ := g.TopoOrder() // the same cached order, as IDs
 	p := newProfile(g.Name, order)
@@ -667,7 +678,7 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 		}
 		out, err := e.apply(g, n, in, bind, ar)
 		if err != nil {
-			return nil, fmt.Errorf("sim: executing %s: %w", n, err)
+			return nil, nil, fmt.Errorf("sim: executing %s: %w", n, err)
 		}
 		outs[i] = out
 		f := 0
@@ -708,7 +719,7 @@ func (e *Engine) ExecuteDeltaStats(g *etl.Graph, bind Binding, cache *EvalCache,
 	e.computeRecovery(g, p, slots, pos)
 	ar.reset()
 	e.measureOutputs(g, p, slots, outs, recs, ar)
-	return p, nil
+	return p, outs, nil
 }
 
 // topoPositions returns the graph's topological order as slots, and pos,

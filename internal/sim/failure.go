@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"sync"
+
 	"poiesis/internal/data"
 	"poiesis/internal/etl"
 	"poiesis/internal/trace"
@@ -14,80 +17,170 @@ import (
 //
 // Runs are sparse: the per-operation values are the same in every run (see
 // trace.Batch.Ops), so a run records only how many operations it reached
-// and which of them failed. All runs' failure lists share one backing
-// array, and the failure rates are gathered into one dense topo-ordered
-// slice, so the runs×nodes loop allocates nothing per node.
+// and which of them failed.
+//
+// Which operations fail in which run depends only on the flow's failure
+// signature: its name (which seeds the sampler), the run count and its
+// failure rates in topological order; the engine fixes the seed and the
+// retry budget. The planner's alternatives share few signatures, so the
+// engine draws each signature's failures once (see failureMemo) and every
+// alternative adds only its own restart times and savepoint flags over
+// them. The runs' Failed lists are shared with the memo and must not be
+// modified.
 func (e *Engine) Sample(g *etl.Graph, p *Profile, runs int) []trace.Run {
 	if runs <= 0 {
 		runs = e.cfg.Runs
 	}
-	root := data.NewRNG(e.cfg.Seed ^ hashString(p.Flow) ^ 0x5851F42D4C957F2D)
-	out := make([]trace.Run, 0, runs)
-	rates := make([]float64, len(p.Order))
-	for i, id := range p.Order {
-		rates[i] = g.Node(id).Cost.FailureRate
-	}
-	var fails []trace.OpFailure
-	for i := 0; i < runs; i++ {
-		rng := root.Fork()
-		var run trace.Run
-		run, fails = e.sampleOne(rates, p, i, rng, fails)
-		out = append(out, run)
+	fp := e.failures.get(g, p, runs, e.drawFailures)
+	out := make([]trace.Run, runs)
+	for i, rp := range fp.runs {
+		run := trace.Run{
+			Seq:          i,
+			Succeeded:    rp.succeeded,
+			FailureCount: rp.failures,
+			Reached:      rp.reached,
+			Failed:       rp.failed,
+		}
+		// Recovery adds up failure by failure in topological order, as the
+		// draw met them, so the sums round exactly as they always did.
+		for _, f := range rp.failed {
+			for range f.Failures {
+				run.RecoveryMs += p.RestartMs[f.Op]
+			}
+			if p.RestartFromCheckpoint[f.Op] {
+				run.CheckpointsUsed += f.Failures
+			}
+		}
+		run.CycleTimeMs = p.FirstPassMs + run.RecoveryMs
+		if run.Succeeded {
+			run.RowsLoaded = p.RowsLoaded
+		}
+		out[i] = run
 	}
 	return out
 }
 
-// sampleOne samples run seq, appending its failures to fails; the run's
-// Failed list is the capacity-clamped tail it appended.
-func (e *Engine) sampleOne(rates []float64, p *Profile, seq int, rng *data.RNG, fails []trace.OpFailure) (trace.Run, []trace.OpFailure) {
-	run := trace.Run{
-		Flow:        p.Flow,
-		Seq:         seq,
-		FirstPassMs: p.FirstPassMs,
-		RowsLoaded:  p.RowsLoaded,
-		Succeeded:   true,
-		Reached:     len(rates),
+// failurePattern is what the failure model draws for one failure
+// signature: the flow name, the failure rates in topological order and, per
+// run, which operations failed.
+type failurePattern struct {
+	flow  string
+	rates []float64
+	runs  []runPattern
+}
 
-		OutRows:      p.OutRows,
-		OutNullCells: p.OutNullCells,
-		OutDupRows:   p.OutDupRows,
-		OutErrRows:   p.OutErrRows,
-		OutCells:     p.OutCells,
-	}
-	budget := e.cfg.RetryBudget
-	start := len(fails)
-	for i, rate := range rates {
-		// Each attempt of the operation may fail independently; a failed
-		// attempt forces re-execution from the nearest upstream savepoint.
-		n := 0
-		for rng.Bool(rate) {
-			n++
-			run.FailureCount++
-			run.RecoveryMs += p.RestartMs[i]
-			if p.RestartFromCheckpoint[i] {
-				run.CheckpointsUsed++
+// runPattern is the failure outcome of one sampled run. failed lists the
+// operations that failed at least once in topological order; every run's
+// list is a capacity-clamped window of one backing array.
+type runPattern struct {
+	failed    []trace.OpFailure
+	failures  int
+	succeeded bool
+	reached   int
+}
+
+// drawFailures samples runs executions of a flow with the given failure
+// rates: each attempt of an operation fails independently, and a run fails
+// once its failures exceed the retry budget.
+func (e *Engine) drawFailures(flow string, rates []float64, runs int) *failurePattern {
+	root := data.NewRNG(e.cfg.Seed ^ hashString(flow) ^ 0x5851F42D4C957F2D)
+	fp := &failurePattern{flow: flow, rates: rates, runs: make([]runPattern, runs)}
+	var fails []trace.OpFailure
+	for r := range fp.runs {
+		rng := root.Fork()
+		rp := runPattern{succeeded: true, reached: len(rates)}
+		start := len(fails)
+		for i, rate := range rates {
+			n := 0
+			for rng.Bool(rate) {
+				n++
+				rp.failures++
+				if rp.failures > e.cfg.RetryBudget {
+					rp.succeeded = false
+					break
+				}
 			}
-			if run.FailureCount > budget {
-				run.Succeeded = false
+			if n > 0 {
+				fails = append(fails, trace.OpFailure{Op: i, Failures: n})
+			}
+			if !rp.succeeded {
+				rp.reached = i + 1
 				break
 			}
 		}
-		if n > 0 {
-			fails = append(fails, trace.OpFailure{Op: i, Failures: n})
+		if len(fails) > start {
+			rp.failed = fails[start:len(fails):len(fails)]
 		}
-		if !run.Succeeded {
-			run.Reached = i + 1
-			break
+		fp.runs[r] = rp
+	}
+	return fp
+}
+
+// failureMemoPatterns bounds a failureMemo: once it holds this many
+// patterns, further signatures are drawn but not remembered.
+const failureMemoPatterns = 1 << 12
+
+// failureMemo remembers the failure pattern of each failure signature an
+// engine has sampled. Patterns are found by a hash of the signature and
+// confirmed by comparing it exactly, so a hash collision costs a draw,
+// never a wrong answer. A lookup reads the rates straight from the graph,
+// so a hit allocates nothing per node. It is safe for concurrent use; the
+// zero value is empty.
+type failureMemo struct {
+	mu sync.RWMutex
+	m  map[uint64][]*failurePattern
+	n  int
+}
+
+// get returns the failure pattern of g's signature for profile p and runs
+// runs, drawing it with draw on a miss.
+func (m *failureMemo) get(g *etl.Graph, p *Profile, runs int, draw func(string, []float64, int) *failurePattern) *failurePattern {
+	h := hashStringInto(hashOrdinal(runs), p.Flow)
+	for _, id := range p.Order {
+		h = (h ^ math.Float64bits(g.Node(id).Cost.FailureRate)) * fnvPrime
+	}
+	m.mu.RLock()
+	for _, fp := range m.m[h] {
+		if fp.matches(g, p, runs) {
+			m.mu.RUnlock()
+			return fp
 		}
 	}
-	if len(fails) > start {
-		run.Failed = fails[start:len(fails):len(fails)]
+	m.mu.RUnlock()
+
+	rates := make([]float64, len(p.Order))
+	for i, id := range p.Order {
+		rates[i] = g.Node(id).Cost.FailureRate
 	}
-	run.CycleTimeMs = run.FirstPassMs + run.RecoveryMs
-	if !run.Succeeded {
-		run.RowsLoaded = 0
+	fp := draw(p.Flow, rates, runs)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, got := range m.m[h] {
+		if got.matches(g, p, runs) {
+			return got // a concurrent draw of the same signature won
+		}
 	}
-	return run, fails
+	if m.n < failureMemoPatterns {
+		if m.m == nil {
+			m.m = map[uint64][]*failurePattern{}
+		}
+		m.m[h] = append(m.m[h], fp)
+		m.n++
+	}
+	return fp
+}
+
+// matches reports whether the pattern was drawn for g's signature.
+func (fp *failurePattern) matches(g *etl.Graph, p *Profile, runs int) bool {
+	if fp.flow != p.Flow || len(fp.runs) != runs || len(fp.rates) != len(p.Order) {
+		return false
+	}
+	for i, id := range p.Order {
+		if math.Float64bits(fp.rates[i]) != math.Float64bits(g.Node(id).Cost.FailureRate) {
+			return false
+		}
+	}
+	return true
 }
 
 // opStats returns the per-operation statistics of the profiled flow in

@@ -44,7 +44,7 @@ func TestSampleFailureFree(t *testing.T) {
 		if !r.Succeeded || r.FailureCount != 0 || r.RecoveryMs != 0 {
 			t.Fatalf("failure-free flow produced failures: %+v", r)
 		}
-		if r.CycleTimeMs != r.FirstPassMs {
+		if r.CycleTimeMs != p.FirstPassMs {
 			t.Error("cycle time should equal first pass without failures")
 		}
 	}
@@ -195,7 +195,7 @@ func TestSampleInvariants(t *testing.T) {
 			return false
 		}
 		for _, r := range e.Sample(g2, p2, int(runs%40)+1) {
-			if r.CycleTimeMs != r.FirstPassMs+r.RecoveryMs {
+			if r.CycleTimeMs != p2.FirstPassMs+r.RecoveryMs {
 				return false
 			}
 			if !r.Succeeded && r.RowsLoaded != 0 {

@@ -13,6 +13,7 @@ import (
 	"poiesis/internal/policy"
 	"poiesis/internal/sim"
 	"poiesis/internal/tpcds"
+	"poiesis/internal/trace"
 	"poiesis/internal/workloads"
 )
 
@@ -98,21 +99,18 @@ func TestArenaScratchNeverReachesCache(t *testing.T) {
 	}
 }
 
-// TestDeltaMatchesUncachedFullSpace is the full-space differential test of
-// the evaluation cache key: every alternative of an exhaustive depth-2
-// exploration of every builtin flow, and all 2,350 Fig. 4 alternatives, is
-// executed on one shared cache per space and must equal an uncached Execute.
-// A key that missed something the data path reads would splice a record
-// computed for different inputs or settings into some alternative here.
-func TestDeltaMatchesUncachedFullSpace(t *testing.T) {
-	const rows = 60
-	cfg := fig4Sim(rows)
-	type space struct {
-		name string
-		flow *etl.Graph
-		bind sim.Binding
-		alts []*etl.Graph
-	}
+// space is the exhaustive depth-2 alternative space of one flow.
+type space struct {
+	name string
+	flow *etl.Graph
+	bind sim.Binding
+	alts []*etl.Graph
+}
+
+// fullSpaces plans the exhaustive depth-2 space of every builtin flow and
+// the Fig. 4 space (2,350 alternatives) at the given scale.
+func fullSpaces(t *testing.T, rows int, cfg sim.Config) []space {
+	t.Helper()
 	var spaces []space
 	for _, name := range workloads.Names() {
 		flow, _ := workloads.Get(name)
@@ -136,8 +134,75 @@ func TestDeltaMatchesUncachedFullSpace(t *testing.T) {
 	if len(alts) != 2350 {
 		t.Fatalf("Fig. 4 space has %d alternatives, want 2350", len(alts))
 	}
-	spaces = append(spaces, space{name: "fig4", flow: flow, bind: bind, alts: alts})
+	return append(spaces, space{name: "fig4", flow: flow, bind: bind, alts: alts})
+}
 
+// TestSampleMemoMatchesUnmemoized samples every alternative of every full
+// space on one engine from several goroutines at once, each starting at a
+// different alternative, so signatures are drawn, stored and hit
+// concurrently (run with -race as well). Every memoized Sample must equal
+// an unmemoized draw exactly, and the memo must hold fewer patterns than
+// there are alternatives: alternatives share failure signatures.
+func TestSampleMemoMatchesUnmemoized(t *testing.T) {
+	const rows = 60
+	cfg := fig4Sim(rows)
+	type sampled struct {
+		name string
+		g    *etl.Graph
+		p    *sim.Profile
+		want []trace.Run
+	}
+	var all []sampled
+	ref := sim.NewEngine(cfg)
+	for _, sp := range fullSpaces(t, rows, cfg) {
+		cache := sim.NewEvalCache()
+		for i, g := range append([]*etl.Graph{sp.flow}, sp.alts...) {
+			p, err := ref.ExecuteDeltaStats(g, sp.bind, cache, nil)
+			if err != nil {
+				t.Fatalf("%s alternative %d: %v", sp.name, i, err)
+			}
+			all = append(all, sampled{fmt.Sprintf("%s alternative %d", sp.name, i), g, p, ref.SampleUnmemoized(g, p, cfg.Runs)})
+		}
+	}
+	engine := sim.NewEngine(cfg)
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range all {
+				a := all[(k+w*len(all)/workers)%len(all)]
+				if got := engine.Sample(a.g, a.p, cfg.Runs); !reflect.DeepEqual(got, a.want) {
+					errs <- a.name + ": memoized Sample differs from an unmemoized draw"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := engine.FailurePatterns(); n == 0 || n >= len(all) {
+		t.Errorf("the memo holds %d failure patterns for %d alternatives", n, len(all))
+	} else {
+		t.Logf("%d alternatives, %d failure patterns", len(all), n)
+	}
+}
+
+// TestDeltaMatchesUncachedFullSpace is the full-space differential test of
+// the evaluation cache key: every alternative of an exhaustive depth-2
+// exploration of every builtin flow, and all 2,350 Fig. 4 alternatives, is
+// executed on one shared cache per space and must equal an uncached Execute.
+// A key that missed something the data path reads would splice a record
+// computed for different inputs or settings into some alternative here.
+func TestDeltaMatchesUncachedFullSpace(t *testing.T) {
+	const rows = 60
+	cfg := fig4Sim(rows)
+	spaces := fullSpaces(t, rows, cfg)
 	engine := sim.NewEngine(cfg)
 	total, mismatches := 0, 0
 	for _, sp := range spaces {

@@ -38,9 +38,16 @@ func (e *Engine) rowEvaluate(g *etl.Graph, bind Binding) (*Profile, *trace.Batch
 
 // rowExecute is Execute on the row oracle.
 func (e *Engine) rowExecute(g *etl.Graph, bind Binding) (*Profile, error) {
+	p, _, err := e.rowExecuteOutputs(g, bind)
+	return p, err
+}
+
+// rowExecuteOutputs is rowExecute that also returns every node's
+// pre-routing output rows, indexed by topological position.
+func (e *Engine) rowExecuteOutputs(g *etl.Graph, bind Binding) (*Profile, [][][]etl.Row, error) {
 	slots, pos, err := topoPositions(g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	order, _ := g.TopoOrder()
 	p := newProfile(g.Name, order)
@@ -65,7 +72,7 @@ func (e *Engine) rowExecute(g *etl.Graph, bind Binding) (*Profile, error) {
 		}
 		out, err := e.rowApply(g, n, in, bind)
 		if err != nil {
-			return nil, fmt.Errorf("sim: executing %s: %w", n, err)
+			return nil, nil, fmt.Errorf("sim: executing %s: %w", n, err)
 		}
 		outs[i] = out
 		f := 0
@@ -100,7 +107,7 @@ func (e *Engine) rowExecute(g *etl.Graph, bind Binding) (*Profile, error) {
 		p.OutDupRows += st.Duplicates
 		p.OutErrRows += st.Errors
 	}
-	return p, nil
+	return p, outs, nil
 }
 
 // rowFlatten merges output batches into one stream; a single batch is

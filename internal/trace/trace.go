@@ -8,6 +8,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"poiesis/internal/etl"
@@ -38,19 +39,21 @@ type OpFailure struct {
 	Failures int
 }
 
-// Run is the trace of one end-to-end execution of an ETL flow.
+// Run is the trace of one end-to-end execution of an ETL flow. It holds only
+// what differs between the runs of a batch: the failure-free makespan and
+// the output quality at the sinks are properties of the flow's profile
+// (sim.Profile), the same in every run, so measures read them there.
 type Run struct {
-	Flow string
 	// Seq is the ordinal of the run within a Monte-Carlo batch.
 	Seq int
 	// CycleTimeMs is the total wall-clock makespan including failure
-	// recovery re-execution.
+	// recovery re-execution: the profile's failure-free makespan plus
+	// RecoveryMs.
 	CycleTimeMs float64
-	// FirstPassMs is the makespan a failure-free execution would take.
-	FirstPassMs float64
 	// RecoveryMs is the extra time spent re-executing after failures.
 	RecoveryMs float64
-	// RowsLoaded is the number of rows delivered to all sinks.
+	// RowsLoaded is the number of rows delivered to all sinks: the
+	// profile's count when the run succeeded, 0 when it failed.
 	RowsLoaded int
 	// Succeeded reports whether the run finished within its retry budget.
 	Succeeded bool
@@ -63,17 +66,9 @@ type Run struct {
 	// executed: all of them, unless a failure exhausted the retry budget.
 	Reached int
 	// Failed lists the operations that failed at least once, in
-	// topological order. Most runs have none.
+	// topological order. Most runs have none. Runs with the same failures
+	// may share the list, so it is read-only.
 	Failed []OpFailure
-
-	// Output quality, observed at the sinks.
-	OutRows      int
-	OutNullCells int
-	OutDupRows   int
-	OutErrRows   int
-	// OutCells is OutRows * attribute count, the denominator for
-	// completeness.
-	OutCells int
 }
 
 // Batch is a set of runs of the same flow under the same configuration,
@@ -160,7 +155,10 @@ func (b *Batch) WithinDeadlineRate(deadlineMs float64) float64 {
 // over successful runs, using nearest-rank. Returns 0 when no run succeeded.
 // Tail latency (p95/p99) is what delivery deadlines are really set against.
 func (b *Batch) PercentileCycleTime(p float64) float64 {
-	var times []float64
+	// A stack buffer holds the usual Monte-Carlo batch; larger ones spill
+	// to the heap.
+	var buf [64]float64
+	times := buf[:0]
 	for _, r := range b.Runs {
 		if r.Succeeded {
 			times = append(times, r.CycleTimeMs)
@@ -169,7 +167,7 @@ func (b *Batch) PercentileCycleTime(p float64) float64 {
 	if len(times) == 0 {
 		return 0
 	}
-	sort.Float64s(times)
+	slices.Sort(times) // NaNs first, as sort.Float64s orders them
 	if p <= 0 {
 		return times[0]
 	}

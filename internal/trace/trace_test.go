@@ -9,10 +9,10 @@ func batch() *Batch {
 	return &Batch{
 		Flow: "t",
 		Runs: []Run{
-			{Seq: 0, CycleTimeMs: 100, FirstPassMs: 100, RecoveryMs: 0, Succeeded: true},
-			{Seq: 1, CycleTimeMs: 150, FirstPassMs: 100, RecoveryMs: 50, Succeeded: true},
-			{Seq: 2, CycleTimeMs: 400, FirstPassMs: 100, RecoveryMs: 300, Succeeded: false},
-			{Seq: 3, CycleTimeMs: 120, FirstPassMs: 100, RecoveryMs: 20, Succeeded: true},
+			{Seq: 0, CycleTimeMs: 100, RecoveryMs: 0, Succeeded: true},
+			{Seq: 1, CycleTimeMs: 150, RecoveryMs: 50, Succeeded: true},
+			{Seq: 2, CycleTimeMs: 400, RecoveryMs: 300, Succeeded: false},
+			{Seq: 3, CycleTimeMs: 120, RecoveryMs: 20, Succeeded: true},
 		},
 		SourceUpdatesPerHour: 2,
 		PeriodMinutes:        60,
@@ -145,5 +145,35 @@ func TestMean(t *testing.T) {
 	}
 	if got := (&Batch{}).Mean(func(Run) float64 { return 1 }); got != 0 {
 		t.Errorf("empty mean = %f", got)
+	}
+}
+
+// PercentileCycleTime runs once per percentile measure per evaluated
+// alternative, so a Monte-Carlo batch of the usual size sorts on the stack.
+func TestPercentileCycleTimeAllocations(t *testing.T) {
+	b := &Batch{}
+	for i := range 64 {
+		b.Runs = append(b.Runs, Run{CycleTimeMs: float64((i * 37) % 64), Succeeded: i%5 != 0})
+	}
+	if got := testing.AllocsPerRun(100, func() { b.PercentileCycleTime(0.95) }); got != 0 {
+		t.Errorf("PercentileCycleTime allocates %.0f objects on %d runs, want 0", got, len(b.Runs))
+	}
+}
+
+// NaN cycle times sort first, as they did under sort.Float64s.
+func TestPercentileCycleTimeNaN(t *testing.T) {
+	b := &Batch{Runs: []Run{
+		{CycleTimeMs: 5, Succeeded: true},
+		{CycleTimeMs: math.NaN(), Succeeded: true},
+		{CycleTimeMs: 3, Succeeded: true},
+	}}
+	if got := b.PercentileCycleTime(0); !math.IsNaN(got) {
+		t.Errorf("p0 = %v, want NaN", got)
+	}
+	if got := b.PercentileCycleTime(1); got != 5 {
+		t.Errorf("p100 = %v, want 5", got)
+	}
+	if got := b.PercentileCycleTime(0.5); got != 3 {
+		t.Errorf("p50 = %v, want 3", got)
 	}
 }
