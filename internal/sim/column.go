@@ -650,13 +650,13 @@ func (w *columnBuilder) appendNull() {
 	w.n++
 }
 
-// appendFrom appends cells idx of source column c (physical indices; -1
-// appends NULL). The source must either match the builder's kind, be all-NULL,
-// or the builder must be storeAny.
+// appendFrom appends cells idx (physical indices) of source column c. The
+// source must either match the builder's kind, be all-NULL, or the builder
+// must be storeAny.
 func (w *columnBuilder) appendFrom(c *column, idx []int32) {
 	if c.kind == w.col.kind && c.kind != storeAny && c.kind != storeNull {
 		for _, p := range idx {
-			if p < 0 || c.nullAt(int(p)) {
+			if c.nullAt(int(p)) {
 				w.appendNull()
 				continue
 			}
@@ -682,10 +682,6 @@ func (w *columnBuilder) appendFrom(c *column, idx []int32) {
 	}
 	// Fallback: box through values (builder is storeAny, or kinds diverged).
 	for _, p := range idx {
-		if p < 0 {
-			w.appendNull()
-			continue
-		}
 		v := c.value(int(p))
 		if v == nil {
 			w.appendNull()

@@ -168,7 +168,7 @@ func (p *Profile) RestartsFromCheckpoint(id etl.NodeID) bool {
 }
 
 // Engine executes flows. Besides its configuration it holds only a memo of
-// the failure patterns Sample has drawn (see failureMemo), which depends on
+// the failure patterns Sample has drawn (see failuresOf), which depends on
 // nothing but that configuration; methods are safe for concurrent use with
 // distinct arguments.
 type Engine struct {

@@ -23,7 +23,7 @@ import (
 // signature: its name (which seeds the sampler), the run count and its
 // failure rates in topological order; the engine fixes the seed and the
 // retry budget. The planner's alternatives share few signatures, so the
-// engine draws each signature's failures once (see failureMemo) and every
+// engine draws each signature's failures once (see failuresOf) and every
 // alternative adds only its own restart times and savepoint flags over
 // them. The runs' Failed lists are shared with the memo and must not be
 // modified.
@@ -31,7 +31,7 @@ func (e *Engine) Sample(g *etl.Graph, p *Profile, runs int) []trace.Run {
 	if runs <= 0 {
 		runs = e.cfg.Runs
 	}
-	fp := e.failures.get(g, p, runs, e.drawFailures)
+	fp := e.failuresOf(g, p, runs)
 	out := make([]trace.Run, runs)
 	for i, rp := range fp.runs {
 		run := trace.Run{
@@ -121,20 +121,21 @@ func (e *Engine) drawFailures(flow string, rates []float64, runs int) *failurePa
 const failureMemoPatterns = 1 << 12
 
 // failureMemo remembers the failure pattern of each failure signature an
-// engine has sampled. Patterns are found by a hash of the signature and
-// confirmed by comparing it exactly, so a hash collision costs a draw,
-// never a wrong answer. A lookup reads the rates straight from the graph,
-// so a hit allocates nothing per node. It is safe for concurrent use; the
-// zero value is empty.
+// engine has sampled, by a hash of the signature. It is safe for concurrent
+// use; the zero value is empty.
 type failureMemo struct {
 	mu sync.RWMutex
 	m  map[uint64][]*failurePattern
 	n  int
 }
 
-// get returns the failure pattern of g's signature for profile p and runs
-// runs, drawing it with draw on a miss.
-func (m *failureMemo) get(g *etl.Graph, p *Profile, runs int, draw func(string, []float64, int) *failurePattern) *failurePattern {
+// failuresOf returns the failure pattern of the profiled flow's
+// signature for runs runs, from the memo or, on a miss, drawn and stored.
+// Patterns are confirmed by comparing the signature exactly, so a hash
+// collision costs a draw, never a wrong answer. The signature's rates are
+// read straight from the graph, so a hit allocates nothing per node.
+func (e *Engine) failuresOf(g *etl.Graph, p *Profile, runs int) *failurePattern {
+	m := &e.failures
 	h := hashStringInto(hashOrdinal(runs), p.Flow)
 	for _, id := range p.Order {
 		h = (h ^ math.Float64bits(g.Node(id).Cost.FailureRate)) * fnvPrime
@@ -152,7 +153,7 @@ func (m *failureMemo) get(g *etl.Graph, p *Profile, runs int, draw func(string, 
 	for i, id := range p.Order {
 		rates[i] = g.Node(id).Cost.FailureRate
 	}
-	fp := draw(p.Flow, rates, runs)
+	fp := e.drawFailures(p.Flow, rates, runs)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, got := range m.m[h] {
