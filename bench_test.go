@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"text/tabwriter"
 
 	"poiesis"
 	"poiesis/internal/core"
@@ -104,7 +105,19 @@ func printFig1(name string, r *measures.Report) {
 	add(measures.Manageability, measures.MCoupling, "edges/node (coupling)")
 	add(measures.Manageability, measures.MMergeCount, "ops (# merge elements)")
 	fmt.Printf("\n[Fig.1] quality measures — %s\n%s\n", name,
-		viz.Table([]string{"characteristic", "measure", "value", "unit"}, rows))
+		tabulate([]string{"characteristic", "measure", "value", "unit"}, rows))
+}
+
+// tabulate aligns the header and rows into columns.
+func tabulate(headers []string, rows [][]string) string {
+	var b strings.Builder
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(w, strings.Join(headers, "\t"))
+	for _, r := range rows {
+		fmt.Fprintln(w, strings.Join(r, "\t"))
+	}
+	w.Flush()
+	return b.String()
 }
 
 // -----------------------------------------------------------------------
@@ -377,7 +390,7 @@ func BenchmarkFig6PatternPalette(b *testing.B) {
 			})
 		}
 		fmt.Printf("\n[Fig.6] FCP palette vs related quality attribute (best application point)\n%s\n",
-			viz.Table([]string{"FCP", "related attribute", "initial score", "score after", "verdict"}, out))
+			tabulate([]string{"FCP", "related attribute", "initial score", "score after", "verdict"}, out))
 	})
 }
 
@@ -483,17 +496,17 @@ func BenchmarkS1SpaceGrowth(b *testing.B) {
 		n := n
 		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {
 			g := chainFlow(n)
+			pats, err := fcp.DefaultRegistry().Palette()
+			if err != nil {
+				b.Fatal(err)
+			}
 			var points int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				counts, err := core.CountApplicationPoints(nil, g)
-				if err != nil {
-					b.Fatal(err)
-				}
 				points = 0
-				for _, c := range counts {
-					points += c
+				for _, pat := range pats {
+					points += len(fcp.ApplicationPoints(pat, g))
 				}
 			}
 			b.StopTimer()
@@ -543,11 +556,6 @@ func BenchmarkA1SkylineAlgorithms(b *testing.B) {
 				skyline.Naive(pts)
 			}
 		})
-		b.Run(fmt.Sprintf("sortfilter/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				skyline.SortFilter(pts)
-			}
-		})
 		b.Run(fmt.Sprintf("incremental/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				inc := skyline.NewIncremental()
@@ -558,16 +566,6 @@ func BenchmarkA1SkylineAlgorithms(b *testing.B) {
 			}
 		})
 	}
-	pts2 := make([][]float64, 10000)
-	for i := range pts2 {
-		x := rng.Float64()
-		pts2[i] = []float64{x, 1 - x + 0.05*rng.Float64()}
-	}
-	b.Run("sweep2d/n=10000", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			skyline.Sweep2D(pts2)
-		}
-	})
 }
 
 // -----------------------------------------------------------------------

@@ -280,17 +280,15 @@ func (c *Cluster) markDown(p *peer) {
 // within one cooldown without any background loop.
 func (c *Cluster) available(ctx context.Context, p *peer) (ok bool, retryAfter time.Duration) {
 	now := c.now()
+	// One read: a concurrent successful probe may zero downUntil at any
+	// moment, and a second read would then yield a negative wait.
 	p.mu.Lock()
-	down := p.downUntil.After(now)
-	wasDown := !p.downUntil.IsZero()
+	until := p.downUntil
 	p.mu.Unlock()
-	if down {
-		p.mu.Lock()
-		retryAfter = p.downUntil.Sub(now)
-		p.mu.Unlock()
-		return false, retryAfter
+	if until.After(now) {
+		return false, until.Sub(now)
 	}
-	if wasDown {
+	if !until.IsZero() {
 		if !c.probe(ctx, p) {
 			c.markDown(p)
 			return false, c.cooldown

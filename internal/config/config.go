@@ -191,6 +191,23 @@ func (cd ConstraintDoc) build() (policy.Constraint, error) {
 	}
 }
 
+// Planner materialises a planner from the document's registry and options.
+// A nil document yields the default planner.
+func (d *Document) Planner() (*core.Planner, error) {
+	if d == nil {
+		return core.NewPlanner(nil, core.Options{}), nil
+	}
+	reg, err := d.Registry()
+	if err != nil {
+		return nil, err
+	}
+	opts, err := d.Options()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewPlanner(reg, opts), nil
+}
+
 // Registry builds the pattern registry: the default palette extended with
 // the document's custom patterns.
 func (d *Document) Registry() (*fcp.Registry, error) {

@@ -14,7 +14,7 @@ import (
 // planSequential is the behavioural oracle for the streaming pipeline: the
 // three planner stages run strictly in order on one goroutine — breadth-first
 // generation of the whole space, then evaluation of every alternative, then
-// constraint filtering and one O(n²) skyline pass (skyline.Compute). It
+// constraint filtering and one O(n²) skyline pass (skyline.Naive). It
 // honours every result-relevant option and reports no stage timings. It
 // applies and fingerprints every candidate, so it is also the oracle for the
 // streaming planner's commutation skip. Its switches (oracleMode) reach the
@@ -85,7 +85,7 @@ func planSequentialWith(t testing.TB, reg *fcp.Registry, initial *etl.Graph, bin
 	for i := range res.Alternatives {
 		vecs[i] = res.Alternatives[i].Report.Vector(opts.Dims)
 	}
-	res.SkylineIdx = skyline.Compute(vecs)
+	res.SkylineIdx = skyline.Naive(vecs)
 	return res
 }
 

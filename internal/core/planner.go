@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"poiesis/internal/etl"
@@ -336,40 +335,4 @@ func shortFingerprint(g *etl.Graph) string {
 		fp = fp[:16]
 	}
 	return fp
-}
-
-// CountApplicationPoints returns, per pattern name, how many valid
-// application points exist on the flow. Benchmark S1 uses it to reproduce
-// the "complexity ... is factorial to the size of the graph" claim.
-func CountApplicationPoints(reg *fcp.Registry, g *etl.Graph, palette ...string) (map[string]int, error) {
-	if reg == nil {
-		reg = fcp.DefaultRegistry()
-	}
-	pats, err := reg.Palette(palette...)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(pats))
-	for _, pat := range pats {
-		out[pat.Name()] = len(fcp.ApplicationPoints(pat, g))
-	}
-	return out, nil
-}
-
-// SortAlternativesByUtility orders alternatives best-first under the goals
-// (stable; ties by label).
-func SortAlternativesByUtility(alts []Alternative, goals policy.Goals) {
-	sort.SliceStable(alts, func(i, j int) bool {
-		ui, uj := 0.0, 0.0
-		if alts[i].Report != nil {
-			ui = goals.Utility(alts[i].Report)
-		}
-		if alts[j].Report != nil {
-			uj = goals.Utility(alts[j].Report)
-		}
-		if ui != uj {
-			return ui > uj
-		}
-		return alts[i].Label() < alts[j].Label()
-	})
 }

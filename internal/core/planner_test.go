@@ -291,9 +291,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 func TestCountApplicationPoints(t *testing.T) {
 	g := tpcds.PurchasesFlow()
-	counts, err := CountApplicationPoints(nil, g)
+	pats, err := fcp.DefaultRegistry().Palette()
 	if err != nil {
 		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, pat := range pats {
+		counts[pat.Name()] = len(fcp.ApplicationPoints(pat, g))
 	}
 	if counts[fcp.NameAddCheckpoint] == 0 {
 		t.Error("no checkpoint points on the purchases flow")
@@ -301,22 +305,8 @@ func TestCountApplicationPoints(t *testing.T) {
 	if counts[fcp.NameParallelizeTask] != 1 {
 		t.Errorf("parallelize points = %d, want 1 (the heavy derive)", counts[fcp.NameParallelizeTask])
 	}
-	if _, err := CountApplicationPoints(nil, g, "bogus"); err == nil {
+	if _, err := fcp.DefaultRegistry().Palette("bogus"); err == nil {
 		t.Error("unknown pattern should fail")
-	}
-}
-
-func TestSortAlternativesByUtility(t *testing.T) {
-	res := plan(t, smallOptions())
-	goals := policy.NewGoals(map[measures.Characteristic]float64{
-		measures.Reliability: 1,
-	})
-	alts := append([]Alternative(nil), res.Alternatives...)
-	SortAlternativesByUtility(alts, goals)
-	for i := 0; i+1 < len(alts); i++ {
-		if goals.Utility(alts[i].Report) < goals.Utility(alts[i+1].Report) {
-			t.Fatal("not sorted by utility")
-		}
 	}
 }
 

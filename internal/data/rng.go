@@ -42,30 +42,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// NormFloat64 returns a normally distributed float64 (mean 0, stddev 1)
-// using the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Exp returns an exponentially distributed float64 with the given rate.
-// The simulator draws inter-failure times from it.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // Zipf returns a Zipf-distributed int in [0, n) with skew s > 1, using
 // rejection-inversion-free simple inversion over precomputed mass would be
 // heavy; for workload generation purposes a bounded power-law draw is

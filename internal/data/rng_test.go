@@ -86,45 +86,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(5)
-	n := 50000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if math.Abs(mean) > 0.03 {
-		t.Errorf("mean = %f", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("variance = %f", variance)
-	}
-}
-
-func TestExp(t *testing.T) {
-	r := NewRNG(5)
-	n := 50000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exp(2)
-		if v < 0 {
-			t.Fatal("Exp must be non-negative")
-		}
-		sum += v
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-0.5) > 0.02 {
-		t.Errorf("Exp(2) mean = %f, want ~0.5", mean)
-	}
-	if !math.IsInf(r.Exp(0), 1) {
-		t.Error("Exp(0) should be +Inf")
-	}
-}
-
 func TestZipfBoundsAndSkew(t *testing.T) {
 	r := NewRNG(9)
 	counts := make([]int, 10)

@@ -117,27 +117,6 @@ func (g *Graph) Components() int {
 	return n
 }
 
-// Reachable returns the set of nodes reachable from id (excluding id itself
-// unless it lies on a cycle, which Validate forbids).
-func (g *Graph) Reachable(id NodeID) map[NodeID]bool {
-	out := map[NodeID]bool{}
-	s, ok := g.slotOf(id)
-	if !ok {
-		return out
-	}
-	stack := append([]int32(nil), g.succ[s]...)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if out[g.nodes[cur].ID] {
-			continue
-		}
-		out[g.nodes[cur].ID] = true
-		stack = append(stack, g.succ[cur]...)
-	}
-	return out
-}
-
 // UpstreamDistance returns the minimum number of edges from any source
 // operation to node id: 0 for a source, an unknown node or a cyclic graph.
 // Cleaning-pattern heuristics prefer application points with a small

@@ -88,19 +88,6 @@ func TestCyclomaticAndComponents(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := diamondFlow(t)
-	r := g.Reachable("split")
-	for _, want := range []NodeID{"a", "b", "merge", "load"} {
-		if !r[want] {
-			t.Errorf("%s should be reachable from split", want)
-		}
-	}
-	if r["src"] || r["split"] {
-		t.Error("reachability includes non-descendants")
-	}
-}
-
 func TestUpstreamDistance(t *testing.T) {
 	g := diamondFlow(t)
 	want := map[NodeID]int{"src": 0, "split": 1, "a": 2, "b": 2, "merge": 3, "load": 4, "unknown": 0}

@@ -71,21 +71,6 @@ func (b *Builder) Op(id NodeID, name string, kind OpKind, out Schema) *Builder {
 	return b
 }
 
-// Chain wires an edge cursor -> id and moves the cursor to id. Use it to fan
-// existing nodes together.
-func (b *Builder) Chain(id NodeID) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if b.last != "" {
-		if err := b.g.AddEdge(b.last, id); err != nil {
-			return b.fail(err)
-		}
-	}
-	b.last = id
-	return b
-}
-
 // Edge adds an explicit edge without moving the cursor.
 func (b *Builder) Edge(from, to NodeID) *Builder {
 	if b.err != nil {
@@ -94,31 +79,6 @@ func (b *Builder) Edge(from, to NodeID) *Builder {
 	if err := b.g.AddEdge(from, to); err != nil {
 		return b.fail(err)
 	}
-	return b
-}
-
-// At moves the cursor to an existing node.
-func (b *Builder) At(id NodeID) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if b.g.Node(id) == nil {
-		return b.fail(fmt.Errorf("%w: %s", ErrUnknownNode, id))
-	}
-	b.last = id
-	return b
-}
-
-// Configure runs fn on the node under the cursor, for cost or parameter
-// overrides.
-func (b *Builder) Configure(fn func(*Node)) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if b.last == "" {
-		return b.fail(fmt.Errorf("etl: Configure with no cursor node"))
-	}
-	fn(b.g.Node(b.last))
 	return b
 }
 

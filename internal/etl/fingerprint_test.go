@@ -579,29 +579,18 @@ func TestNodeCloneCopiesEveryField(t *testing.T) {
 func TestCopiedNodesStartWithoutDigest(t *testing.T) {
 	src := diamondFlow(t)
 	src.Fingerprint() // memoizes every source node's digest
-	check := func(what string, g *Graph) {
-		t.Helper()
-		for _, n := range g.Nodes() {
-			if n.dig.Load() != nil {
-				t.Errorf("%s: the copy of %s carries a digest memo", what, n.ID)
-			}
+	for _, n := range src.Nodes() {
+		if n.Clone().dig.Load() != nil {
+			t.Errorf("Clone: the copy of %s carries a digest memo", n.ID)
 		}
 	}
-	sub, err := src.Subflow("piece", "split", "a", "merge")
-	if err != nil {
-		t.Fatal(err)
+	// A clone shares its nodes until MutableNode copies one.
+	c := src.Clone()
+	for _, id := range src.NodeIDs() {
+		if c.MutableNode(id).dig.Load() != nil {
+			t.Errorf("MutableNode: the copy of %s carries a digest memo", id)
+		}
 	}
-	check("Subflow", sub)
-	woven := New("host")
-	if err := woven.Weave(src, "P"); err != nil {
-		t.Fatal(err)
-	}
-	check("Weave", woven)
-	merged := New("host")
-	if err := merged.Merge(src); err != nil {
-		t.Fatal(err)
-	}
-	check("Merge", merged)
 }
 
 // Evaluation workers fingerprint and cone-key clones that share nodes, so

@@ -42,7 +42,7 @@ func (g *Graph) InsertOnEdge(from, to NodeID, chain ...*Node) error {
 // ReplaceNode substitutes node id by a sub-flow. Every predecessor of id is
 // connected to entry, every successor to exit; the replaced node is removed.
 // entry and exit may be the same node. All sub-flow nodes must already be in
-// the graph (use Weave to add them first) or be supplied via nodes.
+// the graph (added with AddNode) or be supplied via nodes.
 //
 // This is the primitive behind node-applicable patterns (P_V): "a valid
 // application point for the ParallelizeTask pattern is a node that can be
@@ -76,45 +76,6 @@ func (g *Graph) ReplaceNode(id NodeID, entry, exit NodeID, nodes ...*Node) error
 	}
 	for _, s := range succs {
 		if err := g.AddEdge(exit, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Weave adds all nodes and internal edges of a sub-flow to the graph without
-// connecting it to anything. The caller wires entry/exit edges afterwards.
-// All sub-flow nodes are marked Generated with the given pattern name.
-func (g *Graph) Weave(sub *Graph, pattern string) error {
-	for _, n := range sub.Nodes() {
-		c := n.Clone()
-		c.Generated = true
-		c.PatternName = pattern
-		if err := g.AddNode(c); err != nil {
-			return err
-		}
-	}
-	for _, e := range sub.Edges() {
-		if err := g.AddEdge(e.From, e.To); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Merge integrates another flow into g (disjoint node sets required). It is
-// the process-integration step of Jovanovic et al. (DaWaK 2012) that the
-// Planner performs when the user accepts a design: "these patterns are in
-// the form of process components and the Planner carefully merges them to
-// the existing process".
-func (g *Graph) Merge(other *Graph) error {
-	for _, n := range other.Nodes() {
-		if err := g.AddNode(n.Clone()); err != nil {
-			return err
-		}
-	}
-	for _, e := range other.Edges() {
-		if err := g.AddEdge(e.From, e.To); err != nil {
 			return err
 		}
 	}
@@ -158,29 +119,4 @@ func (g *Graph) SwapWithPredecessor(id NodeID) error {
 		return err
 	}
 	return nil
-}
-
-// Subflow extracts the induced sub-graph over the given node IDs as a new
-// Graph (deep copies). Edges with an endpoint outside the set are dropped.
-func (g *Graph) Subflow(name string, ids ...NodeID) (*Graph, error) {
-	sub := New(name)
-	in := map[NodeID]bool{}
-	for _, id := range ids {
-		n := g.Node(id)
-		if n == nil {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownNode, id)
-		}
-		in[id] = true
-		if err := sub.AddNode(n.Clone()); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range g.Edges() {
-		if in[e.From] && in[e.To] {
-			if err := sub.AddEdge(e.From, e.To); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sub, nil
 }

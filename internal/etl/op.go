@@ -122,16 +122,6 @@ func (k OpKind) IsBlocking() bool {
 	return false
 }
 
-// IsCleaning reports whether the operation improves data quality by removing
-// or fixing defective rows. The clean-near-source heuristic binds to these.
-func (k OpKind) IsCleaning() bool {
-	switch k {
-	case OpFilterNull, OpDedup, OpCrosscheck:
-		return true
-	}
-	return false
-}
-
 // IsPassThrough reports whether the simulator hands the operation's input
 // rows on unchanged: its effect is on timing, recovery or security, not on
 // the data. With one input, such a node's output is that input's stream, so

@@ -48,14 +48,6 @@ func TestOpKindClassification(t *testing.T) {
 			t.Errorf("%v should not be blocking", k)
 		}
 	}
-	for _, k := range []OpKind{OpFilterNull, OpDedup, OpCrosscheck} {
-		if !k.IsCleaning() {
-			t.Errorf("%v should be cleaning", k)
-		}
-	}
-	if OpFilter.IsCleaning() {
-		t.Error("plain filter is not a cleaning op")
-	}
 }
 
 func TestOpKindArity(t *testing.T) {
@@ -152,13 +144,9 @@ func TestEdgeString(t *testing.T) {
 }
 
 func TestBuilderErrorPaths(t *testing.T) {
-	// Configure without cursor.
-	if _, err := NewBuilder("x").Configure(func(*Node) {}).Build(); err == nil {
-		t.Error("Configure without cursor should fail")
-	}
-	// At unknown node.
-	if _, err := NewBuilder("x").At("zz").Build(); err == nil {
-		t.Error("At unknown should fail")
+	// Edge between unknown nodes.
+	if _, err := NewBuilder("x").Edge("zz", "yy").Build(); err == nil {
+		t.Error("Edge between unknown nodes should fail")
 	}
 	// Duplicate explicit IDs.
 	s := NewSchema(Attribute{Name: "x", Type: TypeInt})
@@ -169,8 +157,8 @@ func TestBuilderErrorPaths(t *testing.T) {
 		t.Error("duplicate ID should fail")
 	}
 	// Errors stick: later calls are no-ops.
-	b := NewBuilder("x").At("zz")
-	b.Op("a", "a", OpExtract, s).Edge("a", "b")
+	b := NewBuilder("x").Edge("zz", "yy")
+	b.Op("a", "a", OpExtract, s).Op("b", "DW", OpLoad, Schema{})
 	if _, err := b.Build(); err == nil {
 		t.Error("error should persist")
 	}
@@ -188,7 +176,7 @@ func TestBuilderChainAndAdd(t *testing.T) {
 	b := NewBuilder("x")
 	b.Add(NewNode("src", "S", OpExtract, s))
 	b.Add(NewNode("mid", "conv", OpConvert, s))
-	b.At("src").Chain("mid")
+	b.Edge("src", "mid")
 	b.Op("ld", "DW", OpLoad, Schema{})
 	g, err := b.Build()
 	if err != nil {

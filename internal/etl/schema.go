@@ -199,17 +199,6 @@ func (s Schema) Names() []string {
 	return out
 }
 
-// Keys returns the key attributes in schema order.
-func (s Schema) Keys() []Attribute {
-	var out []Attribute
-	for _, a := range s.Attrs {
-		if a.Key {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // HasNullable reports whether any attribute is nullable. The
 // FilterNullValues pattern is only applicable where nullable fields exist.
 func (s Schema) HasNullable() bool {
@@ -294,19 +283,6 @@ func (s Schema) Equal(other Schema) bool {
 	}
 	for i := range s.Attrs {
 		if s.Attrs[i] != other.Attrs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Compatible reports whether rows of schema s can be consumed by an operation
-// expecting schema other: every attribute of other must exist in s with the
-// same type. Extra attributes in s are allowed (they are projected away).
-func (s Schema) Compatible(other Schema) bool {
-	for _, want := range other.Attrs {
-		got, ok := s.Attr(want.Name)
-		if !ok || got.Type != want.Type {
 			return false
 		}
 	}

@@ -79,9 +79,6 @@ func TestSchemaBasics(t *testing.T) {
 	if got := s.Names(); len(got) != 3 || got[0] != "id" || got[2] != "price" {
 		t.Errorf("Names = %v", got)
 	}
-	if keys := s.Keys(); len(keys) != 1 || keys[0].Name != "id" {
-		t.Errorf("Keys = %v", keys)
-	}
 	if !s.HasNullable() || !s.HasNumeric() || !s.HasKey() {
 		t.Error("Has* predicates misbehave")
 	}
@@ -148,17 +145,6 @@ func TestSchemaEqualAndCompatible(t *testing.T) {
 	}
 	if s.Equal(s.Project("id")) {
 		t.Error("different schemata reported equal")
-	}
-	sub := s.Project("id", "price")
-	if !s.Compatible(sub) {
-		t.Error("superset schema should be compatible with subset")
-	}
-	if sub.Compatible(s) {
-		t.Error("subset schema should not satisfy superset")
-	}
-	wrongType := NewSchema(Attribute{Name: "id", Type: TypeString})
-	if s.Compatible(wrongType) {
-		t.Error("type mismatch should break compatibility")
 	}
 }
 

@@ -13,7 +13,6 @@ package measures
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -240,13 +239,4 @@ func pctChange(old, new float64) float64 {
 		return 100
 	}
 	return 100 * (new - old) / old
-}
-
-// SortedByImprovement returns the measure changes ordered best-first.
-func (c CharRelChange) SortedByImprovement() []RelChange {
-	out := append([]RelChange(nil), c.Measures...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].ImprovementPct > out[j].ImprovementPct
-	})
-	return out
 }

@@ -422,18 +422,6 @@ func TestPctChangeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSortedByImprovement(t *testing.T) {
-	c := CharRelChange{Measures: []RelChange{
-		{Name: "a", ImprovementPct: -5},
-		{Name: "b", ImprovementPct: 10},
-		{Name: "c", ImprovementPct: 2},
-	}}
-	got := c.SortedByImprovement()
-	if got[0].Name != "b" || got[1].Name != "c" || got[2].Name != "a" {
-		t.Errorf("sorted order = %v", got)
-	}
-}
-
 func TestRatioScoreShape(t *testing.T) {
 	if got := ratioScore(100, 100); got != 0.5 {
 		t.Errorf("x==ref should give 0.5, got %f", got)

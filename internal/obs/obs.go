@@ -177,44 +177,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) in seconds by linear
-// interpolation inside the bucket that contains it, the same estimate
-// Prometheus' histogram_quantile computes. Returns 0 with no observations;
-// observations beyond the last finite bound clamp to that bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= target {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			frac := (target - float64(cum)) / float64(n)
-			return lo + (h.bounds[i]-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 const (
 	typeCounter   = "counter"
 	typeGauge     = "gauge"

@@ -49,12 +49,6 @@ func itoa(v int64) string {
 	return string(buf[i:])
 }
 
-// SpanEvent is a point-in-time marker inside a span.
-type SpanEvent struct {
-	Name string    `json:"name"`
-	At   time.Time `json:"at"`
-}
-
 // Span is one node of a trace tree. The zero value is not usable; spans
 // come from Tracer.StartRequest/StartDetached or StartSpan. All methods
 // are safe on a nil receiver — instrumented code never needs to check
@@ -78,7 +72,6 @@ type Span struct {
 
 	mu     sync.Mutex
 	attrs  []Attr
-	events []SpanEvent
 	errMsg string
 	ended  bool
 }
@@ -151,17 +144,6 @@ func (s *Span) SetBool(k string, v bool) {
 	}
 }
 
-// Event records a point-in-time marker.
-func (s *Span) Event(name string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	//lint:ignore nodeterminism span events are wall-clock timestamps by definition, never fed to oracles
-	s.events = append(s.events, SpanEvent{Name: name, At: time.Now()})
-	s.mu.Unlock()
-}
-
 // Fail marks the span (and therefore the whole trace fragment) as errored.
 // An errored fragment is always published, overriding head sampling, so
 // failures are never lost to the sample rate.
@@ -207,7 +189,6 @@ func (s *Span) End() {
 		Start:    s.start,
 		Duration: end.Sub(s.start),
 		Attrs:    s.attrs,
-		Events:   s.events,
 		Err:      s.errMsg,
 	}
 	if !s.parent.IsZero() {
@@ -261,9 +242,6 @@ func SpanFrom(ctx context.Context) *Span {
 // Traced reports whether the context carries an active span. Hot paths
 // use it to skip attribute construction entirely when tracing is off.
 func Traced(ctx context.Context) bool { return SpanFrom(ctx) != nil }
-
-// TraceIDFrom returns the trace ID of the context's span, or "".
-func TraceIDFrom(ctx context.Context) string { return SpanFrom(ctx).TraceIDString() }
 
 // StartSpan opens a child span under the context's current span. When the
 // context carries no span (tracing disabled, or an uninstrumented entry

@@ -22,7 +22,6 @@ type SpanData struct {
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"durationNs"`
 	Attrs    []Attr        `json:"attrs,omitempty"`
-	Events   []SpanEvent   `json:"events,omitempty"`
 	Err      string        `json:"error,omitempty"`
 }
 

@@ -86,23 +86,6 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-// plannerFromDoc materialises a planner from a configuration document; a nil
-// document yields the default planner.
-func plannerFromDoc(doc *config.Document) (*core.Planner, error) {
-	if doc == nil {
-		return core.NewPlanner(nil, core.Options{}), nil
-	}
-	reg, err := doc.Registry()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := doc.Options()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPlanner(reg, opts), nil
-}
-
 // registryKeyFromDoc canonicalizes the part of a configuration document that
 // shapes the pattern registry rather than the Options — the custom pattern
 // declarations. core.PlanKey cannot see the registry, so this string
@@ -223,7 +206,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid flow: %v", err)
 		return
 	}
-	planner, err := plannerFromDoc(req.Config)
+	planner, err := req.Config.Planner()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -331,7 +314,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	regKey := st.regKey
 	if req.Config != nil {
 		var err error
-		if base, err = plannerFromDoc(req.Config); err != nil {
+		if base, err = req.Config.Planner(); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}

@@ -278,7 +278,8 @@ func toResultJSON(res *core.Result, includeReports bool) resultJSON {
 			InSkyline:    u.InSkyline,
 		})
 	}
-	if scatter, err := viz.ScatterJSON(scatterPoints(res), scatterConfig(res)); err == nil {
+	labels := ScatterLabels(res, viz.ScatterConfig{Title: "Alternative ETL flows"})
+	if scatter, err := viz.ScatterJSON(ScatterPoints(res), labels); err == nil {
 		out.Scatter = scatter
 	}
 	return out
@@ -319,9 +320,10 @@ func frontierSpreadJSON(res *core.Result) map[string][2]float64 {
 	return out
 }
 
-// scatterPoints projects the full alternative space onto the skyline
-// dimensions for the Fig. 4 scatter export.
-func scatterPoints(res *core.Result) []viz.ScatterPoint {
+// ScatterPoints projects the full alternative space onto the skyline
+// dimensions for the Fig. 4 scatter: the plan response's scatter export and
+// the facade's ASCII and SVG renderings.
+func ScatterPoints(res *core.Result) []viz.ScatterPoint {
 	sky := map[int]bool{}
 	for _, i := range res.SkylineIdx {
 		sky[i] = true
@@ -347,15 +349,16 @@ func scatterPoints(res *core.Result) []viz.ScatterPoint {
 	return pts
 }
 
-func scatterConfig(res *core.Result) viz.ScatterConfig {
-	cfg := viz.ScatterConfig{Title: "Alternative ETL flows"}
-	if len(res.Dims) > 0 {
+// ScatterLabels fills the axis labels cfg leaves empty with the result's
+// skyline dimensions.
+func ScatterLabels(res *core.Result, cfg viz.ScatterConfig) viz.ScatterConfig {
+	if cfg.XLabel == "" && len(res.Dims) > 0 {
 		cfg.XLabel = string(res.Dims[0])
 	}
-	if len(res.Dims) > 1 {
+	if cfg.YLabel == "" && len(res.Dims) > 1 {
 		cfg.YLabel = string(res.Dims[1])
 	}
-	if len(res.Dims) > 2 {
+	if cfg.ZLabel == "" && len(res.Dims) > 2 {
 		cfg.ZLabel = string(res.Dims[2])
 	}
 	return cfg

@@ -336,7 +336,7 @@ func restoreState(rec *SessionRecord) (*sessionState, error) {
 	if rec.ID == "" || rec.Session == nil {
 		return nil, errNoSessionSnapshot
 	}
-	planner, err := plannerFromDoc(rec.Config)
+	planner, err := rec.Config.Planner()
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding planner: %w", err)
 	}

@@ -83,8 +83,8 @@ func DefaultConfig() Config {
 // Per-node values are stored in dense slices indexed by the node's position
 // in Order (the topological order of the flow), not in maps: the planner
 // builds one profile per alternative, and the dense layout removes a map
-// allocation and hashing per node per field. IndexOf (and the *Of
-// accessors) address a node by ID with a scan of Order.
+// allocation and hashing per node per field. A node's entries are at its
+// index in Order.
 type Profile struct {
 	Flow  string
 	Order []etl.NodeID
@@ -134,37 +134,6 @@ func newProfile(flow string, order []etl.NodeID) *Profile {
 		RestartMs:             make([]float64, nn),
 		RestartFromCheckpoint: make([]bool, nn),
 	}
-}
-
-// IndexOf returns the topo position of the node in the profile's Order, or
-// -1 when the node is unknown.
-func (p *Profile) IndexOf(id etl.NodeID) int { return slices.Index(p.Order, id) }
-
-// valueOf returns vals[IndexOf(id)], or the zero value for unknown IDs.
-func valueOf[T any](p *Profile, vals []T, id etl.NodeID) T {
-	if i := p.IndexOf(id); i >= 0 {
-		return vals[i]
-	}
-	var zero T
-	return zero
-}
-
-// RowsInOf returns the input cardinality of the node, 0 for unknown IDs.
-func (p *Profile) RowsInOf(id etl.NodeID) int { return valueOf(p, p.RowsIn, id) }
-
-// RowsOutOf returns the output cardinality of the node, 0 for unknown IDs.
-func (p *Profile) RowsOutOf(id etl.NodeID) int { return valueOf(p, p.RowsOut, id) }
-
-// CompletionOf returns the completion time of the node, 0 for unknown IDs.
-func (p *Profile) CompletionOf(id etl.NodeID) float64 { return valueOf(p, p.Completion, id) }
-
-// RestartOf returns the recovery re-execution time of the node, 0 for
-// unknown IDs.
-func (p *Profile) RestartOf(id etl.NodeID) float64 { return valueOf(p, p.RestartMs, id) }
-
-// RestartsFromCheckpoint reports whether the node recovers from a savepoint.
-func (p *Profile) RestartsFromCheckpoint(id etl.NodeID) bool {
-	return valueOf(p, p.RestartFromCheckpoint, id)
 }
 
 // Engine executes flows. Besides its configuration it holds only a memo of

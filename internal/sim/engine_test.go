@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"poiesis/internal/data"
@@ -50,15 +51,15 @@ func TestExecuteSimpleFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.RowsInOf("src") != 2000 {
-		t.Errorf("source rows = %d", p.RowsInOf("src"))
+	if p.RowsIn[at(p, "src")] != 2000 {
+		t.Errorf("source rows = %d", p.RowsIn[at(p, "src")])
 	}
 	// Filter selectivity 0.9 by default.
-	if p.RowsInOf("drv") < 1500 || p.RowsInOf("drv") > 2000 {
-		t.Errorf("derive input rows = %d", p.RowsInOf("drv"))
+	if p.RowsIn[at(p, "drv")] < 1500 || p.RowsIn[at(p, "drv")] > 2000 {
+		t.Errorf("derive input rows = %d", p.RowsIn[at(p, "drv")])
 	}
-	if p.RowsLoaded != p.RowsInOf("ld") {
-		t.Errorf("rows loaded %d != sink input %d", p.RowsLoaded, p.RowsInOf("ld"))
+	if p.RowsLoaded != p.RowsIn[at(p, "ld")] {
+		t.Errorf("rows loaded %d != sink input %d", p.RowsLoaded, p.RowsIn[at(p, "ld")])
 	}
 	if p.FirstPassMs <= 0 {
 		t.Error("first pass time must be positive")
@@ -68,7 +69,7 @@ func TestExecuteSimpleFlow(t *testing.T) {
 	}
 	// Completion times must be monotone along edges.
 	for _, e := range g.Edges() {
-		if p.CompletionOf(e.From) > p.CompletionOf(e.To) {
+		if p.Completion[at(p, e.From)] > p.Completion[at(p, e.To)] {
 			t.Errorf("completion not monotone on %v", e)
 		}
 	}
@@ -206,8 +207,8 @@ func TestPartitionMergePreservesRows(t *testing.T) {
 		t.Errorf("partition+merge lost rows: %d", p.RowsLoaded)
 	}
 	// Round-robin split: each branch sees about half.
-	if p.RowsInOf("d1") != 500 || p.RowsInOf("d2") != 500 {
-		t.Errorf("branch rows = %d / %d", p.RowsInOf("d1"), p.RowsInOf("d2"))
+	if p.RowsIn[at(p, "d1")] != 500 || p.RowsIn[at(p, "d2")] != 500 {
+		t.Errorf("branch rows = %d / %d", p.RowsIn[at(p, "d1")], p.RowsIn[at(p, "d2")])
 	}
 }
 
@@ -276,9 +277,9 @@ func TestAggregateReducesCardinality(t *testing.T) {
 	g := etl.NewBuilder("agg").
 		Op("src", "S", etl.OpExtract, s).
 		Op("agg", "aggregate", etl.OpAggregate, s).
-		Configure(func(n *etl.Node) { n.SetParam("group_by", "grp") }).
 		Op("ld", "DW", etl.OpLoad, etl.Schema{}).
 		MustBuild()
+	g.MutableNode("agg").SetParam("group_by", "grp")
 	e := NewEngine(DefaultConfig())
 	p, err := e.Execute(g, binding(g, 5000, data.Defects{}))
 	if err != nil {
@@ -324,14 +325,14 @@ func TestCheckpointReducesRestartCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p2.RestartsFromCheckpoint("drv") {
+	if !p2.RestartFromCheckpoint[at(p2, "drv")] {
 		t.Error("derive should restart from checkpoint")
 	}
-	if p2.RestartOf("drv") >= p1.RestartOf("drv") {
+	if p2.RestartMs[at(p2, "drv")] >= p1.RestartMs[at(p1, "drv")] {
 		t.Errorf("restart cost with checkpoint (%f) not below without (%f)",
-			p2.RestartOf("drv"), p1.RestartOf("drv"))
+			p2.RestartMs[at(p2, "drv")], p1.RestartMs[at(p1, "drv")])
 	}
-	if p1.RestartsFromCheckpoint("drv") {
+	if p1.RestartFromCheckpoint[at(p1, "drv")] {
 		t.Error("no checkpoint in base flow")
 	}
 }
@@ -355,3 +356,7 @@ func TestRecoverySourceInert(t *testing.T) {
 		t.Errorf("recovery source should add no rows during profiling, got %d", p.RowsLoaded)
 	}
 }
+
+// at returns the node's position in the profile's Order, the index of its
+// entries in the per-node slices.
+func at(p *Profile, id etl.NodeID) int { return slices.Index(p.Order, id) }

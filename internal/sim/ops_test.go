@@ -64,10 +64,10 @@ func TestSplitHashRoutesDisjointly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hash routing partitions: totals add up, neither branch empty.
-	if p.RowsInOf("ld1")+p.RowsInOf("ld2") != 1000 {
-		t.Errorf("hash split lost rows: %d + %d", p.RowsInOf("ld1"), p.RowsInOf("ld2"))
+	if p.RowsIn[at(p, "ld1")]+p.RowsIn[at(p, "ld2")] != 1000 {
+		t.Errorf("hash split lost rows: %d + %d", p.RowsIn[at(p, "ld1")], p.RowsIn[at(p, "ld2")])
 	}
-	if p.RowsInOf("ld1") == 0 || p.RowsInOf("ld2") == 0 {
+	if p.RowsIn[at(p, "ld1")] == 0 || p.RowsIn[at(p, "ld2")] == 0 {
 		t.Error("hash split sent everything one way")
 	}
 
@@ -78,8 +78,8 @@ func TestSplitHashRoutesDisjointly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.RowsInOf("ld1") != 1000 || p2.RowsInOf("ld2") != 1000 {
-		t.Errorf("copy split rows: %d / %d", p2.RowsInOf("ld1"), p2.RowsInOf("ld2"))
+	if p2.RowsIn[at(p2, "ld1")] != 1000 || p2.RowsIn[at(p2, "ld2")] != 1000 {
+		t.Errorf("copy split rows: %d / %d", p2.RowsIn[at(p2, "ld1")], p2.RowsIn[at(p2, "ld2")])
 	}
 }
 
@@ -204,8 +204,8 @@ func TestUnboundExtractGetsDefaultSpec(t *testing.T) {
 	// The default spec injects duplicates, so physical rows slightly exceed
 	// the logical DefaultRows.
 	want := DefaultConfig().DefaultRows
-	if p.RowsInOf("src") < want || p.RowsInOf("src") > want+want/10 {
-		t.Errorf("default rows = %d, want ~%d", p.RowsInOf("src"), want)
+	if p.RowsIn[at(p, "src")] < want || p.RowsIn[at(p, "src")] > want+want/10 {
+		t.Errorf("default rows = %d, want ~%d", p.RowsIn[at(p, "src")], want)
 	}
 	if f := e.SourceUpdatesPerHour(g, nil); f != 1 {
 		t.Errorf("default update frequency = %f", f)

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,7 +63,7 @@ func (e *Engine) rowExecuteOutputs(g *etl.Graph, bind Binding) (*Profile, [][][]
 		var in [][]etl.Row
 		rowsIn := 0
 		for _, pred := range g.Pred(id) {
-			pi := p.IndexOf(pred)
+			pi := slices.Index(p.Order, pred)
 			if routed[pi] == nil {
 				routed[pi] = rowRoute(g.Node(pred), outs[pi], g.Succ(pred))
 			}

@@ -13,9 +13,9 @@ import "sort"
 // rejected outright — dominance is transitive, so a point dominated by a
 // *dropped* member is also dominated by whichever member dropped it — and an
 // accepted point evicts the frontier members it dominates. The final frontier
-// is therefore identical, as a set, to Naive/SortFilter/Compute over the same
-// points. Duplicates of frontier points are kept, matching Dominates'
-// strict-improvement requirement.
+// is therefore identical, as a set, to Naive over the same points. Duplicates
+// of frontier points are kept, matching Dominates' strict-improvement
+// requirement.
 //
 // Incremental is not safe for concurrent use; the planner's collector stage
 // is its single writer.
@@ -53,7 +53,7 @@ func (inc *Incremental) Add(id int, vec []float64) bool {
 func (inc *Incremental) Len() int { return len(inc.ids) }
 
 // Indices returns the identifiers of the current frontier in ascending
-// order, matching the output convention of Compute.
+// order, matching the output convention of Naive.
 func (inc *Incremental) Indices() []int {
 	out := append([]int(nil), inc.ids...)
 	sort.Ints(out)

@@ -5,12 +5,10 @@
 // preferred to smaller ones": a design is dropped when another design is at
 // least as good in every dimension and strictly better in one.
 //
-// Three algorithms are provided — naive O(n²), block-nested-loop with a
-// monotone presort, and a dedicated two-dimensional sweep — so the planner
-// can pick per workload and the benchmarks can ablate the choice.
+// The planner builds its frontier with Incremental, one evaluated
+// alternative at a time. Naive, the O(n²) pairwise pass, is the reference
+// Incremental is tested and benchmarked against.
 package skyline
-
-import "sort"
 
 // Dominates reports whether a Pareto-dominates b under maximisation: a is at
 // least as large in every dimension and strictly larger in at least one.
@@ -31,8 +29,8 @@ func Dominates(a, b []float64) bool {
 	return strict
 }
 
-// Naive computes the skyline by comparing every pair: O(n²·d). It is the
-// correctness oracle for the faster variants and wins on tiny inputs.
+// Naive computes the skyline by comparing every pair: O(n²·d). It returns
+// ascending indices and is the correctness oracle for Incremental.
 func Naive(points [][]float64) []int {
 	var out []int
 	for i, p := range points {
@@ -48,109 +46,4 @@ func Naive(points [][]float64) []int {
 		}
 	}
 	return out
-}
-
-// SortFilter computes the skyline with a monotone presort: points are
-// processed in decreasing order of coordinate sum, and each point is only
-// compared against the skyline found so far. Because no later point in this
-// order can dominate an earlier one, a single pass suffices (the classic
-// presort BNL of Chomicki et al.).
-func SortFilter(points [][]float64) []int {
-	n := len(points)
-	if n == 0 {
-		return nil
-	}
-	idx := make([]int, n)
-	sums := make([]float64, n)
-	for i, p := range points {
-		idx[i] = i
-		s := 0.0
-		for _, v := range p {
-			s += v
-		}
-		sums[i] = s
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return sums[idx[a]] > sums[idx[b]] })
-
-	var sky []int
-	for _, i := range idx {
-		dominated := false
-		for _, j := range sky {
-			if Dominates(points[j], points[i]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, i)
-		}
-	}
-	sort.Ints(sky)
-	return sky
-}
-
-// Sweep2D computes the 2-dimensional skyline in O(n log n): sort by x
-// descending (y descending as tie-break) and keep points with strictly
-// increasing y. Panics if any point is not 2-dimensional.
-func Sweep2D(points [][]float64) []int {
-	n := len(points)
-	if n == 0 {
-		return nil
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		if len(points[i]) != 2 {
-			panic("skyline: Sweep2D requires 2-dimensional points")
-		}
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := points[idx[a]], points[idx[b]]
-		if pa[0] != pb[0] {
-			return pa[0] > pb[0]
-		}
-		return pa[1] > pb[1]
-	})
-	var sky []int
-	bestY := 0.0
-	first := true
-	lastX := 0.0
-	for _, i := range idx {
-		p := points[i]
-		if first {
-			sky = append(sky, i)
-			bestY, lastX, first = p[1], p[0], false
-			continue
-		}
-		if p[0] == lastX && p[1] == bestY {
-			// Duplicate of the current frontier point: not dominated
-			// (domination requires a strict improvement), keep it.
-			sky = append(sky, i)
-			continue
-		}
-		if p[1] > bestY {
-			sky = append(sky, i)
-			bestY, lastX = p[1], p[0]
-		}
-	}
-	sort.Ints(sky)
-	return sky
-}
-
-// Compute picks the best algorithm for the input: the 2D sweep when
-// applicable, otherwise the presorted filter.
-func Compute(points [][]float64) []int {
-	if len(points) > 0 && len(points[0]) == 2 {
-		ok := true
-		for _, p := range points {
-			if len(p) != 2 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return Sweep2D(points)
-		}
-	}
-	return SortFilter(points)
 }

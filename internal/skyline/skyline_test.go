@@ -2,7 +2,6 @@ package skyline
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -37,66 +36,18 @@ func TestKnownSkyline(t *testing.T) {
 		{5, 0, 0}, // 5: duplicate of 1 -> also skyline (no strict dominator)
 	}
 	want := []int{1, 2, 3, 5}
-	for name, fn := range map[string]func([][]float64) []int{
-		"naive": Naive, "sortfilter": SortFilter, "compute": Compute,
-	} {
-		got := fn(pts)
-		sort.Ints(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
+	if got := Naive(pts); !reflect.DeepEqual(got, want) {
+		t.Errorf("Naive = %v, want %v", got, want)
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	for name, fn := range map[string]func([][]float64) []int{
-		"naive": Naive, "sortfilter": SortFilter, "sweep2d": Sweep2D, "compute": Compute,
-	} {
-		if got := fn(nil); len(got) != 0 {
-			t.Errorf("%s(nil) = %v", name, got)
-		}
+	if got := Naive(nil); len(got) != 0 {
+		t.Errorf("Naive(nil) = %v", got)
 	}
-	if got := Compute([][]float64{{1, 2}}); !reflect.DeepEqual(got, []int{0}) {
+	if got := Naive([][]float64{{1, 2}}); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("single point skyline = %v", got)
 	}
-}
-
-func TestSweep2DMatchesNaive(t *testing.T) {
-	rng := data.NewRNG(3)
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(60) + 1
-		pts := make([][]float64, n)
-		for i := range pts {
-			// Coarse grid provokes ties and duplicates.
-			pts[i] = []float64{float64(rng.Intn(8)), float64(rng.Intn(8))}
-		}
-		a, b := Naive(pts), Sweep2D(pts)
-		sort.Ints(a)
-		sort.Ints(b)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: naive %v != sweep %v (points %v)", trial, a, b, pts)
-		}
-	}
-}
-
-func TestSweep2DPanicsOnWrongDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Sweep2D should panic on 3D input")
-		}
-	}()
-	Sweep2D([][]float64{{1, 2, 3}})
-}
-
-func TestComputeUsesSweepOnlyWhenAll2D(t *testing.T) {
-	// Mixed dimensionality must not reach Sweep2D's panic.
-	pts := [][]float64{{1, 2}, {1, 2, 3}}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Errorf("Compute panicked on mixed dims: %v", r)
-		}
-	}()
-	_ = Compute(pts)
 }
 
 // skylineProperties checks the two defining properties of a skyline:
@@ -143,16 +94,7 @@ func TestSkylinePropertiesRandom(t *testing.T) {
 				pts[i][j] = float64(rng.Intn(10))
 			}
 		}
-		for _, fn := range []func([][]float64) []int{Naive, SortFilter, Compute} {
-			if !skylineProperties(pts, fn(pts)) {
-				return false
-			}
-		}
-		// Algorithms agree.
-		a, b := Naive(pts), SortFilter(pts)
-		sort.Ints(a)
-		sort.Ints(b)
-		return reflect.DeepEqual(a, b)
+		return skylineProperties(pts, Naive(pts))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -167,7 +109,7 @@ func TestSkylineShrinksSpace(t *testing.T) {
 		x := rng.Float64()
 		pts[i] = []float64{x, 1 - x + 0.1*rng.Float64(), rng.Float64()}
 	}
-	sky := Compute(pts)
+	sky := Naive(pts)
 	if len(sky) == 0 || len(sky) >= len(pts) {
 		t.Errorf("skyline size = %d of %d", len(sky), len(pts))
 	}
@@ -184,18 +126,11 @@ func randomPoints(rng *data.RNG, n, d int) [][]float64 {
 	return pts
 }
 
-func BenchmarkNaive1k3d(b *testing.B)      { benchAlgo(b, Naive, 1000, 3) }
-func BenchmarkSortFilter1k3d(b *testing.B) { benchAlgo(b, SortFilter, 1000, 3) }
-func BenchmarkSortFilter10k3d(b *testing.B) {
-	benchAlgo(b, SortFilter, 10000, 3)
-}
-func BenchmarkSweep2D10k(b *testing.B) { benchAlgo(b, Sweep2D, 10000, 2) }
-
-func benchAlgo(b *testing.B, fn func([][]float64) []int, n, d int) {
-	pts := randomPoints(data.NewRNG(1), n, d)
+func BenchmarkNaive1k3d(b *testing.B) {
+	pts := randomPoints(data.NewRNG(1), 1000, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fn(pts)
+		_ = Naive(pts)
 	}
 }

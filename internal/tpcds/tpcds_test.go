@@ -1,6 +1,7 @@
 package tpcds
 
 import (
+	"slices"
 	"testing"
 
 	"poiesis/internal/etl"
@@ -87,9 +88,9 @@ func TestInventoryETLExecutes(t *testing.T) {
 		t.Error("no rows loaded")
 	}
 	// Union doubles the feed rows before dedup trims them.
-	if p.RowsInOf("dedup_snap") <= p.RowsInOf("conv_store") {
+	if p.RowsIn[slices.Index(p.Order, "dedup_snap")] <= p.RowsIn[slices.Index(p.Order, "conv_store")] {
 		t.Errorf("union did not combine feeds: %d vs %d",
-			p.RowsInOf("dedup_snap"), p.RowsInOf("conv_store"))
+			p.RowsIn[slices.Index(p.Order, "dedup_snap")], p.RowsIn[slices.Index(p.Order, "conv_store")])
 	}
 }
 

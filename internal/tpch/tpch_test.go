@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"slices"
 	"testing"
 
 	"poiesis/internal/sim"
@@ -38,12 +39,12 @@ func TestRevenueETLExecutes(t *testing.T) {
 	}
 	// The recent-shipment filter and inner join must reduce cardinality
 	// below the lineitem scale.
-	if p.RowsInOf("drv_revenue") >= 2000 {
-		t.Errorf("derive input = %d, expected filtered+joined subset", p.RowsInOf("drv_revenue"))
+	if p.RowsIn[slices.Index(p.Order, "drv_revenue")] >= 2000 {
+		t.Errorf("derive input = %d, expected filtered+joined subset", p.RowsIn[slices.Index(p.Order, "drv_revenue")])
 	}
 	// Aggregates produce small outputs.
-	if p.RowsOutOf("agg_segment") > 25 {
-		t.Errorf("segment aggregate rows = %d", p.RowsOutOf("agg_segment"))
+	if p.RowsOut[slices.Index(p.Order, "agg_segment")] > 25 {
+		t.Errorf("segment aggregate rows = %d", p.RowsOut[slices.Index(p.Order, "agg_segment")])
 	}
 }
 
@@ -69,8 +70,8 @@ func TestPricingSummaryExecutes(t *testing.T) {
 	}
 	// The Q1 aggregate groups by return flag: the 20-word vocabulary plus a
 	// few corrupted (injected-error) variants.
-	if p.RowsOutOf("agg_flag") > 45 {
-		t.Errorf("aggregate rows = %d", p.RowsOutOf("agg_flag"))
+	if p.RowsOut[slices.Index(p.Order, "agg_flag")] > 45 {
+		t.Errorf("aggregate rows = %d", p.RowsOut[slices.Index(p.Order, "agg_flag")])
 	}
 	// The blocking sort materialises the filtered stream.
 	if p.MemRowsPeak == 0 {

@@ -7,7 +7,6 @@ package viz
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"poiesis/internal/measures"
@@ -271,51 +270,6 @@ func SVGBars(rows []BarRow, expand map[string]bool, title string) string {
 	}
 	b.WriteString("</svg>\n")
 	return b.String()
-}
-
-// Table renders rows of cells with aligned columns; headers get an underline.
-func Table(headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[min(i, len(widths)-1)], c)
-		}
-		b.WriteString("\n")
-	}
-	writeRow(headers)
-	underline := make([]string, len(headers))
-	for i := range headers {
-		underline[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(underline)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// SortPointsByX orders scatter points for stable output.
-func SortPointsByX(points []ScatterPoint) {
-	sort.SliceStable(points, func(i, j int) bool {
-		if points[i].X != points[j].X {
-			return points[i].X < points[j].X
-		}
-		return points[i].Label < points[j].Label
-	})
 }
 
 func rangeOf(points []ScatterPoint, f func(ScatterPoint) float64) (lo, hi float64) {

@@ -170,34 +170,6 @@ func TestSVGBars(t *testing.T) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	s := Table([]string{"flow", "score"}, [][]string{
-		{"initial", "0.50"},
-		{"alternative-with-long-name", "0.61"},
-	})
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "----") {
-		t.Error("underline missing")
-	}
-	// Alignment: the score column starts at the same offset on data rows.
-	if strings.Index(lines[2], "0.50") < 0 {
-		t.Error("missing cell")
-	}
-}
-
-func TestSortPointsByX(t *testing.T) {
-	p := pts()
-	SortPointsByX(p)
-	for i := 0; i+1 < len(p); i++ {
-		if p[i].X > p[i+1].X {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 func TestScaleToBounds(t *testing.T) {
 	if scaleTo(5, 0, 10, 10) != 5 {
 		t.Error("midpoint")

@@ -397,49 +397,13 @@ type ScatterOptions = viz.ScatterConfig
 // RenderScatterASCII renders the alternative space with the skyline
 // highlighted, using the first two skyline dimensions as axes.
 func RenderScatterASCII(res *Result, cfg ScatterOptions) string {
-	return viz.ASCIIScatter(scatterPoints(res), fillLabels(res, cfg))
+	return viz.ASCIIScatter(server.ScatterPoints(res), server.ScatterLabels(res, cfg))
 }
 
 // RenderScatterSVG renders the Fig. 4 scatter as an SVG document (third
 // dimension as marker size).
 func RenderScatterSVG(res *Result, cfg ScatterOptions) string {
-	return viz.SVGScatter(scatterPoints(res), fillLabels(res, cfg))
-}
-
-func fillLabels(res *Result, cfg ScatterOptions) ScatterOptions {
-	if cfg.XLabel == "" && len(res.Dims) > 0 {
-		cfg.XLabel = string(res.Dims[0])
-	}
-	if cfg.YLabel == "" && len(res.Dims) > 1 {
-		cfg.YLabel = string(res.Dims[1])
-	}
-	if cfg.ZLabel == "" && len(res.Dims) > 2 {
-		cfg.ZLabel = string(res.Dims[2])
-	}
-	return cfg
-}
-
-func scatterPoints(res *Result) []viz.ScatterPoint {
-	sky := map[int]bool{}
-	for _, i := range res.SkylineIdx {
-		sky[i] = true
-	}
-	pts := make([]viz.ScatterPoint, 0, len(res.Alternatives))
-	for i, a := range res.Alternatives {
-		v := a.Report.Vector(res.Dims)
-		p := viz.ScatterPoint{Label: a.Label(), Skyline: sky[i]}
-		if len(v) > 0 {
-			p.X = v[0]
-		}
-		if len(v) > 1 {
-			p.Y = v[1]
-		}
-		if len(v) > 2 {
-			p.Z = v[2]
-		}
-		pts = append(pts, p)
-	}
-	return pts
+	return viz.SVGScatter(server.ScatterPoints(res), server.ScatterLabels(res, cfg))
 }
 
 // RenderRelativeBars renders the Fig. 5 relative-change bars for an
@@ -575,15 +539,5 @@ func LoadServeConfig(path string) (*ServeConfig, error) {
 }
 
 // PlannerFromConfig materialises a planner (registry + options) from a
-// configuration document.
-func PlannerFromConfig(doc *ConfigDocument) (*Planner, error) {
-	reg, err := doc.Registry()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := doc.Options()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPlanner(reg, opts), nil
-}
+// configuration document; a nil document yields the default planner.
+func PlannerFromConfig(doc *ConfigDocument) (*Planner, error) { return doc.Planner() }

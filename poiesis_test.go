@@ -223,6 +223,33 @@ func TestRelativeChangesFacade(t *testing.T) {
 	}
 }
 
+// A result over two skyline dimensions has no third one to size markers
+// by, so every SVG marker takes the default radius.
+func TestRenderScatterSVGTwoDims(t *testing.T) {
+	flow := poiesis.TPCDSPurchases()
+	planner := poiesis.NewPlanner(nil, poiesis.Options{
+		Policy: poiesis.GreedyPolicy{TopK: 1},
+		Depth:  1,
+		Dims:   []poiesis.Characteristic{poiesis.Performance, poiesis.DataQuality},
+		Sim:    benchSim(200),
+	})
+	res, err := planner.Plan(flow, poiesis.TPCDSBinding(flow, 200, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svg := poiesis.RenderScatterSVG(res, poiesis.ScatterOptions{Title: "t"})
+	markers := strings.Count(svg, "<circle")
+	if markers != len(res.Alternatives) || markers < 2 {
+		t.Fatalf("%d markers for %d alternatives", markers, len(res.Alternatives))
+	}
+	if got := strings.Count(svg, `r="4.0"`); got != markers {
+		t.Errorf("%d of %d markers have the default radius:\n%s", got, markers, svg)
+	}
+	if strings.Contains(svg, "size:") {
+		t.Error("two-dimensional scatter labels a size dimension")
+	}
+}
+
 func TestConstraintBuildersExported(t *testing.T) {
 	cs := []poiesis.Constraint{
 		poiesis.MaxMeasure(poiesis.Performance, "process_cycle_time", 1e9),
