@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"poiesis/internal/cluster"
 	"poiesis/internal/config"
@@ -457,13 +458,22 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// response still serves the in-memory result.
 	_ = s.store.persist(ctx, st)
 
+	traced := obs.Traced(ctx)
+	start := time.Now()
 	payload := s.planPayload(key, cacheable, res)
+	if traced {
+		obs.RecordSpan(ctx, "plan.payload", start, time.Since(start))
+	}
 	payload.Cached = hit
+	start = time.Now()
 	if stream != nil {
 		_ = stream.event("result", payload)
-		return
+	} else {
+		writeJSON(w, http.StatusOK, payload)
 	}
-	writeJSON(w, http.StatusOK, payload)
+	if traced {
+		obs.RecordSpan(ctx, "response.encode", start, time.Since(start))
+	}
 }
 
 // planPayload derives the response body for a plan result. For cacheable

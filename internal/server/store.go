@@ -311,11 +311,7 @@ func (s *sessionStore) add(ctx context.Context, st *sessionState) error {
 	}
 	st.created = now
 	st.touch(now)
-	rec, err := st.record()
-	if err == nil {
-		err = s.backendPut(ctx, rec)
-	}
-	if err != nil {
+	if err := s.writeRecord(ctx, st); err != nil {
 		s.persistErrs.Add(1)
 		return fmt.Errorf("persisting session: %w", err)
 	}
@@ -336,8 +332,22 @@ func (s *sessionStore) add(ctx context.Context, st *sessionState) error {
 	return nil
 }
 
-// backendPut writes one record, recording a backend.put span on the
-// request's trace (attribute construction is skipped entirely untraced).
+// writeRecord builds st's record and puts it to the backend. A traced
+// request records the two steps as separate spans: session.snapshot for
+// building the record, backend.put for the backend's write (attribute
+// construction is skipped entirely untraced).
+func (s *sessionStore) writeRecord(ctx context.Context, st *sessionState) error {
+	start := time.Now()
+	rec, err := st.record()
+	if obs.Traced(ctx) {
+		obs.RecordSpan(ctx, "session.snapshot", start, time.Since(start), obs.String("session", st.id))
+	}
+	if err != nil {
+		return err
+	}
+	return s.backendPut(ctx, rec)
+}
+
 func (s *sessionStore) backendPut(ctx context.Context, rec *SessionRecord) error {
 	start := time.Now()
 	err := s.backend.Put(rec)
@@ -430,10 +440,7 @@ func (s *sessionStore) remove(ctx context.Context, id string) bool {
 // durability, not availability: the error is counted and logged, and the
 // in-memory session keeps serving.
 func (s *sessionStore) persist(ctx context.Context, st *sessionState) error {
-	rec, err := st.record()
-	if err == nil {
-		err = s.backendPut(ctx, rec)
-	}
+	err := s.writeRecord(ctx, st)
 	if err != nil {
 		s.persistErrs.Add(1)
 		withCtx(s.log, ctx).Warn("server: persisting session to backend failed",
