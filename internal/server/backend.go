@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"poiesis/internal/config"
@@ -33,10 +31,12 @@ type SessionRecord struct {
 var ErrRecordNotFound = errors.New("server: session record not found")
 
 // SessionBackend is the pluggable persistence layer of the session registry.
-// The server keeps live sessions in memory for fast reads and writes a fresh
-// record through to the backend on every state-changing operation (create,
-// plan completion, select, delete); at startup it restores all records the
-// backend still holds. Implementations must be safe for concurrent use.
+// The server keeps live sessions in memory and serves every read from there.
+// Unless the backend keeps no records (Name "memory"), the server writes a
+// fresh record through to it on every state-changing operation (create,
+// plan completion, select, delete, TTL eviction), and at startup it restores
+// all records the backend still holds. Implementations must be safe for
+// concurrent use.
 //
 // The service assumes a single writer per backend: two server processes
 // sharing one disk directory would overwrite each other's records. Sharding
@@ -59,83 +59,36 @@ type SessionBackend interface {
 	// was down.
 	Sweep(cutoff time.Time) ([]string, error)
 	// Name identifies the backend in stats and logs ("memory", "disk").
+	// "memory" means the backend keeps no records: a server over it builds
+	// no session record and calls none of the other methods. The server
+	// reads the name through any decorator that forwards Name, so a wrapped
+	// memory backend is treated the same.
 	Name() string
 }
 
-// memoryBackend is the in-process SessionBackend: the pre-existing in-memory
-// session map, now behind the backend interface. Records are stored as the
-// pointers Put received — no JSON encoding — because records are immutable
-// by contract. The default configuration therefore pays one core snapshot
-// (graph + report marshaling, proportional to the result size) per
-// state-changing request and no byte copies; that uniform write-through is
-// deliberate, keeping the memory and disk paths behaviourally identical and
-// making a remote backend a drop-in, at a cost amortized against the plan
-// computation that precedes it. Serialization fidelity is covered by the
-// disk backend's parameterized suite, which stores real bytes.
-type memoryBackend struct {
-	mu sync.RWMutex
-	m  map[string]*SessionRecord
-}
+// memoryBackendName is the Name of a backend that keeps no records.
+const memoryBackendName = "memory"
 
-// NewMemoryBackend returns the in-memory SessionBackend (the default).
-// Records do not survive the process; use NewDiskBackend for durability.
-func NewMemoryBackend() SessionBackend {
-	return &memoryBackend{m: map[string]*SessionRecord{}}
-}
+// memoryBackend is the default SessionBackend. It keeps no records: live
+// sessions are held in the server's own session map and die with the
+// process. A record nothing can read back is not worth building — a plan's
+// snapshot marshals every alternative's flow and costs about as much as the
+// plan — so the server, recognizing the name, builds none and makes no
+// backend call. The methods serve only callers that use the backend
+// directly: writes are dropped and nothing is ever found.
+type memoryBackend struct{}
 
-func (b *memoryBackend) Name() string { return "memory" }
+// NewMemoryBackend returns the SessionBackend that keeps no records (the
+// default). Sessions do not survive the process; use NewDiskBackend for
+// durability.
+func NewMemoryBackend() SessionBackend { return memoryBackend{} }
 
-func (b *memoryBackend) Put(rec *SessionRecord) error {
-	if rec.ID == "" {
-		return errors.New("server: session record without ID")
-	}
-	b.mu.Lock()
-	b.m[rec.ID] = rec
-	b.mu.Unlock()
-	return nil
-}
-
-func (b *memoryBackend) Get(id string) (*SessionRecord, error) {
-	b.mu.RLock()
-	rec, ok := b.m[id]
-	b.mu.RUnlock()
-	if !ok {
-		return nil, ErrRecordNotFound
-	}
-	return rec, nil
-}
-
-func (b *memoryBackend) Delete(id string) error {
-	b.mu.Lock()
-	delete(b.m, id)
-	b.mu.Unlock()
-	return nil
-}
-
-func (b *memoryBackend) List() ([]*SessionRecord, error) {
-	b.mu.RLock()
-	out := make([]*SessionRecord, 0, len(b.m))
-	for _, rec := range b.m {
-		out = append(out, rec)
-	}
-	b.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
-func (b *memoryBackend) Sweep(cutoff time.Time) ([]string, error) {
-	var removed []string
-	b.mu.Lock()
-	for id, rec := range b.m {
-		if rec.LastUsed.Before(cutoff) {
-			delete(b.m, id)
-			removed = append(removed, id)
-		}
-	}
-	b.mu.Unlock()
-	sort.Strings(removed)
-	return removed, nil
-}
+func (memoryBackend) Name() string                       { return memoryBackendName }
+func (memoryBackend) Put(*SessionRecord) error           { return nil }
+func (memoryBackend) Get(string) (*SessionRecord, error) { return nil, ErrRecordNotFound }
+func (memoryBackend) Delete(string) error                { return nil }
+func (memoryBackend) List() ([]*SessionRecord, error)    { return nil, nil }
+func (memoryBackend) Sweep(time.Time) ([]string, error)  { return nil, nil }
 
 // encodeRecord serializes a record for storage, stamping the current format
 // version.

@@ -13,22 +13,25 @@ import (
 	"poiesis/internal/core"
 )
 
-// backends enumerates the SessionBackend implementations; every suite below
-// runs against both of them, so the memory and disk paths stay
-// behaviourally identical.
+// backends enumerates the SessionBackend implementations. The server suites
+// that range over it run against both, so a server that keeps no records
+// answers exactly as one that writes every state change to disk.
 func backends(t *testing.T) map[string]func(t *testing.T) SessionBackend {
 	t.Helper()
 	return map[string]func(t *testing.T) SessionBackend{
 		"memory": func(t *testing.T) SessionBackend { return NewMemoryBackend() },
-		"disk": func(t *testing.T) SessionBackend {
-			b, err := NewDiskBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Logf = t.Logf
-			return b
-		},
+		"disk":   func(t *testing.T) SessionBackend { return newTestDiskBackend(t) },
 	}
+}
+
+func newTestDiskBackend(t *testing.T) *DiskBackend {
+	t.Helper()
+	b, err := NewDiskBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Logf = t.Logf
+	return b
 }
 
 func testRecord(id string, lastUsed time.Time) *SessionRecord {
@@ -43,74 +46,70 @@ func testRecord(id string, lastUsed time.Time) *SessionRecord {
 	}
 }
 
-// TestBackendContract exercises put/get/delete/list/sweep identically on
-// both backends.
+// TestBackendContract exercises put/get/delete/list/sweep on the disk
+// backend, the one that keeps records.
 func TestBackendContract(t *testing.T) {
-	for name, mk := range backends(t) {
-		t.Run(name, func(t *testing.T) {
-			b := mk(t)
-			base := time.Unix(5000, 0).UTC()
+	b := newTestDiskBackend(t)
+	base := time.Unix(5000, 0).UTC()
 
-			if _, err := b.Get("missing0000"); err != ErrRecordNotFound {
-				t.Errorf("Get missing: %v, want ErrRecordNotFound", err)
-			}
-			if err := b.Delete("missing0000"); err != nil {
-				t.Errorf("Delete missing must be idempotent: %v", err)
-			}
+	if _, err := b.Get("missing0000"); err != ErrRecordNotFound {
+		t.Errorf("Get missing: %v, want ErrRecordNotFound", err)
+	}
+	if err := b.Delete("missing0000"); err != nil {
+		t.Errorf("Delete missing must be idempotent: %v", err)
+	}
 
-			for i, id := range []string{"c3", "a1", "b2"} {
-				if err := b.Put(testRecord(id, base.Add(time.Duration(i)*time.Hour))); err != nil {
-					t.Fatalf("Put %s: %v", id, err)
-				}
-			}
-			got, err := b.Get("a1")
-			if err != nil {
-				t.Fatalf("Get: %v", err)
-			}
-			if got.Name != "rec-a1" || got.Plans != 2 || !got.LastUsed.Equal(base.Add(time.Hour)) {
-				t.Errorf("record did not round-trip: %+v", got)
-			}
+	for i, id := range []string{"c3", "a1", "b2"} {
+		if err := b.Put(testRecord(id, base.Add(time.Duration(i)*time.Hour))); err != nil {
+			t.Fatalf("Put %s: %v", id, err)
+		}
+	}
+	got, err := b.Get("a1")
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if got.Name != "rec-a1" || got.Plans != 2 || !got.LastUsed.Equal(base.Add(time.Hour)) {
+		t.Errorf("record did not round-trip: %+v", got)
+	}
 
-			// Put replaces.
-			upd := testRecord("a1", base.Add(2*time.Hour))
-			upd.Plans = 9
-			if err := b.Put(upd); err != nil {
-				t.Fatal(err)
-			}
-			if got, _ = b.Get("a1"); got.Plans != 9 {
-				t.Errorf("Put did not replace: %+v", got)
-			}
+	// Put replaces.
+	upd := testRecord("a1", base.Add(2*time.Hour))
+	upd.Plans = 9
+	if err := b.Put(upd); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ = b.Get("a1"); got.Plans != 9 {
+		t.Errorf("Put did not replace: %+v", got)
+	}
 
-			recs, err := b.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != 3 || recs[0].ID != "a1" || recs[1].ID != "b2" || recs[2].ID != "c3" {
-				t.Errorf("List wrong: %v", recordIDs(recs))
-			}
+	recs, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].ID != "a1" || recs[1].ID != "b2" || recs[2].ID != "c3" {
+		t.Errorf("List wrong: %v", recordIDs(recs))
+	}
 
-			// Sweep drops records last used strictly before the cutoff:
-			// c3 sits at base, a1 (updated) and b2 at base+2h.
-			removed, err := b.Sweep(base.Add(90 * time.Minute))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(removed) != 1 || removed[0] != "c3" {
-				t.Errorf("Sweep removed %v, want [c3]", removed)
-			}
-			if recs, _ = b.List(); len(recs) != 2 || recs[0].ID != "a1" || recs[1].ID != "b2" {
-				t.Errorf("after sweep: %v", recordIDs(recs))
-			}
+	// Sweep drops records last used strictly before the cutoff:
+	// c3 sits at base, a1 (updated) and b2 at base+2h.
+	removed, err := b.Sweep(base.Add(90 * time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(removed) != 1 || removed[0] != "c3" {
+		t.Errorf("Sweep removed %v, want [c3]", removed)
+	}
+	if recs, _ = b.List(); len(recs) != 2 || recs[0].ID != "a1" || recs[1].ID != "b2" {
+		t.Errorf("after sweep: %v", recordIDs(recs))
+	}
 
-			for _, id := range []string{"a1", "b2"} {
-				if err := b.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if recs, _ = b.List(); len(recs) != 0 {
-				t.Errorf("after delete: %v", recordIDs(recs))
-			}
-		})
+	for _, id := range []string{"a1", "b2"} {
+		if err := b.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs, _ = b.List(); len(recs) != 0 {
+		t.Errorf("after delete: %v", recordIDs(recs))
 	}
 }
 
@@ -173,6 +172,77 @@ func TestServerLifecycleBothBackends(t *testing.T) {
 		if c != runs["memory"] {
 			t.Errorf("memory and %s lifecycles diverge:\nmemory %+v\n%s %+v", name, runs["memory"], name, c)
 		}
+	}
+}
+
+// TestMemoryModeWritesNoRecord runs one script on a traced server over each
+// backend: create, plan, select, plan, a second create and its DELETE, then
+// a TTL expiry of the first session. Over the memory backend, which keeps no
+// records, the server builds no record and makes no backend call: no
+// session.snapshot or backend.* span, every backend op series at 0 and the
+// eviction counters at 0. Over the disk backend the same script writes one
+// record per state change and deletes both sessions' records.
+func TestMemoryModeWritesNoRecord(t *testing.T) {
+	wantOps := map[string]map[string]int{
+		"memory": {},
+		"disk":   {"put": 5, "delete": 2, "list": 1, "sweep": 1},
+	}
+	for name, mk := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			now := time.Unix(7000, 0)
+			s := New(Config{Backend: mk(t), Logf: t.Logf, Now: func() time.Time { return now }})
+			defer s.Close()
+			a := createSession(t, s, "a")
+			for _, step := range []struct{ path, body string }{
+				{"/plan", ""}, {"/select", `{"index":0}`}, {"/plan", ""},
+			} {
+				if rr := do(t, s, "POST", "/v1/sessions/"+a+step.path, step.body, nil); rr.Code != http.StatusOK {
+					t.Fatalf("%s: %d %s", step.path, rr.Code, rr.Body.String())
+				}
+			}
+			b := createSession(t, s, "b")
+			if rr := do(t, s, "DELETE", "/v1/sessions/"+b, "", nil); rr.Code != http.StatusNoContent {
+				t.Fatalf("delete: %d %s", rr.Code, rr.Body.String())
+			}
+			now = now.Add(time.Hour) // past the default TTL
+			if n := s.Sessions(); n != 0 {
+				t.Fatalf("%d sessions outlived the TTL", n)
+			}
+			s.Close() // waits for the eviction worker's deletes
+
+			spans := map[string]int{}
+			for _, tr := range s.tracer.Traces() {
+				full, _ := s.tracer.Trace(tr.ID)
+				for _, sp := range full.Spans {
+					spans[sp.Name]++
+				}
+			}
+			want := wantOps[name]
+			if spans["session.snapshot"] != want["put"] || spans["backend.put"] != want["put"] ||
+				spans["backend.delete"] != want["delete"] {
+				t.Errorf("spans session.snapshot %d, backend.put %d, backend.delete %d; want %d, %d, %d",
+					spans["session.snapshot"], spans["backend.put"], spans["backend.delete"],
+					want["put"], want["put"], want["delete"])
+			}
+			samples := scrape(t, s)
+			for _, op := range []string{"put", "get", "delete", "list", "sweep"} {
+				key := fmt.Sprintf(`poiesis_backend_op_duration_seconds_count{backend=%q,op=%q}`, name, op)
+				if got := samples[key].Value; got != float64(want[op]) {
+					t.Errorf("%s = %v, want %d", key, got, want[op])
+				}
+			}
+
+			var stats serverStatsJSON
+			do(t, s, "GET", "/v1/stats", "", &stats)
+			if stats.Backend != name || stats.PersistErrors != 0 || stats.EvictQueue != 0 ||
+				stats.EvictDropped != 0 || stats.Evictions != int64(want["delete"]/2) {
+				t.Errorf("stats %+v", stats)
+			}
+			var ready readyzJSON
+			if do(t, s, "GET", "/v1/readyz", "", &ready); ready.Backend != name {
+				t.Errorf("readyz backend %q, want %q", ready.Backend, name)
+			}
+		})
 	}
 }
 

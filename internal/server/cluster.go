@@ -94,7 +94,7 @@ func wireCacheKey(key string) string {
 // cooled-down replica is worth forwarding to again. /v1/healthz remains
 // pure liveness.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	out := readyzJSON{Status: "ready", Backend: s.store.backend.Name(), SessionsRestored: s.restored}
+	out := readyzJSON{Status: "ready", Backend: s.cfg.Backend.Name(), SessionsRestored: s.restored}
 	if s.cluster != nil {
 		out.Cluster = true
 		out.Node = s.cluster.Self()

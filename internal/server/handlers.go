@@ -129,7 +129,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	hits, misses, size, bytes := s.cache.stats()
 	out := serverStatsJSON{
 		Sessions:         s.store.len(),
-		Backend:          s.store.backend.Name(),
+		Backend:          s.cfg.Backend.Name(),
 		SessionsRestored: s.restored,
 		PersistErrors:    s.store.persistErrs.Load(),
 		EvictQueue:       s.store.evictDepth.Load(),

@@ -87,9 +87,8 @@ func TestMetricsExposition(t *testing.T) {
 	if v, ok := sampleValue(samples, "poiesis_plans_computed_total"); !ok || v != 1 {
 		t.Errorf("poiesis_plans_computed_total = %v (found %v), want 1", v, ok)
 	}
-	if v, ok := sampleValue(samples, "poiesis_backend_op_duration_seconds_count"); !ok || v < 1 {
-		t.Errorf("backend op count = %v (found %v), want >= 1", v, ok)
-	}
+	// The memory backend keeps no records, so its op series are exposed at
+	// 0 (TestMemoryModeWritesNoRecord counts them on both backends).
 	if _, ok := samples[`poiesis_backend_op_duration_seconds_count{backend="memory",op="put"}`]; !ok {
 		t.Error("no memory-backend put histogram in scrape")
 	}

@@ -10,11 +10,12 @@
 //	                eviction; state-changing operations on one session
 //	                serialize (concurrent ones fail fast with 409), so the
 //	                underlying core.Session is never raced; reads are served
-//	                from memory, while every state change writes a versioned
-//	                session record through to a pluggable SessionBackend
-//	                (in-memory by default, crash-safe disk snapshots via
-//	                NewDiskBackend) and startup restores the backend's
-//	                records, so sessions survive restarts;
+//	                from memory. By default sessions live only there; with
+//	                a record-keeping SessionBackend (crash-safe disk
+//	                snapshots via NewDiskBackend) every state change writes
+//	                a versioned session record through to it and startup
+//	                restores the backend's records, so sessions survive
+//	                restarts;
 //	plan cache    — fingerprint-keyed (flow fingerprint + canonicalized
 //	                options + binding, see core.PlanKey): identical plans
 //	                across sessions are served from cache instead of
@@ -97,10 +98,12 @@ type Config struct {
 	// weigh alternatives × (graph + report) bytes, so one huge exploration
 	// cannot pin hundreds of small ones out — nor vice versa. Default 64 MiB.
 	CacheMaxBytes int64
-	// Backend persists session records. Nil uses the in-memory backend
-	// (sessions die with the process); NewDiskBackend gives crash-safe disk
-	// snapshots that New restores on startup. The backend must have a single
-	// writing server process.
+	// Backend persists session records. Nil uses the memory backend, which
+	// keeps none: the server then builds no record, makes no backend call,
+	// and sessions die with the process. NewDiskBackend gives crash-safe
+	// disk snapshots, written through on every state change, that New
+	// restores on startup. The backend must have a single writing server
+	// process.
 	Backend SessionBackend
 	// Cluster makes this server one shard-aware replica: sessions route to
 	// the replica their ID hashes to (requests for remote sessions are
@@ -205,13 +208,18 @@ type Server struct {
 // from a previous run (the disk backend after a restart), every non-expired
 // session is restored before the first request is served; corrupted or
 // unloadable records are skipped with a logged warning rather than aborting
-// startup.
+// startup. Over the memory backend, which keeps no records, the server
+// makes no backend call at all: no write-through, no restore.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	metrics := newServerMetrics()
 	// Every backend op — including the restore List/Sweep below and the
 	// eviction worker's deletes — flows through the metrics decorator.
 	cfg.Backend = newObsBackend(cfg.Backend, metrics.reg)
+	var records SessionBackend
+	if cfg.Backend.Name() != memoryBackendName {
+		records = cfg.Backend
+	}
 	ttl := cfg.SessionTTL
 	if ttl < 0 {
 		ttl = 0 // sessionStore treats 0 as "no eviction"
@@ -231,7 +239,7 @@ func New(cfg Config) *Server {
 	logger := obs.NewLogfLogger(cfg.Logf)
 	s := &Server{
 		cfg:     cfg,
-		store:   newSessionStore(ttl, cfg.MaxSessions, cfg.Now, cfg.Backend, logger, tracer),
+		store:   newSessionStore(ttl, cfg.MaxSessions, cfg.Now, records, logger, tracer),
 		cache:   newPlanCache(cfg.CacheCapacity, cfg.CacheMaxBytes),
 		mux:     http.NewServeMux(),
 		cluster: cfg.Cluster,
@@ -247,7 +255,9 @@ func New(cfg Config) *Server {
 			}
 		})
 	}
-	s.restoreSessions(ttl)
+	if records != nil {
+		s.restoreSessions(ttl)
+	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraceIndex)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)

@@ -112,8 +112,11 @@ var errTooManySessions = errors.New("server: session limit reached")
 // clock, so expiry is deterministic in tests.
 //
 // Live sessions are held in memory, so reads (get, list) never touch the
-// persistence layer; every state change writes a fresh record through to the
-// SessionBackend, and startup restores whatever records the backend kept.
+// persistence layer. With a backend that keeps records, every state change
+// writes a fresh record through to it, and startup restores whatever records
+// the backend kept. Without one (backend nil: the server's memory mode) the
+// store builds no record, makes no backend call and runs no eviction worker;
+// capacity and TTL expiry of live sessions work the same either way.
 //
 // Backend record deletion for TTL-evicted sessions is handed to a bounded
 // background worker instead of running on the request path: with the disk
@@ -124,7 +127,7 @@ type sessionStore struct {
 	ttl     time.Duration
 	max     int
 	now     func() time.Time
-	backend SessionBackend
+	backend SessionBackend // nil when the server's backend keeps no records
 	log     *slog.Logger
 	// tracer roots detached traces for background work (the eviction
 	// worker's backend deletes); nil when tracing is disabled.
@@ -145,6 +148,7 @@ type sessionStore struct {
 	// the queue was full (their stale records are reclaimed by the startup
 	// sweep — they are past the TTL by definition); both are surfaced in
 	// /v1/stats. evictsDone counts completed deletes, for tests and stats.
+	// Without a backend none of it exists and the counters stay 0.
 	evictCh      chan string
 	evictDepth   atomic.Int64
 	evictDropped atomic.Int64
@@ -161,9 +165,6 @@ type sessionStore struct {
 const evictQueueCap = 1024
 
 func newSessionStore(ttl time.Duration, max int, now func() time.Time, backend SessionBackend, log *slog.Logger, tracer *obs.Tracer) *sessionStore {
-	if backend == nil {
-		backend = NewMemoryBackend()
-	}
 	if log == nil {
 		log = defaultLogger
 	}
@@ -177,11 +178,13 @@ func newSessionStore(ttl time.Duration, max int, now func() time.Time, backend S
 	s := &sessionStore{
 		ttl: ttl, max: max, now: now, backend: backend, log: log, tracer: tracer,
 		sweepEvery: sweepEvery,
-		evictCh:    make(chan string, evictQueueCap),
-		workerDone: make(chan struct{}),
 		m:          map[string]*sessionState{},
 	}
-	go s.evictWorker()
+	if backend != nil {
+		s.evictCh = make(chan string, evictQueueCap)
+		s.workerDone = make(chan struct{})
+		go s.evictWorker()
+	}
 	return s
 }
 
@@ -225,6 +228,9 @@ func (s *sessionStore) evictOne(id string) {
 // close stops the eviction worker after draining the queued deletes. Safe to
 // call more than once.
 func (s *sessionStore) close() {
+	if s.backend == nil {
+		return
+	}
 	s.closeOnce.Do(func() { close(s.evictCh) })
 	<-s.workerDone
 }
@@ -282,6 +288,9 @@ func (s *sessionStore) expiredLocked(st *sessionState, now time.Time) bool {
 // is past the TTL by definition), and the same holds should the process
 // crash before the worker gets to a queued delete.
 func (s *sessionStore) queueEvictions(ids []string) {
+	if s.backend == nil {
+		return
+	}
 	for _, id := range ids {
 		// Increment before the send so the depth counter never dips negative:
 		// it reads as queued + in-flight deletes.
@@ -296,9 +305,10 @@ func (s *sessionStore) queueEvictions(ids []string) {
 	}
 }
 
-// add registers a new session, writing its initial record through to the
-// backend first: a session the backend refused to persist is never admitted,
-// so the store can't hold sessions that would silently vanish on restart.
+// add registers a new session, writing its initial record through to a
+// record-keeping backend first: a session the backend refused to persist is
+// never admitted, so the store can't hold sessions that would silently
+// vanish on restart.
 // The snapshot and backend write happen without holding the store lock — st
 // is not shared yet — and only after a capacity pre-check, so a full server
 // rejects creates cheaply instead of paying a snapshot plus durable write
@@ -322,21 +332,27 @@ func (s *sessionStore) add(ctx context.Context, st *sessionState) error {
 		s.m[st.id] = st
 	}
 	s.mu.Unlock()
-	if full {
+	if !full {
+		return nil
+	}
+	if s.backend != nil {
 		if err := s.backend.Delete(st.id); err != nil {
 			s.persistErrs.Add(1)
 			s.log.Warn("server: rolling back record of rejected session failed", "session", st.id, "err", err)
 		}
-		return errTooManySessions
 	}
-	return nil
+	return errTooManySessions
 }
 
 // writeRecord builds st's record and puts it to the backend. A traced
 // request records the two steps as separate spans: session.snapshot for
 // building the record, backend.put for the backend's write (attribute
-// construction is skipped entirely untraced).
+// construction is skipped entirely untraced). Without a backend it does
+// nothing.
 func (s *sessionStore) writeRecord(ctx context.Context, st *sessionState) error {
+	if s.backend == nil {
+		return nil
+	}
 	start := time.Now()
 	rec, err := st.record()
 	if obs.Traced(ctx) {
@@ -413,8 +429,8 @@ func (s *sessionStore) remove(ctx context.Context, id string) bool {
 		delete(s.m, id)
 	}
 	s.mu.Unlock()
-	if !ok {
-		return false
+	if !ok || s.backend == nil {
+		return ok
 	}
 	// Backend delete outside s.mu; the caller holds the session's opMu, so
 	// no plan/select can re-persist the record concurrently.
@@ -432,13 +448,13 @@ func (s *sessionStore) remove(ctx context.Context, id string) bool {
 	return true
 }
 
-// persist writes the session's current state through to the backend after a
-// state-changing operation (plan completion, select). Callers hold st.opMu,
-// which excludes concurrent deletion and TTL eviction (both only act on
-// sessions whose opMu they can acquire), so a persisted record can never
-// resurrect a session that was just removed. Write-through failures degrade
-// durability, not availability: the error is counted and logged, and the
-// in-memory session keeps serving.
+// persist writes the session's current state through to a record-keeping
+// backend after a state-changing operation (plan completion, select).
+// Callers hold st.opMu, which excludes concurrent deletion and TTL eviction
+// (both only act on sessions whose opMu they can acquire), so a persisted
+// record can never resurrect a session that was just removed. Write-through
+// failures degrade durability, not availability: the error is counted and
+// logged, and the in-memory session keeps serving.
 func (s *sessionStore) persist(ctx context.Context, st *sessionState) error {
 	err := s.writeRecord(ctx, st)
 	if err != nil {

@@ -24,9 +24,52 @@ func testState(id string) *sessionState {
 	}
 }
 
+// testStore builds a store over a recordingBackend, so the tests can check
+// what the store writes through.
 func testStore(ttl time.Duration, max int, now func() time.Time) *sessionStore {
-	return newSessionStore(ttl, max, now, NewMemoryBackend(), nil, nil)
+	return newSessionStore(ttl, max, now, newRecordingBackend(), nil, nil)
 }
+
+// recordingBackend is a record-keeping SessionBackend held in a map: the
+// store's write-through, rollback and eviction deletes are visible to the
+// tests without disk I/O.
+type recordingBackend struct {
+	mu sync.Mutex
+	m  map[string]*SessionRecord
+}
+
+func newRecordingBackend() *recordingBackend {
+	return &recordingBackend{m: map[string]*SessionRecord{}}
+}
+
+func (b *recordingBackend) Name() string { return "recording" }
+
+func (b *recordingBackend) Put(rec *SessionRecord) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.m[rec.ID] = rec
+	return nil
+}
+
+func (b *recordingBackend) Get(id string) (*SessionRecord, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if rec, ok := b.m[id]; ok {
+		return rec, nil
+	}
+	return nil, ErrRecordNotFound
+}
+
+func (b *recordingBackend) Delete(id string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.m, id)
+	return nil
+}
+
+// The store never lists or sweeps: restoring records is the server's job.
+func (b *recordingBackend) List() ([]*SessionRecord, error)   { return nil, nil }
+func (b *recordingBackend) Sweep(time.Time) ([]string, error) { return nil, nil }
 
 func TestStoreTTLEviction(t *testing.T) {
 	now := time.Unix(1000, 0)
@@ -279,7 +322,7 @@ func (b *gatedBackend) Delete(id string) error {
 func TestStoreEvictionWorkerBounded(t *testing.T) {
 	const sessions = evictQueueCap + 80
 	now := time.Unix(1000, 0)
-	gated := &gatedBackend{SessionBackend: NewMemoryBackend(), gate: make(chan struct{})}
+	gated := &gatedBackend{SessionBackend: newRecordingBackend(), gate: make(chan struct{})}
 	store := newSessionStore(time.Minute, 0, func() time.Time { return now }, gated, nil, nil)
 	defer store.close()
 

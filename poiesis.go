@@ -185,8 +185,9 @@ func BuildInfo() (version, revision string) { return obs.BuildInfo() }
 // SessionBackend is the pluggable persistence layer of the service's session
 // registry: reads stay in-memory-fast, every state-changing operation writes
 // a versioned session record through, and startup restores the backend's
-// records. Implementations must be safe for concurrent use and have exactly
-// one writing server process.
+// records. A backend whose Name is "memory" keeps no records, and the server
+// then builds and writes none. Implementations must be safe for concurrent
+// use and have exactly one writing server process.
 type SessionBackend = server.SessionBackend
 
 // SessionRecord is the unit of session persistence: service metadata plus
@@ -232,8 +233,9 @@ func ParseClusterPeers(spec string) ([]ClusterMember, error) {
 	return cluster.ParsePeers(spec)
 }
 
-// NewMemorySessionBackend returns the in-process session backend (the
-// default): sessions die with the process.
+// NewMemorySessionBackend returns the session backend that keeps no records
+// (the default): sessions live only in the server's memory and die with the
+// process, and the server writes nothing through.
 func NewMemorySessionBackend() SessionBackend { return server.NewMemoryBackend() }
 
 // NewDiskSessionBackend returns the crash-safe disk session backend rooted
