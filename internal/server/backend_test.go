@@ -49,68 +49,70 @@ func testRecord(id string, lastUsed time.Time) *SessionRecord {
 // TestBackendContract exercises put/get/delete/list/sweep on the disk
 // backend, the one that keeps records.
 func TestBackendContract(t *testing.T) {
-	b := newTestDiskBackend(t)
-	base := time.Unix(5000, 0).UTC()
+	t.Run("disk", func(t *testing.T) {
+		b := newTestDiskBackend(t)
+		base := time.Unix(5000, 0).UTC()
 
-	if _, err := b.Get("missing0000"); err != ErrRecordNotFound {
-		t.Errorf("Get missing: %v, want ErrRecordNotFound", err)
-	}
-	if err := b.Delete("missing0000"); err != nil {
-		t.Errorf("Delete missing must be idempotent: %v", err)
-	}
-
-	for i, id := range []string{"c3", "a1", "b2"} {
-		if err := b.Put(testRecord(id, base.Add(time.Duration(i)*time.Hour))); err != nil {
-			t.Fatalf("Put %s: %v", id, err)
+		if _, err := b.Get("missing0000"); err != ErrRecordNotFound {
+			t.Errorf("Get missing: %v, want ErrRecordNotFound", err)
 		}
-	}
-	got, err := b.Get("a1")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if got.Name != "rec-a1" || got.Plans != 2 || !got.LastUsed.Equal(base.Add(time.Hour)) {
-		t.Errorf("record did not round-trip: %+v", got)
-	}
+		if err := b.Delete("missing0000"); err != nil {
+			t.Errorf("Delete missing must be idempotent: %v", err)
+		}
 
-	// Put replaces.
-	upd := testRecord("a1", base.Add(2*time.Hour))
-	upd.Plans = 9
-	if err := b.Put(upd); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ = b.Get("a1"); got.Plans != 9 {
-		t.Errorf("Put did not replace: %+v", got)
-	}
+		for i, id := range []string{"c3", "a1", "b2"} {
+			if err := b.Put(testRecord(id, base.Add(time.Duration(i)*time.Hour))); err != nil {
+				t.Fatalf("Put %s: %v", id, err)
+			}
+		}
+		got, err := b.Get("a1")
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if got.Name != "rec-a1" || got.Plans != 2 || !got.LastUsed.Equal(base.Add(time.Hour)) {
+			t.Errorf("record did not round-trip: %+v", got)
+		}
 
-	recs, err := b.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || recs[0].ID != "a1" || recs[1].ID != "b2" || recs[2].ID != "c3" {
-		t.Errorf("List wrong: %v", recordIDs(recs))
-	}
-
-	// Sweep drops records last used strictly before the cutoff:
-	// c3 sits at base, a1 (updated) and b2 at base+2h.
-	removed, err := b.Sweep(base.Add(90 * time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 1 || removed[0] != "c3" {
-		t.Errorf("Sweep removed %v, want [c3]", removed)
-	}
-	if recs, _ = b.List(); len(recs) != 2 || recs[0].ID != "a1" || recs[1].ID != "b2" {
-		t.Errorf("after sweep: %v", recordIDs(recs))
-	}
-
-	for _, id := range []string{"a1", "b2"} {
-		if err := b.Delete(id); err != nil {
+		// Put replaces.
+		upd := testRecord("a1", base.Add(2*time.Hour))
+		upd.Plans = 9
+		if err := b.Put(upd); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if recs, _ = b.List(); len(recs) != 0 {
-		t.Errorf("after delete: %v", recordIDs(recs))
-	}
+		if got, _ = b.Get("a1"); got.Plans != 9 {
+			t.Errorf("Put did not replace: %+v", got)
+		}
+
+		recs, err := b.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 3 || recs[0].ID != "a1" || recs[1].ID != "b2" || recs[2].ID != "c3" {
+			t.Errorf("List wrong: %v", recordIDs(recs))
+		}
+
+		// Sweep drops records last used strictly before the cutoff:
+		// c3 sits at base, a1 (updated) and b2 at base+2h.
+		removed, err := b.Sweep(base.Add(90 * time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(removed) != 1 || removed[0] != "c3" {
+			t.Errorf("Sweep removed %v, want [c3]", removed)
+		}
+		if recs, _ = b.List(); len(recs) != 2 || recs[0].ID != "a1" || recs[1].ID != "b2" {
+			t.Errorf("after sweep: %v", recordIDs(recs))
+		}
+
+		for _, id := range []string{"a1", "b2"} {
+			if err := b.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if recs, _ = b.List(); len(recs) != 0 {
+			t.Errorf("after delete: %v", recordIDs(recs))
+		}
+	})
 }
 
 func recordIDs(recs []*SessionRecord) []string {

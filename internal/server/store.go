@@ -353,21 +353,18 @@ func (s *sessionStore) writeRecord(ctx context.Context, st *sessionState) error 
 	if s.backend == nil {
 		return nil
 	}
+	traced := obs.Traced(ctx)
 	start := time.Now()
 	rec, err := st.record()
-	if obs.Traced(ctx) {
+	if traced {
 		obs.RecordSpan(ctx, "session.snapshot", start, time.Since(start), obs.String("session", st.id))
 	}
 	if err != nil {
 		return err
 	}
-	return s.backendPut(ctx, rec)
-}
-
-func (s *sessionStore) backendPut(ctx context.Context, rec *SessionRecord) error {
-	start := time.Now()
-	err := s.backend.Put(rec)
-	if obs.Traced(ctx) {
+	start = time.Now()
+	err = s.backend.Put(rec)
+	if traced {
 		obs.RecordSpan(ctx, "backend.put", start, time.Since(start),
 			obs.String("backend", s.backend.Name()), obs.String("session", rec.ID))
 	}
