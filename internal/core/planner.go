@@ -163,6 +163,12 @@ type Result struct {
 	Dims []measures.Characteristic
 	// Stats describes the run.
 	Stats Stats
+
+	// record memoizes the result's snapshot and its JSON encoding for
+	// Session.Snapshot. A published Result is read-only and the plan cache
+	// shares it between sessions, so however many sessions record it, it is
+	// snapshotted and encoded once.
+	record resultRecord
 }
 
 // Skyline returns the frontier alternatives in index order.

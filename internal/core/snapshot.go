@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"poiesis/internal/data"
 	"poiesis/internal/etl"
@@ -36,7 +38,9 @@ type SessionSnapshot struct {
 	Flow    json.RawMessage     `json:"flow"`
 	Binding []SourceSnapshot    `json:"binding,omitempty"`
 	History []SelectionSnapshot `json:"history,omitempty"`
-	Last    *ResultSnapshot     `json:"last,omitempty"`
+	// Last is the last planning result. Session.Snapshot shares it between
+	// every snapshot of the same Result, in any session, so it is read-only.
+	Last *ResultSnapshot `json:"last,omitempty"`
 }
 
 // SourceSnapshot serializes one synthetic source binding (node → SourceSpec).
@@ -70,6 +74,10 @@ type ResultSnapshot struct {
 	Initial      AlternativeSnapshot   `json:"initial"`
 	Alternatives []AlternativeSnapshot `json:"alternatives,omitempty"`
 	SkylineIdx   []int                 `json:"skylineIdx,omitempty"`
+
+	// encoded is json.Marshal of this snapshot, set once on the snapshots
+	// Session.Snapshot memoizes (AppendJSON); nil on every other snapshot.
+	encoded []byte
 }
 
 // StatsSnapshot serializes run statistics.
@@ -129,6 +137,11 @@ type MeasureSnapshot struct {
 // exploration: the exploration publishes its result only after Snapshot's
 // critical section, so the snapshot is simply taken before or after the run,
 // never mid-write.
+//
+// The last result's snapshot is built and JSON-encoded once per Result and
+// then shared: every snapshot of a session holding that Result — also of
+// other sessions that adopted it from a plan cache — points Last at the same
+// read-only ResultSnapshot, whose AppendJSON hands out the memoized bytes.
 func (s *Session) Snapshot() (*SessionSnapshot, error) {
 	s.mu.Lock()
 	cur := s.current
@@ -152,13 +165,76 @@ func (s *Session) Snapshot() (*SessionSnapshot, error) {
 		snap.History = append(snap.History, SelectionSnapshot(rec))
 	}
 	if last != nil {
-		rs, err := snapshotResult(last)
+		rs, err := last.recordSnapshot()
 		if err != nil {
 			return nil, err
 		}
 		snap.Last = rs
 	}
 	return snap, nil
+}
+
+// resultRecord is a Result's memoized snapshot (see Result.record).
+type resultRecord struct {
+	once sync.Once
+	snap *ResultSnapshot
+	err  error
+}
+
+// recordSnapshot returns res's snapshot with its JSON encoding, building both
+// on the first call.
+func (res *Result) recordSnapshot() (*ResultSnapshot, error) {
+	m := &res.record
+	m.once.Do(func() {
+		rs, err := snapshotResult(res)
+		if err == nil {
+			err = rs.encode()
+		}
+		m.snap, m.err = rs, err
+	})
+	return m.snap, m.err
+}
+
+// encode memoizes rs's JSON encoding and points every alternative's flow at
+// its own bytes inside it, so the memo holds each flow once. Each flow is
+// json.Marshal output, already compact and escaped, so it appears verbatim in
+// the encoding, in order; the alias is a full-slice expression, so appending
+// to a flow cannot write into the encoding.
+func (rs *ResultSnapshot) encode() error {
+	blob, err := json.Marshal(rs)
+	if err != nil {
+		return fmt.Errorf("core: encoding result snapshot: %w", err)
+	}
+	pos := 0
+	alias := func(flow *json.RawMessage) {
+		i := bytes.Index(blob[pos:], *flow)
+		if i < 0 {
+			return
+		}
+		i += pos
+		pos = i + len(*flow)
+		*flow = blob[i:pos:pos]
+	}
+	alias(&rs.Initial.Flow)
+	for i := range rs.Alternatives {
+		alias(&rs.Alternatives[i].Flow)
+	}
+	rs.encoded = blob
+	return nil
+}
+
+// AppendJSON appends the JSON encoding of rs to dst. The bytes always equal
+// json.Marshal(rs); for a snapshot taken by Session.Snapshot they are the
+// memoized encoding, copied without being encoded or scanned again.
+func (rs *ResultSnapshot) AppendJSON(dst []byte) ([]byte, error) {
+	if rs.encoded != nil {
+		return append(dst, rs.encoded...), nil
+	}
+	blob, err := json.Marshal(rs)
+	if err != nil {
+		return dst, fmt.Errorf("core: encoding result snapshot: %w", err)
+	}
+	return append(dst, blob...), nil
 }
 
 // RestoreSession rebuilds a Session from a snapshot. The planner is supplied
@@ -198,7 +274,9 @@ func RestoreSession(planner *Planner, snap *SessionSnapshot) (*Session, error) {
 // evaluated space, stats and skyline, exactly as SessionSnapshot embeds it.
 // The HTTP service's shared plan-cache tier ships results between replicas
 // in this form: restoring yields a Result that serves responses
-// byte-identical to the original's.
+// byte-identical to the original's. It builds a fresh snapshot on every call
+// and memoizes nothing: a result served to a peer need not carry a second
+// copy of itself.
 func SnapshotResult(res *Result) (*ResultSnapshot, error) {
 	if res == nil {
 		return nil, errors.New("core: SnapshotResult: nil result")

@@ -14,8 +14,11 @@ import (
 // metadata (identity, liveness, plan count, the creation config document the
 // planner is rebuilt from) wrapped around the core.SessionSnapshot that
 // carries the analyst's actual state. Records are immutable once handed to a
-// backend — every write-through builds a fresh record — which is what lets
-// backends hand them out without copying.
+// backend, which is what lets backends hand them out without copying. Every
+// write-through builds a fresh record, but not a fresh last result: the
+// snapshot's Last is the planning result's memoized, read-only snapshot,
+// shared by every record of every session holding that result (see
+// core.Session.Snapshot), and encodeRecord copies its memoized encoding.
 type SessionRecord struct {
 	Version  int                   `json:"version"`
 	ID       string                `json:"id"`
@@ -90,13 +93,29 @@ func (memoryBackend) Delete(string) error                { return nil }
 func (memoryBackend) List() ([]*SessionRecord, error)    { return nil, nil }
 func (memoryBackend) Sweep(time.Time) ([]string, error)  { return nil, nil }
 
-// encodeRecord serializes a record for storage, stamping the current format
-// version.
+// encodeRecord serializes a record for storage; the bytes equal
+// json.Marshal(rec). It marshals the record without the session's last
+// result, then splices the result in through ResultSnapshot.AppendJSON, which
+// copies a memoized encoding instead of encoding (and re-scanning every flow
+// of) the whole evaluated space again. The session snapshot is the record's
+// last field and its last result the snapshot's last field, so the result
+// goes right before the two closing braces.
 func encodeRecord(rec *SessionRecord) ([]byte, error) {
 	if rec.ID == "" {
 		return nil, errors.New("server: session record without ID")
 	}
-	blob, err := json.Marshal(rec)
+	head := *rec
+	var last *core.ResultSnapshot
+	if rec.Session != nil && rec.Session.Last != nil {
+		sess := *rec.Session
+		last, sess.Last = sess.Last, nil
+		head.Session = &sess
+	}
+	blob, err := json.Marshal(&head)
+	if err == nil && last != nil {
+		blob, err = last.AppendJSON(append(blob[:len(blob)-2], `,"last":`...))
+		blob = append(blob, "}}"...)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding session record %s: %w", rec.ID, err)
 	}

@@ -1,0 +1,284 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"poiesis/internal/config"
+	"poiesis/internal/core"
+	"poiesis/internal/sim"
+	"poiesis/internal/workloads"
+)
+
+// recordConfig is a small planning configuration at the given depth.
+func recordConfig(t testing.TB, depth int) *config.Document {
+	t.Helper()
+	doc, err := config.Parse([]byte(fmt.Sprintf(
+		`{"policy":"greedy","topK":2,"depth":%d,"sim":{"runs":4,"defaultRows":100}}`, depth)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// recordOf wraps a session snapshot in a record the way the store does.
+func recordOf(id string, doc *config.Document, snap *core.SessionSnapshot) *SessionRecord {
+	at := time.Unix(7000, 0).UTC()
+	return &SessionRecord{
+		Version: SessionRecordVersion, ID: id, Name: "rec-" + id,
+		Created: at, LastUsed: at, Plans: 2, Config: doc, Session: snap,
+	}
+}
+
+// TestEncodeRecordMatchesMarshal: the spliced encoder writes exactly the
+// bytes of json.Marshal(rec), for every builtin flow at depth 1 and 2, for a
+// record without a last result, with a memoized last result (before and
+// after a selection, so with history), and with last results that carry no
+// memo: one decoded from a stored record and one rebuilt through
+// RestoreResult and SnapshotResult.
+func TestEncodeRecordMatchesMarshal(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for depth := 1; depth <= 2; depth++ {
+			t.Run(fmt.Sprintf("%s/depth%d", name, depth), func(t *testing.T) {
+				doc := recordConfig(t, depth)
+				p, err := doc.Planner()
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, _ := workloads.Get(name)
+				sess := core.NewSession(p, g, sim.AutoBinding(g, 100, 1))
+
+				check := func(label string, rec *SessionRecord) []byte {
+					t.Helper()
+					want, err := json.Marshal(rec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := encodeRecord(rec)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: encodeRecord differs from json.Marshal (%d vs %d bytes)", label, len(got), len(want))
+					}
+					return got
+				}
+				snapshot := func() *core.SessionSnapshot {
+					t.Helper()
+					snap, err := sess.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return snap
+				}
+
+				check("no last result", recordOf("r0", doc, snapshot()))
+				if _, err := sess.Explore(); err != nil {
+					t.Fatal(err)
+				}
+				check("memoized last result", recordOf("r1", doc, snapshot()))
+				if len(sess.LastResult().SkylineIdx) > 0 {
+					if _, err := sess.Select(0); err != nil {
+						t.Fatal(err)
+					}
+					check("history, no last result", recordOf("r2", doc, snapshot()))
+					if _, err := sess.Explore(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snap := snapshot()
+				blob := check("history and memoized last result", recordOf("r3", doc, snap))
+
+				stored, err := decodeRecord(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again := check("decoded record", stored); !bytes.Equal(again, blob) {
+					t.Fatal("a decoded record does not encode to the stored bytes")
+				}
+
+				fresh, err := core.SnapshotResult(sess.LastResult())
+				if err != nil {
+					t.Fatal(err)
+				}
+				restored, err := core.RestoreResult(fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh, err = core.SnapshotResult(restored); err != nil {
+					t.Fatal(err)
+				}
+				unmemoized := *snap
+				unmemoized.Last = fresh
+				if got := check("restored last result", recordOf("r3", doc, &unmemoized)); !bytes.Equal(got, blob) {
+					t.Fatal("a restored result encodes differently from the memoized one")
+				}
+			})
+		}
+	}
+}
+
+// cachedPlanSessions runs, on a disk-backed server, one session's plan (a
+// miss) and a second session's plan of the same key (a cache hit), and
+// returns the second session's state.
+func cachedPlanSessions(t *testing.T, s *Server, depth int) *sessionState {
+	t.Helper()
+	body := fmt.Sprintf(`{"flow":{"builtin":"tpcds-purchases"},"scale":100,
+		"config":{"policy":"greedy","topK":2,"depth":%d,"sim":{"runs":4,"defaultRows":100}}}`, depth)
+	var ids [2]string
+	for i := range ids {
+		var sj sessionJSON
+		if rr := do(t, s, "POST", "/v1/sessions", body, &sj); rr.Code != 201 {
+			t.Fatalf("create: %d %s", rr.Code, rr.Body.String())
+		}
+		ids[i] = sj.ID
+		var plan struct {
+			Cached bool `json:"cached"`
+		}
+		if rr := do(t, s, "POST", "/v1/sessions/"+sj.ID+"/plan", "", &plan); rr.Code != 200 {
+			t.Fatalf("plan: %d %s", rr.Code, rr.Body.String())
+		}
+		if plan.Cached != (i == 1) {
+			t.Fatalf("plan %d: cached=%v", i, plan.Cached)
+		}
+	}
+	first, _ := s.store.get(ids[0])
+	second, _ := s.store.get(ids[1])
+	if first.sess.LastResult() != second.sess.LastResult() {
+		t.Fatal("the cache hit did not adopt the shared result")
+	}
+	a, err := first.sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := second.sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Last == nil || a.Last != b.Last {
+		t.Fatal("the two sessions' snapshots do not share one last-result snapshot")
+	}
+	return second
+}
+
+// TestCachedPlanEncodesResultOnce: on the disk backend, a session that adopts
+// a cached result records it without snapshotting or encoding it again. The
+// record's allocations are measured at depth 1 and depth 2: the deeper plan
+// has several times the alternatives, so a record that rebuilt the snapshot
+// would cost many more allocations; the two counts must stay level.
+func TestCachedPlanEncodesResultOnce(t *testing.T) {
+	allocs := map[int]float64{}
+	alts := map[int]int{}
+	for _, depth := range []int{1, 2} {
+		b := newTestDiskBackend(t)
+		s := New(Config{Backend: b, Logf: t.Logf})
+		st := cachedPlanSessions(t, s, depth)
+		alts[depth] = len(st.sess.LastResult().Alternatives)
+		allocs[depth] = testing.AllocsPerRun(5, func() {
+			if err := s.store.writeRecord(bg, st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		s.store.close()
+	}
+	t.Logf("writeRecord allocations: %v per record over %v alternatives", allocs, alts)
+	if alts[2] < 2*alts[1] {
+		t.Fatalf("depth 2 has %d alternatives, depth 1 %d: too few to tell growth", alts[2], alts[1])
+	}
+	// Rebuilding costs dozens of allocations per alternative; the bound is
+	// half of one, which leaves room for allocations of the runtime's own
+	// background work, counted too (and more of it under -race).
+	if grow := allocs[2] - allocs[1]; grow > float64(alts[2]-alts[1])/2 {
+		t.Errorf("writeRecord allocations grow with the alternatives: %.0f at %d, %.0f at %d",
+			allocs[1], alts[1], allocs[2], alts[2])
+	}
+}
+
+// TestConcurrentRecordsShareOneEncoding: 8 sessions holding one cached Result
+// persist at once (run under -race). The memo is built once under its
+// sync.Once, and every stored record carries the same bytes for the result.
+func TestConcurrentRecordsShareOneEncoding(t *testing.T) {
+	const sessions = 8
+	doc := recordConfig(t, 1)
+	p, err := doc.Planner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := workloads.Get("tpcds-purchases")
+	bind := sim.AutoBinding(g, 100, 1)
+	res, err := p.Plan(g, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := newTestDiskBackend(t)
+	store := newSessionStore(time.Hour, 0, time.Now, b, nil, nil)
+	defer store.close()
+	states := make([]*sessionState, sessions)
+	for i := range states {
+		sess := core.NewSession(p, g, bind)
+		if err := sess.AdoptResult(res); err != nil {
+			t.Fatal(err)
+		}
+		states[i] = &sessionState{id: fmt.Sprintf("s%02d", i), sess: sess, cfgDoc: doc}
+		store.adopt(states[i])
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, st := range states {
+		wg.Add(1)
+		go func(st *sessionState) {
+			defer wg.Done()
+			<-start
+			if err := store.persist(bg, st); err != nil {
+				t.Error(err)
+			}
+		}(st)
+	}
+	close(start)
+	wg.Wait()
+
+	var shared *core.ResultSnapshot
+	for _, st := range states {
+		snap, err := st.sess.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared == nil {
+			shared = snap.Last
+		}
+		if snap.Last != shared {
+			t.Fatalf("session %s holds its own snapshot of the shared result", st.id)
+		}
+	}
+
+	fresh, err := core.SnapshotResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != sessions {
+		t.Fatalf("%d records stored, want %d", len(recs), sessions)
+	}
+	for _, rec := range recs {
+		got, err := json.Marshal(rec.Session.Last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("record %s stores a different last result", rec.ID)
+		}
+	}
+}

@@ -286,11 +286,14 @@ func (s *sessionStore) expiredLocked(st *sessionState, now time.Time) bool {
 // worker. Called without s.mu held. When the queue is full the ID is dropped
 // and counted: the stale record is reclaimed by the next startup sweep (it
 // is past the TTL by definition), and the same holds should the process
-// crash before the worker gets to a queued delete.
+// crash before the worker gets to a queued delete. The drops of one call are
+// logged as one line, not one per ID: a sweep can expire thousands of
+// sessions, and the caller is a request.
 func (s *sessionStore) queueEvictions(ids []string) {
 	if s.backend == nil {
 		return
 	}
+	dropped, example := 0, ""
 	for _, id := range ids {
 		// Increment before the send so the depth counter never dips negative:
 		// it reads as queued + in-flight deletes.
@@ -299,9 +302,16 @@ func (s *sessionStore) queueEvictions(ids []string) {
 		case s.evictCh <- id:
 		default:
 			s.evictDepth.Add(-1)
-			s.evictDropped.Add(1)
-			s.log.Warn("server: eviction queue full; leaving session record for the startup sweep", "session", id)
+			if dropped == 0 {
+				example = id
+			}
+			dropped++
 		}
+	}
+	if dropped > 0 {
+		s.evictDropped.Add(int64(dropped))
+		s.log.Warn("server: eviction queue full; leaving session records for the startup sweep",
+			"dropped", dropped, "session", example)
 	}
 }
 

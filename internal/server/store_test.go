@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -317,14 +320,18 @@ func (b *gatedBackend) Delete(id string) error {
 
 // TestStoreEvictionWorkerBounded floods the eviction queue while the worker
 // is pinned inside a backend delete: the request path must not block, excess
-// IDs are dropped and counted, and once the backend unblocks the worker
-// drains the backlog.
+// IDs are dropped and counted, each overflowing call logs its drops as one
+// line, and once the backend unblocks the worker drains the backlog.
 func TestStoreEvictionWorkerBounded(t *testing.T) {
 	const sessions = evictQueueCap + 80
+	const late = 30 // expire after the queue is already full
 	now := time.Unix(1000, 0)
 	gated := &gatedBackend{SessionBackend: newRecordingBackend(), gate: make(chan struct{})}
-	store := newSessionStore(time.Minute, 0, func() time.Time { return now }, gated, nil, nil)
+	var logBuf bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
+	store := newSessionStore(time.Minute, 0, func() time.Time { return now }, gated, logger, nil)
 	defer store.close()
+	fullLines := func() int { return strings.Count(logBuf.String(), "eviction queue full") }
 
 	for i := 0; i < sessions; i++ {
 		st := testState(fmt.Sprintf("s%04d", i))
@@ -346,6 +353,31 @@ func TestStoreEvictionWorkerBounded(t *testing.T) {
 	if depth := store.evictDepth.Load(); depth > evictQueueCap+1 {
 		t.Fatalf("eviction backlog %d exceeds the bound", depth)
 	}
+	if n := fullLines(); n != 1 {
+		t.Fatalf("one overflowing len() logged %d \"eviction queue full\" lines, want 1:\n%s", n, logBuf.String())
+	}
+	if !strings.Contains(logBuf.String(), fmt.Sprintf("dropped=%d", dropped)) {
+		t.Errorf("log line does not give the dropped count %d:\n%s", dropped, logBuf.String())
+	}
+
+	// A second overflowing call, with the queue still full, drops all of its
+	// IDs and logs one more line.
+	for i := 0; i < late; i++ {
+		st := testState(fmt.Sprintf("late%02d", i))
+		st.touch(now)
+		store.adopt(st)
+	}
+	now = now.Add(2 * time.Minute)
+	if got := store.len(); got != 0 {
+		t.Fatalf("expired sessions still counted: %d", got)
+	}
+	if d := store.evictDropped.Load() - dropped; d != late {
+		t.Fatalf("second sweep dropped %d IDs, want %d", d, late)
+	}
+	if n := fullLines(); n != 2 {
+		t.Fatalf("two overflowing len() calls logged %d \"eviction queue full\" lines, want 2:\n%s", n, logBuf.String())
+	}
+	dropped += late
 
 	close(gated.gate) // unblock every delete
 	deadline := time.Now().Add(5 * time.Second)
@@ -355,8 +387,8 @@ func TestStoreEvictionWorkerBounded(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if done := store.evictsDone.Load(); done+dropped != sessions {
-		t.Errorf("deletes %d + drops %d != %d evictions", done, dropped, sessions)
+	if done := store.evictsDone.Load(); done+dropped != sessions+late {
+		t.Errorf("deletes %d + drops %d != %d evictions", done, dropped, sessions+late)
 	}
 }
 
