@@ -796,8 +796,9 @@ func BenchmarkServePlanNoTrace(b *testing.B) {
 }
 
 // BenchmarkServePlanDiskStore is SV1 with the crash-safe disk session
-// backend: every plan response additionally snapshots the session and
-// fsyncs the record, so the delta against BenchmarkServePlan is the
+// backend: every plan response additionally writes and fsyncs the session
+// record (the cached result's snapshot and encoding are built once, on the
+// first write), so the delta against BenchmarkServePlan is the
 // write-through cost of durability on the hot path.
 func BenchmarkServePlanDiskStore(b *testing.B) {
 	backend, err := poiesis.NewDiskSessionBackend(b.TempDir())
