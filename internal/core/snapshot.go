@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"poiesis/internal/data"
 	"poiesis/internal/etl"
@@ -179,7 +180,14 @@ type resultRecord struct {
 	once sync.Once
 	snap *ResultSnapshot
 	err  error
+	// size is the length of snap's encoding, published once it is built.
+	size atomic.Int64
 }
+
+// RecordBytes returns the length of the record encoding Session.Snapshot
+// memoizes for res, or 0 while none is built. The memo lives as long as the
+// Result does, so a cache holding the Result holds these bytes too.
+func (res *Result) RecordBytes() int64 { return res.record.size.Load() }
 
 // recordSnapshot returns res's snapshot with its JSON encoding, building both
 // on the first call.
@@ -189,6 +197,9 @@ func (res *Result) recordSnapshot() (*ResultSnapshot, error) {
 		rs, err := snapshotResult(res)
 		if err == nil {
 			err = rs.encode()
+		}
+		if err == nil {
+			m.size.Store(int64(len(rs.encoded)))
 		}
 		m.snap, m.err = rs, err
 	})
@@ -242,6 +253,15 @@ func (rs *ResultSnapshot) AppendJSON(dst []byte) ([]byte, error) {
 // serialize — see SessionSnapshot. Snapshots written by a newer format
 // version are rejected rather than half-loaded.
 func RestoreSession(planner *Planner, snap *SessionSnapshot) (*Session, error) {
+	return RestoreSessionWith(planner, snap, RestoreResult)
+}
+
+// RestoreSessionWith is RestoreSession with the last result rebuilt by
+// restoreLast, which is called only when the snapshot has one. A caller
+// restoring many sessions passes a restoreLast that hands every snapshot
+// sharing one decoded last result the same *Result, as the plan cache shares
+// results between live sessions: a Result is read-only (see AdoptResult).
+func RestoreSessionWith(planner *Planner, snap *SessionSnapshot, restoreLast func(*ResultSnapshot) (*Result, error)) (*Session, error) {
 	if snap == nil {
 		return nil, errors.New("core: RestoreSession: nil snapshot")
 	}
@@ -261,7 +281,7 @@ func RestoreSession(planner *Planner, snap *SessionSnapshot) (*Session, error) {
 		s.history = append(s.history, SelectionRecord(rec))
 	}
 	if snap.Last != nil {
-		res, err := restoreResult(snap.Last)
+		res, err := restoreLast(snap.Last)
 		if err != nil {
 			return nil, fmt.Errorf("core: RestoreSession: last result: %w", err)
 		}

@@ -37,8 +37,9 @@ var ErrRecordNotFound = errors.New("server: session record not found")
 // The server keeps live sessions in memory and serves every read from there.
 // Unless the backend keeps no records (Name "memory"), the server writes a
 // fresh record through to it on every state-changing operation (create,
-// plan completion, select, delete, TTL eviction), and at startup it restores
-// all records the backend still holds. Implementations must be safe for
+// plan completion, select, delete, TTL eviction). At startup it lists the
+// backend once: records last used before the TTL cutoff are deleted through
+// Delete, and the rest are restored. Implementations must be safe for
 // concurrent use.
 //
 // The service assumes a single writer per backend: two server processes
@@ -55,12 +56,10 @@ type SessionBackend interface {
 	Delete(id string) error
 	// List returns every stored record, sorted by ID. Backends skip records
 	// they cannot decode (reporting them through their own logging) rather
-	// than failing the whole listing.
+	// than failing the whole listing. Listed records may share one
+	// read-only last result (Session.Last) between records whose stored
+	// results are equal.
 	List() ([]*SessionRecord, error)
-	// Sweep removes records last used before cutoff and returns their IDs —
-	// the startup path for purging sessions that expired while the service
-	// was down.
-	Sweep(cutoff time.Time) ([]string, error)
 	// Name identifies the backend in stats and logs ("memory", "disk").
 	// "memory" means the backend keeps no records: a server over it builds
 	// no session record and calls none of the other methods. The server
@@ -91,7 +90,6 @@ func (memoryBackend) Put(*SessionRecord) error           { return nil }
 func (memoryBackend) Get(string) (*SessionRecord, error) { return nil, ErrRecordNotFound }
 func (memoryBackend) Delete(string) error                { return nil }
 func (memoryBackend) List() ([]*SessionRecord, error)    { return nil, nil }
-func (memoryBackend) Sweep(time.Time) ([]string, error)  { return nil, nil }
 
 // encodeRecord serializes a record for storage; the bytes equal
 // json.Marshal(rec). It marshals the record without the session's last
@@ -129,14 +127,64 @@ func decodeRecord(blob []byte) (*SessionRecord, error) {
 	if err := json.Unmarshal(blob, &rec); err != nil {
 		return nil, fmt.Errorf("server: decoding session record: %w", err)
 	}
-	if rec.ID == "" {
-		return nil, errors.New("server: session record without ID")
-	}
-	if rec.Version > SessionRecordVersion {
-		return nil, fmt.Errorf("server: session record %s has format version %d (this build supports up to %d)",
-			rec.ID, rec.Version, SessionRecordVersion)
+	if err := checkRecord(&rec); err != nil {
+		return nil, err
 	}
 	return &rec, nil
+}
+
+// listedRecord is a stored record as a listing decodes it: the session's
+// last result stays raw bytes, so that it is decoded once per distinct
+// encoding rather than once per record.
+type listedRecord struct {
+	SessionRecord
+	Session *struct {
+		core.SessionSnapshot
+		Last json.RawMessage `json:"last"`
+	} `json:"session"`
+}
+
+// decodeListedRecord is decodeRecord for a listing: records whose last
+// results are byte-equal share one decoded *core.ResultSnapshot, which lasts
+// keeps by those bytes. Equal bytes decode to equal snapshots, so the record
+// is the one decodeRecord returns.
+func decodeListedRecord(blob []byte, lasts map[string]*core.ResultSnapshot) (*SessionRecord, error) {
+	var lr listedRecord
+	if err := json.Unmarshal(blob, &lr); err != nil {
+		return nil, fmt.Errorf("server: decoding session record: %w", err)
+	}
+	rec := &lr.SessionRecord
+	if sess := lr.Session; sess != nil {
+		rec.Session = &sess.SessionSnapshot
+		if raw := sess.Last; len(raw) > 0 && string(raw) != "null" {
+			last, ok := lasts[string(raw)]
+			if !ok {
+				last = new(core.ResultSnapshot)
+				if err := json.Unmarshal(raw, last); err != nil {
+					return nil, fmt.Errorf("server: decoding session record: %w", err)
+				}
+				lasts[string(raw)] = last
+			}
+			rec.Session.Last = last
+		}
+	}
+	if err := checkRecord(rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// checkRecord rejects a decoded record without an ID or with a newer format
+// version than this build writes.
+func checkRecord(rec *SessionRecord) error {
+	if rec.ID == "" {
+		return errors.New("server: session record without ID")
+	}
+	if rec.Version > SessionRecordVersion {
+		return fmt.Errorf("server: session record %s has format version %d (this build supports up to %d)",
+			rec.ID, rec.Version, SessionRecordVersion)
+	}
+	return nil
 }
 
 // SessionRecordVersion is the current record format; it wraps (and moves in

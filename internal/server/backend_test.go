@@ -46,8 +46,8 @@ func testRecord(id string, lastUsed time.Time) *SessionRecord {
 	}
 }
 
-// TestBackendContract exercises put/get/delete/list/sweep on the disk
-// backend, the one that keeps records.
+// TestBackendContract exercises put/get/delete/list on the disk backend, the
+// one that keeps records.
 func TestBackendContract(t *testing.T) {
 	t.Run("disk", func(t *testing.T) {
 		b := newTestDiskBackend(t)
@@ -91,17 +91,12 @@ func TestBackendContract(t *testing.T) {
 			t.Errorf("List wrong: %v", recordIDs(recs))
 		}
 
-		// Sweep drops records last used strictly before the cutoff:
-		// c3 sits at base, a1 (updated) and b2 at base+2h.
-		removed, err := b.Sweep(base.Add(90 * time.Minute))
-		if err != nil {
+		// Delete removes one record and leaves the others listed.
+		if err := b.Delete("c3"); err != nil {
 			t.Fatal(err)
 		}
-		if len(removed) != 1 || removed[0] != "c3" {
-			t.Errorf("Sweep removed %v, want [c3]", removed)
-		}
 		if recs, _ = b.List(); len(recs) != 2 || recs[0].ID != "a1" || recs[1].ID != "b2" {
-			t.Errorf("after sweep: %v", recordIDs(recs))
+			t.Errorf("after deleting c3: %v", recordIDs(recs))
 		}
 
 		for _, id := range []string{"a1", "b2"} {
@@ -187,7 +182,7 @@ func TestServerLifecycleBothBackends(t *testing.T) {
 func TestMemoryModeWritesNoRecord(t *testing.T) {
 	wantOps := map[string]map[string]int{
 		"memory": {},
-		"disk":   {"put": 5, "delete": 2, "list": 1, "sweep": 1},
+		"disk":   {"put": 5, "delete": 2, "list": 1},
 	}
 	for name, mk := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -227,10 +222,17 @@ func TestMemoryModeWritesNoRecord(t *testing.T) {
 					want["put"], want["put"], want["delete"])
 			}
 			samples := scrape(t, s)
-			for _, op := range []string{"put", "get", "delete", "list", "sweep"} {
+			for _, op := range []string{"put", "get", "delete", "list"} {
 				key := fmt.Sprintf(`poiesis_backend_op_duration_seconds_count{backend=%q,op=%q}`, name, op)
 				if got := samples[key].Value; got != float64(want[op]) {
 					t.Errorf("%s = %v, want %d", key, got, want[op])
+				}
+			}
+			// Start-up lists once and deletes expired records through Delete:
+			// there is no sweep op.
+			for key := range samples {
+				if strings.Contains(key, `op="sweep"`) {
+					t.Errorf("unexpected series %s", key)
 				}
 			}
 
@@ -256,7 +258,12 @@ func stripID(body, id string) string { return strings.ReplaceAll(body, id, "SID"
 // a disk backend is stopped (dropped) after create+plan+select+plan, a new
 // server starts over the same directory, and the restored session must be
 // byte-for-byte identical — detail, history, skyline, full last result —
-// and still accept a select.
+// and still accept a select. Two sibling sessions planned the first
+// session's initial key, so their records hold one byte-equal last result
+// that the restart restores once: every restored session serves exactly
+// what its record restored alone (decodeRecord + core.RestoreSession)
+// serves, before and after a select, and a select in one sibling leaves the
+// other as it was.
 func TestRestartDurability(t *testing.T) {
 	dir := t.TempDir()
 	clock := func() time.Time { return time.Unix(9000, 0) }
@@ -280,6 +287,12 @@ func TestRestartDurability(t *testing.T) {
 	if rr := do(t, s1, "POST", "/v1/sessions/"+id+"/plan", "", nil); rr.Code != 200 {
 		t.Fatalf("second plan: %d %s", rr.Code, rr.Body.String())
 	}
+	sibs := []string{createSession(t, s1, "sibling-a"), createSession(t, s1, "sibling-b")}
+	for _, sib := range sibs {
+		if rr := do(t, s1, "POST", "/v1/sessions/"+sib+"/plan", "", nil); rr.Code != 200 {
+			t.Fatalf("sibling plan: %d %s", rr.Code, rr.Body.String())
+		}
+	}
 	before := map[string]string{}
 	for _, path := range []string{
 		"/v1/sessions",
@@ -297,9 +310,14 @@ func TestRestartDurability(t *testing.T) {
 
 	// "Kill" s1 (no shutdown hook exists or is needed: every state change
 	// was written through synchronously) and restart over the directory.
+	all := append([]string{id}, sibs...)
+	alone := map[string]*Server{}
+	for _, sid := range all {
+		alone[sid] = restoreAlone(t, dir, sid, clock)
+	}
 	s2 := open()
-	if got := s2.RestoredSessions(); got != 1 {
-		t.Fatalf("restored %d sessions, want 1", got)
+	if got := s2.RestoredSessions(); got != 3 {
+		t.Fatalf("restored %d sessions, want 3", got)
 	}
 	for path, want := range before {
 		rr := do(t, s2, "GET", path, "", nil)
@@ -310,10 +328,75 @@ func TestRestartDurability(t *testing.T) {
 			t.Errorf("GET %s differs after restart:\nbefore %s\nafter  %s", path, want, got)
 		}
 	}
-	// The restored session is live, not a read-only fossil: selecting from
-	// the restored skyline works and the explore-select loop continues.
-	if rr := do(t, s2, "POST", "/v1/sessions/"+id+"/select", `{"index":0}`, nil); rr.Code != 200 {
-		t.Fatalf("select after restart: %d %s", rr.Code, rr.Body.String())
+	if lastResult(t, s2, sibs[0]) != lastResult(t, s2, sibs[1]) {
+		t.Fatal("the siblings' byte-equal last results were restored apart")
+	}
+	for _, sid := range all {
+		sameAsAlone(t, s2, alone[sid], sid)
+	}
+
+	// The restored sessions are live, not read-only fossils: selecting from
+	// the restored skyline works and the explore-select loop continues. A
+	// select in one sibling leaves the other, which shares its result, as
+	// it was.
+	selectSame := func(sid string) {
+		t.Helper()
+		got := do(t, s2, "POST", "/v1/sessions/"+sid+"/select", `{"index":0}`, nil)
+		want := do(t, alone[sid], "POST", "/v1/sessions/"+sid+"/select", `{"index":0}`, nil)
+		if got.Code != 200 || got.Body.String() != want.Body.String() {
+			t.Fatalf("select %s after restart: %d %s, restored alone: %d %s",
+				sid, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
+	}
+	selectSame(sibs[0])
+	sameAsAlone(t, s2, alone[sibs[1]], sibs[1])
+	selectSame(sibs[1])
+	selectSame(id)
+	for _, sid := range all {
+		sameAsAlone(t, s2, alone[sid], sid)
+	}
+}
+
+// restoreAlone serves the record of session id in dir from a server of its
+// own, restored through decodeRecord and core.RestoreSession: what a
+// restored session must serve however many records share its result.
+func restoreAlone(t *testing.T, dir, id string, clock func() time.Time) *Server {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(dir, id+snapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeRecord(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := rec.Config.Planner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := core.RestoreSession(planner, rec.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &sessionState{id: rec.ID, name: rec.Name, created: rec.Created, sess: sess,
+		cfgDoc: rec.Config, regKey: registryKeyFromDoc(rec.Config), plans: rec.Plans}
+	st.touch(rec.LastUsed)
+	s := New(Config{Logf: t.Logf, Now: clock})
+	s.store.adopt(st)
+	return s
+}
+
+// sameAsAlone compares session id's detail, result, skyline and flow on s
+// with those on the server that restored it alone.
+func sameAsAlone(t *testing.T, s, alone *Server, id string) {
+	t.Helper()
+	for _, path := range []string{"", "/result", "/result?reports=1", "/skyline", "/flow"} {
+		got := do(t, s, "GET", "/v1/sessions/"+id+path, "", nil)
+		want := do(t, alone, "GET", "/v1/sessions/"+id+path, "", nil)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("GET %s%s: %d %s\nrestored alone: %d %s",
+				id, path, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
 	}
 }
 

@@ -42,6 +42,10 @@ type cacheEntry struct {
 	// built and charged against the byte budget, so eviction releases the
 	// right amount.
 	memoed bool
+	// record is the length of the result's memoized record encoding, charged
+	// against the byte budget (under planCache.mu) once a write-through has
+	// built it; eviction releases it with the weight.
+	record int64
 	// memo holds the derived response payload for the result, built at most
 	// once per entry: serving a cache hit must not re-derive explanations,
 	// pattern usage and the full-space scatter projection per request.
@@ -233,6 +237,31 @@ func (c *planCache) memo(key string, build func(*core.Result) any) (any, bool) {
 	return ce.memo, true
 }
 
+// chargeRecord charges the record encoding of key's resident result against
+// the byte budget, once per entry. On a record-keeping backend the first
+// write-through of a session holding the result memoizes that encoding on
+// the Result (core.Result.RecordBytes), where it stays as long as the entry
+// does: about the size of the result's part of a session record. Nothing is
+// charged while no encoding is built, as in memory mode, or when key's entry
+// holds another result.
+func (c *planCache) chargeRecord(key string, res *core.Result) {
+	n := res.RecordBytes()
+	if n == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	if ce := e.Value.(*cacheEntry); ce.res == res && ce.record == 0 {
+		ce.record = n
+		c.bytes += n
+		c.evictLocked()
+	}
+}
+
 // addLocked inserts a freshly computed entry and evicts least-recently-used
 // entries until the byte budget (and the secondary entry cap) holds again.
 // The newest entry itself is never evicted, so a single result larger than
@@ -259,6 +288,7 @@ func (c *planCache) evictLocked() {
 		if victim.memoed {
 			c.bytes -= victim.weight
 		}
+		c.bytes -= victim.record
 		delete(c.entries, victim.key)
 	}
 }

@@ -9,7 +9,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
+
+	"poiesis/internal/core"
 )
 
 // DiskBackend is the crash-safe SessionBackend: each session is one
@@ -25,8 +26,8 @@ import (
 // contract). Per-file operations (Put, Delete) only share-lock, so
 // independent sessions fsync in parallel — the store already serializes
 // writes to any one session via its opMu, and each session is its own file.
-// Directory scans (List, Sweep) take the lock exclusively because they
-// remove orphaned temp files, which must not race an in-flight Put.
+// The directory scan (List) takes the lock exclusively because it removes
+// orphaned temp files, which must not race an in-flight Put.
 type DiskBackend struct {
 	dir string
 	// Logf reports skipped records and cleanup actions during List; nil uses
@@ -115,7 +116,7 @@ func (b *DiskBackend) Put(rec *SessionRecord) error {
 	}
 	// The read side of b.mu is a gate, not a critical section: concurrent
 	// Puts write distinct files in parallel, while the exclusive side
-	// (List/Sweep) needs the directory quiescent. Holding it across the file
+	// (List) needs the directory quiescent. Holding it across the file
 	// I/O is the design, so the lock-I/O findings here are waived.
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -169,6 +170,19 @@ func syncDir(dir string) error {
 }
 
 func (b *DiskBackend) Get(id string) (*SessionRecord, error) {
+	blob, err := b.read(id)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := decodeRecord(blob)
+	if err != nil {
+		return nil, err
+	}
+	return rec, recordAt(id, rec)
+}
+
+// read returns the stored bytes of id's record.
+func (b *DiskBackend) read(id string) ([]byte, error) {
 	if err := validRecordID(id); err != nil {
 		return nil, err
 	}
@@ -179,14 +193,15 @@ func (b *DiskBackend) Get(id string) (*SessionRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: reading session snapshot %s: %w", id, err)
 	}
-	rec, err := decodeRecord(blob)
-	if err != nil {
-		return nil, err
-	}
+	return blob, nil
+}
+
+// recordAt rejects a record stored under another ID's file name.
+func recordAt(id string, rec *SessionRecord) error {
 	if rec.ID != id {
-		return nil, fmt.Errorf("server: session snapshot %s records ID %s", id, rec.ID)
+		return fmt.Errorf("server: session snapshot %s records ID %s", id, rec.ID)
 	}
-	return rec, nil
+	return nil
 }
 
 func (b *DiskBackend) Delete(id string) error {
@@ -210,18 +225,20 @@ func (b *DiskBackend) Delete(id string) error {
 // snapshots — truncated JSON, future format versions, ID/filename mismatches
 // — are skipped with a logged warning instead of failing the listing, so one
 // bad file cannot prevent a restart from restoring the healthy sessions.
-// Orphaned temp files from interrupted writes are removed.
+// Orphaned temp files from interrupted writes are removed. Records whose
+// last results are stored as equal bytes share one decoded result.
 func (b *DiskBackend) List() ([]*SessionRecord, error) {
+	// The exclusive side of b.mu keeps the directory quiescent while the scan
+	// removes orphaned temp files, so no in-flight Put loses its temp file:
+	// holding it across the scan's I/O is the design, as in Put.
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.listLocked()
-}
-
-func (b *DiskBackend) listLocked() ([]*SessionRecord, error) {
+	//lint:ignore nolockio exclusive directory scan, see comment on Lock above
 	entries, err := os.ReadDir(b.dir)
 	if err != nil {
 		return nil, fmt.Errorf("server: listing session store: %w", err)
 	}
+	lasts := map[string]*core.ResultSnapshot{}
 	var out []*SessionRecord
 	for _, e := range entries {
 		name := e.Name()
@@ -230,6 +247,7 @@ func (b *DiskBackend) listLocked() ([]*SessionRecord, error) {
 		}
 		if strings.HasPrefix(name, tempPrefix) {
 			b.logf("server: session store: removing partial snapshot %s", name)
+			//lint:ignore nolockio exclusive directory scan, see comment on Lock above
 			_ = os.Remove(filepath.Join(b.dir, name))
 			continue
 		}
@@ -237,7 +255,14 @@ func (b *DiskBackend) listLocked() ([]*SessionRecord, error) {
 			continue
 		}
 		id := strings.TrimSuffix(name, snapshotExt)
-		rec, err := b.Get(id)
+		blob, err := b.read(id)
+		var rec *SessionRecord
+		if err == nil {
+			rec, err = decodeListedRecord(blob, lasts)
+		}
+		if err == nil {
+			err = recordAt(id, rec)
+		}
 		if err != nil {
 			b.logf("server: session store: skipping snapshot %s: %v", name, err)
 			continue
@@ -253,39 +278,4 @@ func (b *DiskBackend) remove(path string) error {
 		return b.removeFile(path)
 	}
 	return os.Remove(path)
-}
-
-// Sweep removes every expired snapshot it can, best-effort per file: one
-// unremovable entry must not shield later expired records until the next
-// restart (the old behavior aborted on the first failed unlink). Failures
-// are logged and aggregated into one returned error — the same
-// skip-and-report policy List applies to undecodable snapshots — while the
-// removed IDs are still reported, so callers learn both what was reclaimed
-// and that the directory needs attention.
-func (b *DiskBackend) Sweep(cutoff time.Time) ([]string, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	recs, err := b.listLocked()
-	if err != nil {
-		return nil, err
-	}
-	var removed []string
-	var errs []error
-	for _, rec := range recs {
-		if !rec.LastUsed.Before(cutoff) {
-			continue
-		}
-		if err := b.remove(b.path(rec.ID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			b.logf("server: session store: sweep skipping snapshot %s: %v", rec.ID, err)
-			errs = append(errs, fmt.Errorf("server: deleting session snapshot %s: %w", rec.ID, err))
-			continue
-		}
-		removed = append(removed, rec.ID)
-	}
-	if len(removed) > 0 {
-		if err := syncDir(b.dir); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return removed, errors.Join(errs...)
 }

@@ -2,43 +2,55 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestDiskSweepBestEffort plants an entry the filesystem refuses to unlink
-// between two removable expired records: the sweep must delete everything it
-// can, aggregate (not abort on) the failure, and leave the live record
-// alone. The old behavior returned on the first failed os.Remove, leaving
-// every later expired record on disk until the next restart.
-func TestDiskSweepBestEffort(t *testing.T) {
-	b, err := NewDiskBackend(t.TempDir())
+// TestRestoreDropsExpiredBestEffort: start-up deletes the records of sessions
+// that expired while the service was down, one by one. The filesystem refuses
+// to unlink one of two expired records: the other is deleted, the failure is
+// logged, neither is restored, and the live session is. Once the filesystem
+// recovers, the next start reclaims the leftover.
+func TestRestoreDropsExpiredBestEffort(t *testing.T) {
+	dir := t.TempDir()
+	b, err := NewDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var logMu sync.Mutex
 	var logs []string
-	b.Logf = func(format string, args ...any) {
+	logf := func(format string, args ...any) {
 		logMu.Lock()
-		logs = append(logs, format)
+		logs = append(logs, fmt.Sprintf(format, args...))
 		logMu.Unlock()
 	}
+	b.Logf = logf
+	now := time.Unix(9000, 0)
+	open := func() *Server {
+		return New(Config{Backend: b, Logf: logf, Now: func() time.Time { return now }, SessionTTL: time.Minute})
+	}
 
-	base := time.Unix(5000, 0).UTC()
-	// IDs sort a1 < m2 < z3, so the unremovable middle one exercises the
-	// continue-past-failure path for z3.
-	for _, id := range []string{"a1", "m2", "z3"} {
-		if err := b.Put(testRecord(id, base)); err != nil {
+	live := createSession(t, open(), "live")
+	rec, err := b.Get(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two restorable copies of the live record, idle past the TTL. IDs sort
+	// a1 < m2, so the stuck m2 comes after a deleted record.
+	for _, id := range []string{"a1", "m2"} {
+		expired := *rec
+		expired.ID, expired.LastUsed = id, now.Add(-2*time.Minute)
+		if err := b.Put(&expired); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := b.Put(testRecord("live", base.Add(time.Hour))); err != nil {
-		t.Fatal(err)
 	}
 
 	stuck := errors.New("operation not permitted")
@@ -48,38 +60,48 @@ func TestDiskSweepBestEffort(t *testing.T) {
 		}
 		return os.Remove(path)
 	}
-
-	removed, err := b.Sweep(base.Add(time.Minute))
-	if err == nil || !errors.Is(err, stuck) {
-		t.Fatalf("sweep error %v, want the aggregated unlink failure", err)
+	s := open()
+	if got := s.RestoredSessions(); got != 1 {
+		t.Fatalf("restored %d sessions, want only the live one", got)
 	}
-	if len(removed) != 2 || removed[0] != "a1" || removed[1] != "z3" {
-		t.Fatalf("removed %v, want [a1 z3] despite the stuck middle entry", removed)
+	for _, id := range []string{"a1", "m2"} {
+		if _, ok := s.store.get(id); ok {
+			t.Errorf("expired session %s restored", id)
+		}
+	}
+	if _, ok := s.store.get(live); !ok {
+		t.Error("live session not restored")
 	}
 	logMu.Lock()
 	logged := strings.Join(logs, "\n")
 	logMu.Unlock()
-	if !strings.Contains(logged, "sweep skipping") {
-		t.Errorf("stuck entry not logged: %q", logged)
+	if !strings.Contains(logged, "deleting expired session record failed") || !strings.Contains(logged, "m2") {
+		t.Errorf("stuck record not logged: %q", logged)
+	}
+	want := []string{live, "m2"}
+	sort.Strings(want)
+	if ids := storedIDs(t, b); !slices.Equal(ids, want) {
+		t.Fatalf("records after the first start: %v, want %v", ids, want)
 	}
 
-	// Once the filesystem recovers, the next sweep reclaims the leftover.
+	// Once the filesystem recovers, the next start reclaims the leftover.
 	b.removeFile = nil
-	removed, err = b.Sweep(base.Add(time.Minute))
-	if err != nil {
-		t.Fatalf("recovered sweep: %v", err)
+	if got := open().RestoredSessions(); got != 1 {
+		t.Fatalf("second start restored %d sessions, want 1", got)
 	}
-	if len(removed) != 1 || removed[0] != "m2" {
-		t.Fatalf("recovered sweep removed %v, want [m2]", removed)
+	if ids := storedIDs(t, b); len(ids) != 1 || ids[0] != live {
+		t.Fatalf("records after the second start: %v, want [%s]", ids, live)
 	}
-	// The live record survived both sweeps — with real unlinks this time.
+}
+
+// storedIDs lists the IDs of the records in b.
+func storedIDs(t *testing.T, b *DiskBackend) []string {
+	t.Helper()
 	recs, err := b.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].ID != "live" {
-		t.Fatalf("directory after sweeps: %v", recordIDs(recs))
-	}
+	return recordIDs(recs)
 }
 
 // TestSyncDirReportsOpenFailure: a directory that cannot be opened must

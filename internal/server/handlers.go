@@ -457,6 +457,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// write degrades durability only — it is counted, logged, and the
 	// response still serves the in-memory result.
 	_ = s.store.persist(ctx, st)
+	if cacheable {
+		s.cache.chargeRecord(key, res)
+	}
 
 	traced := obs.Traced(ctx)
 	start := time.Now()

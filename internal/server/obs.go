@@ -193,7 +193,6 @@ type obsBackend struct {
 	get   *obs.Histogram
 	del   *obs.Histogram
 	list  *obs.Histogram
-	sweep *obs.Histogram
 }
 
 func newObsBackend(inner SessionBackend, reg *obs.Registry) *obsBackend {
@@ -206,11 +205,10 @@ func newObsBackend(inner SessionBackend, reg *obs.Registry) *obsBackend {
 		errs: reg.CounterVec("poiesis_backend_op_errors_total",
 			"Failed session backend operations by backend name and op.",
 			"backend", "op"),
-		put:   ops.With(name, "put"),
-		get:   ops.With(name, "get"),
-		del:   ops.With(name, "delete"),
-		list:  ops.With(name, "list"),
-		sweep: ops.With(name, "sweep"),
+		put:  ops.With(name, "put"),
+		get:  ops.With(name, "get"),
+		del:  ops.With(name, "delete"),
+		list: ops.With(name, "list"),
 	}
 }
 
@@ -247,13 +245,6 @@ func (b *obsBackend) List() ([]*SessionRecord, error) {
 	recs, err := b.inner.List()
 	b.observe(b.list, "list", start, err)
 	return recs, err
-}
-
-func (b *obsBackend) Sweep(cutoff time.Time) ([]string, error) {
-	start := time.Now()
-	ids, err := b.inner.Sweep(cutoff)
-	b.observe(b.sweep, "sweep", start, err)
-	return ids, err
 }
 
 func (b *obsBackend) Name() string { return b.inner.Name() }

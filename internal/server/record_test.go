@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -279,6 +280,68 @@ func TestConcurrentRecordsShareOneEncoding(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("record %s stores a different last result", rec.ID)
+		}
+	}
+}
+
+// TestPlanCacheChargesRecordEncoding: on the disk backend, a plan's
+// write-through memoizes the result's record encoding, and the plan cache
+// charges its length to the result's entry once; eviction releases it. The
+// same plans on a memory-mode server build no encoding, so the two servers'
+// poiesis_plan_cache_bytes differ by exactly the resident result's encoding.
+func TestPlanCacheChargesRecordEncoding(t *testing.T) {
+	mem := New(Config{Logf: t.Logf, CacheCapacity: 1})
+	disk := New(Config{Backend: newTestDiskBackend(t), Logf: t.Logf, CacheCapacity: 1})
+	defer disk.Close()
+	cacheBytes := func(s *Server) int64 {
+		t.Helper()
+		v, ok := sampleValue(scrape(t, s), "poiesis_plan_cache_bytes")
+		if !ok {
+			t.Fatal("no poiesis_plan_cache_bytes sample")
+		}
+		return int64(v)
+	}
+	plan := func(s *Server, body string) *core.Result {
+		t.Helper()
+		var sj sessionJSON
+		if rr := do(t, s, "POST", "/v1/sessions", body, &sj); rr.Code != http.StatusCreated {
+			t.Fatalf("create: %d %s", rr.Code, rr.Body.String())
+		}
+		if rr := do(t, s, "POST", "/v1/sessions/"+sj.ID+"/plan", "", nil); rr.Code != http.StatusOK {
+			t.Fatalf("plan: %d %s", rr.Code, rr.Body.String())
+		}
+		return lastResult(t, s, sj.ID)
+	}
+	for _, scale := range []int{100, 120} {
+		body := fmt.Sprintf(`{"flow":{"builtin":"tpcds-purchases"},"scale":%d,
+			"config":{"policy":"greedy","topK":1,"depth":1,"sim":{"runs":4,"defaultRows":100}}}`, scale)
+		if res := plan(mem, body); res.RecordBytes() != 0 {
+			t.Errorf("scale %d: memory mode built a %d-byte record encoding", scale, res.RecordBytes())
+		}
+		res := plan(disk, body)
+		snap, err := core.SnapshotResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RecordBytes() != int64(len(enc)) {
+			t.Errorf("scale %d: RecordBytes %d, encoding %d bytes", scale, res.RecordBytes(), len(enc))
+		}
+		// The second scale's plan evicts the first's entry (capacity 1): its
+		// charge must leave with it.
+		if got := cacheBytes(disk) - cacheBytes(mem); got != int64(len(enc)) {
+			t.Errorf("scale %d: disk cache holds %d bytes more than memory, want the %d-byte encoding", scale, got, len(enc))
+		}
+		// A cache hit in another session records the same encoding: no
+		// second charge.
+		if again := plan(disk, body); again != res {
+			t.Fatal("the second plan did not hit the cache")
+		}
+		if got := cacheBytes(disk) - cacheBytes(mem); got != int64(len(enc)) {
+			t.Errorf("scale %d: a cache hit charged the encoding again (%d bytes more)", scale, got)
 		}
 	}
 }

@@ -213,8 +213,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	metrics := newServerMetrics()
-	// Every backend op — including the restore List/Sweep below and the
-	// eviction worker's deletes — flows through the metrics decorator.
+	// Every backend op — including the restore's List and expiry deletes
+	// below and the eviction worker's deletes — flows through the metrics
+	// decorator.
 	cfg.Backend = newObsBackend(cfg.Backend, metrics.reg)
 	var records SessionBackend
 	if cfg.Backend.Name() != memoryBackendName {
@@ -282,36 +283,43 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// restoreSessions reloads the backend's session records into the live store:
-// records that expired while the service was down are purged, the rest are
-// rebuilt (planner from the persisted config document, analyst state from
-// the core snapshot) and adopted without a redundant write-back. A record
-// that fails to load — corrupted snapshot, unknown future format, invalid
-// flow — is skipped with a warning; one bad record must not take down the
-// service or the healthy sessions next to it.
+// restoreSessions reloads the backend's session records into the live store
+// from one listing: records that expired while the service was down are
+// deleted, the rest are rebuilt (planner from the persisted config document,
+// analyst state from the core snapshot) and adopted without a redundant
+// write-back. Records that share one decoded last result (the listing shares
+// byte-equal ones) share one restored *core.Result, as sessions that adopted
+// one cached plan do. A record that fails to load — corrupted snapshot,
+// unknown future format, invalid flow — is skipped with a warning; one bad
+// record must not take down the service or the healthy sessions next to it.
 func (s *Server) restoreSessions(ttl time.Duration) {
 	backend := s.cfg.Backend
-	if ttl > 0 {
-		cutoff := s.cfg.Now().Add(-ttl)
-		// Sweep is best-effort per record: a partial error still comes with
-		// the IDs that were removed, so report both.
-		expired, err := backend.Sweep(cutoff)
-		if err != nil {
-			s.logger.Warn("server: sweeping expired session records failed", "err", err)
-		}
-		if len(expired) > 0 {
-			s.logger.Info("server: dropped session records that expired while down", "count", len(expired))
-		}
-	}
 	recs, err := backend.List()
 	if err != nil {
 		s.logger.Warn("server: listing session records failed; starting empty", "err", err)
 		return
 	}
-	// If more records survive than the session cap admits, keep the most
-	// recently used ones — the sessions analysts are most likely to return
-	// to — not whichever IDs sort first.
+	// Most recently used first: expired records form the tail, and if more
+	// records survive than the session cap admits, the sessions analysts are
+	// most likely to return to are kept, not whichever IDs sort first.
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].LastUsed.After(recs[j].LastUsed) })
+	if ttl > 0 {
+		cutoff := s.cfg.Now().Add(-ttl)
+		live := sort.Search(len(recs), func(i int) bool { return recs[i].LastUsed.Before(cutoff) })
+		s.dropExpired(recs[live:])
+		recs = recs[:live]
+	}
+	results := map[*core.ResultSnapshot]*core.Result{}
+	restoreLast := func(rs *core.ResultSnapshot) (*core.Result, error) {
+		if res, ok := results[rs]; ok {
+			return res, nil
+		}
+		res, err := core.RestoreResult(rs)
+		if err == nil {
+			results[rs] = res
+		}
+		return res, err
+	}
 	for _, rec := range recs {
 		if s.cfg.MaxSessions > 0 && s.restored >= s.cfg.MaxSessions {
 			s.logger.Warn("server: session restore stopped at the session cap (most recently used kept)", "cap", s.cfg.MaxSessions)
@@ -325,7 +333,7 @@ func (s *Server) restoreSessions(ttl time.Duration) {
 			s.skippedForeign++
 			continue
 		}
-		st, err := restoreState(rec)
+		st, err := restoreState(rec, restoreLast)
 		if err != nil {
 			s.logger.Warn("server: skipping session record", "session", rec.ID, "err", err)
 			continue
@@ -341,8 +349,26 @@ func (s *Server) restoreSessions(ttl time.Duration) {
 	}
 }
 
-// restoreState rebuilds a live sessionState from its persisted record.
-func restoreState(rec *SessionRecord) (*sessionState, error) {
+// dropExpired deletes the records of sessions that expired while the service
+// was down, whichever replica owns them, best-effort per record: one that
+// cannot be deleted is logged, left for the next start, and never restored.
+func (s *Server) dropExpired(recs []*SessionRecord) {
+	dropped := 0
+	for _, rec := range recs {
+		if err := s.cfg.Backend.Delete(rec.ID); err != nil {
+			s.logger.Warn("server: deleting expired session record failed", "session", rec.ID, "err", err)
+			continue
+		}
+		dropped++
+	}
+	if dropped > 0 {
+		s.logger.Info("server: dropped session records that expired while down", "count", dropped)
+	}
+}
+
+// restoreState rebuilds a live sessionState from its persisted record, its
+// last result through restoreLast.
+func restoreState(rec *SessionRecord, restoreLast func(*core.ResultSnapshot) (*core.Result, error)) (*sessionState, error) {
 	if rec.ID == "" || rec.Session == nil {
 		return nil, errNoSessionSnapshot
 	}
@@ -350,7 +376,7 @@ func restoreState(rec *SessionRecord) (*sessionState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding planner: %w", err)
 	}
-	sess, err := core.RestoreSession(planner, rec.Session)
+	sess, err := core.RestoreSessionWith(planner, rec.Session, restoreLast)
 	if err != nil {
 		return nil, err
 	}

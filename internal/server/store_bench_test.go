@@ -70,3 +70,25 @@ func BenchmarkSessionStoreGetParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRestoreSessions measures a server's start-up over a disk store of
+// 500 session records holding 10 distinct planned results, 50 records each:
+// the shape of a service whose analysts shared cached plans. Start-up lists
+// the directory once and restores each distinct result once.
+func BenchmarkRestoreSessions(b *testing.B) {
+	db, err := NewDiskBackend(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.Logf = func(string, ...any) {}
+	seedRecords(b, db, 500, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(Config{Backend: db, Logf: func(string, ...any) {}, Now: restoreClock})
+		if got := s.RestoredSessions(); got != 500 {
+			b.Fatalf("restored %d sessions, want 500", got)
+		}
+		s.Close()
+	}
+}

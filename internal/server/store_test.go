@@ -70,9 +70,8 @@ func (b *recordingBackend) Delete(id string) error {
 	return nil
 }
 
-// The store never lists or sweeps: restoring records is the server's job.
-func (b *recordingBackend) List() ([]*SessionRecord, error)   { return nil, nil }
-func (b *recordingBackend) Sweep(time.Time) ([]string, error) { return nil, nil }
+// The store never lists: restoring records is the server's job.
+func (b *recordingBackend) List() ([]*SessionRecord, error) { return nil, nil }
 
 func TestStoreTTLEviction(t *testing.T) {
 	now := time.Unix(1000, 0)
