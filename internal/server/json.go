@@ -188,7 +188,7 @@ type serverStatsJSON struct {
 	PersistErrors    int64  `json:"persistErrors"`
 	// Eviction-worker health: backlog of queued backend deletes, completed
 	// deletes, and IDs dropped because the queue was full (their records
-	// wait for the startup sweep).
+	// wait for the next start, which deletes them as expired).
 	EvictQueue    int64 `json:"evictQueue"`
 	Evictions     int64 `json:"evictions"`
 	EvictDropped  int64 `json:"evictDropped"`

@@ -284,8 +284,8 @@ func (s *sessionStore) expiredLocked(st *sessionState, now time.Time) bool {
 
 // queueEvictions hands freshly evicted sessions' IDs to the background
 // worker. Called without s.mu held. When the queue is full the ID is dropped
-// and counted: the stale record is reclaimed by the next startup sweep (it
-// is past the TTL by definition), and the same holds should the process
+// and counted: the next start deletes the stale record as expired (it is
+// past the TTL by definition), and the same holds should the process
 // crash before the worker gets to a queued delete. The drops of one call are
 // logged as one line, not one per ID: a sweep can expire thousands of
 // sessions, and the caller is a request.
@@ -310,7 +310,7 @@ func (s *sessionStore) queueEvictions(ids []string) {
 	}
 	if dropped > 0 {
 		s.evictDropped.Add(int64(dropped))
-		s.log.Warn("server: eviction queue full; leaving session records for the startup sweep",
+		s.log.Warn("server: eviction queue full; leaving session records for the next start to delete",
 			"dropped", dropped, "session", example)
 	}
 }
