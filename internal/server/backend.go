@@ -52,7 +52,10 @@ type SessionBackend interface {
 	// Get returns the record for id, or ErrRecordNotFound.
 	Get(id string) (*SessionRecord, error)
 	// Delete removes the record for id; deleting an absent id is not an
-	// error (eviction and explicit deletion may race benignly).
+	// error (eviction and explicit deletion may race benignly). Start-up
+	// deletes each expired record on its own, so a store that is mostly
+	// expired costs one Delete per record: on the disk backend, one
+	// directory fsync each.
 	Delete(id string) error
 	// List returns every stored record, sorted by ID. Backends skip records
 	// they cannot decode (reporting them through their own logging) rather

@@ -16,9 +16,10 @@ import (
 
 // TestRestoreDropsExpiredBestEffort: start-up deletes the records of sessions
 // that expired while the service was down, one by one. The filesystem refuses
-// to unlink one of two expired records: the other is deleted, the failure is
-// logged, neither is restored, and the live session is. Once the filesystem
-// recovers, the next start reclaims the leftover.
+// to unlink the middle one of three expired records: the failure is logged
+// and does not stop the deletes after it, none of the three is restored, and
+// the live session is. Once the filesystem recovers, the next start reclaims
+// the leftover.
 func TestRestoreDropsExpiredBestEffort(t *testing.T) {
 	dir := t.TempDir()
 	b, err := NewDiskBackend(dir)
@@ -43,9 +44,10 @@ func TestRestoreDropsExpiredBestEffort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two restorable copies of the live record, idle past the TTL. IDs sort
-	// a1 < m2, so the stuck m2 comes after a deleted record.
-	for _, id := range []string{"a1", "m2"} {
+	// Three restorable copies of the live record, idle past the TTL since the
+	// same instant, so they are deleted in ID order: the stuck m2 comes
+	// between two records that must both be deleted.
+	for _, id := range []string{"a1", "m2", "z3"} {
 		expired := *rec
 		expired.ID, expired.LastUsed = id, now.Add(-2*time.Minute)
 		if err := b.Put(&expired); err != nil {
@@ -64,7 +66,7 @@ func TestRestoreDropsExpiredBestEffort(t *testing.T) {
 	if got := s.RestoredSessions(); got != 1 {
 		t.Fatalf("restored %d sessions, want only the live one", got)
 	}
-	for _, id := range []string{"a1", "m2"} {
+	for _, id := range []string{"a1", "m2", "z3"} {
 		if _, ok := s.store.get(id); ok {
 			t.Errorf("expired session %s restored", id)
 		}

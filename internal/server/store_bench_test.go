@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -72,23 +74,70 @@ func BenchmarkSessionStoreGetParallel(b *testing.B) {
 }
 
 // BenchmarkRestoreSessions measures a server's start-up over a disk store of
-// 500 session records holding 10 distinct planned results, 50 records each:
-// the shape of a service whose analysts shared cached plans. Start-up lists
-// the directory once and restores each distinct result once.
+// 500 session records, in three shapes:
+//   - shared: 10 distinct planned results, 50 records each, the shape of a
+//     service whose analysts shared cached plans. Start-up lists the directory
+//     once and decodes and restores each distinct result once.
+//   - distinct: 500 distinct results, one per record, so nothing is shared
+//     and each result is decoded and restored on its own.
+//   - expired: the shared store with every record idle past the session TTL.
+//     Start-up restores nothing and deletes every record, one directory fsync
+//     each; the loop rewrites the files, untimed, before each start.
 func BenchmarkRestoreSessions(b *testing.B) {
-	db, err := NewDiskBackend(b.TempDir())
+	for _, bc := range []struct {
+		name     string
+		distinct int
+		expired  bool
+	}{{"shared", 10, false}, {"distinct", 500, false}, {"expired", 10, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			db, err := NewDiskBackend(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			db.Logf = func(string, ...any) {}
+			seedRecords(b, db, 500, bc.distinct)
+			now, want := restoreClock, 500
+			var files map[string][]byte
+			if bc.expired {
+				now = func() time.Time { return restoreClock().Add(48 * time.Hour) }
+				want, files = 0, storedFiles(b, db.Dir())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.expired && i > 0 {
+					b.StopTimer()
+					for name, blob := range files {
+						if err := os.WriteFile(filepath.Join(db.Dir(), name), blob, 0o644); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+				}
+				s := New(Config{Backend: db, Logf: func(string, ...any) {}, Now: now})
+				if got := s.RestoredSessions(); got != want {
+					b.Fatalf("restored %d sessions, want %d", got, want)
+				}
+				s.Close()
+			}
+		})
+	}
+}
+
+// storedFiles reads every file in dir, by name.
+func storedFiles(tb testing.TB, dir string) map[string][]byte {
+	tb.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	db.Logf = func(string, ...any) {}
-	seedRecords(b, db, 500, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New(Config{Backend: db, Logf: func(string, ...any) {}, Now: restoreClock})
-		if got := s.RestoredSessions(); got != 500 {
-			b.Fatalf("restored %d sessions, want 500", got)
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
 		}
-		s.Close()
+		files[e.Name()] = blob
 	}
+	return files
 }
