@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -79,6 +81,8 @@ type ResultSnapshot struct {
 	// encoded is json.Marshal of this snapshot, set once on the snapshots
 	// Session.Snapshot memoizes (AppendJSON); nil on every other snapshot.
 	encoded []byte
+	// digest is the hex SHA-256 of encoded, set with it (Digest).
+	digest string
 }
 
 // StatsSnapshot serializes run statistics.
@@ -230,9 +234,15 @@ func (rs *ResultSnapshot) encode() error {
 	for i := range rs.Alternatives {
 		alias(&rs.Alternatives[i].Flow)
 	}
-	rs.encoded = blob
+	sum := sha256.Sum256(blob)
+	rs.encoded, rs.digest = blob, hex.EncodeToString(sum[:])
 	return nil
 }
+
+// Digest returns the hex SHA-256 of the bytes AppendJSON appends, for a
+// snapshot taken by Session.Snapshot, computed once with its memoized
+// encoding. Any other snapshot has no memo and returns "".
+func (rs *ResultSnapshot) Digest() string { return rs.digest }
 
 // AppendJSON appends the JSON encoding of rs to dst. The bytes always equal
 // json.Marshal(rs); for a snapshot taken by Session.Snapshot they are the

@@ -18,7 +18,9 @@ import (
 // write-through builds a fresh record, but not a fresh last result: the
 // snapshot's Last is the planning result's memoized, read-only snapshot,
 // shared by every record of every session holding that result (see
-// core.Session.Snapshot), and encodeRecord copies its memoized encoding.
+// core.Session.Snapshot). The disk backend stores that result once, in a
+// file named by the digest of its memoized encoding, and the record names
+// the file.
 type SessionRecord struct {
 	Version  int                   `json:"version"`
 	ID       string                `json:"id"`
@@ -60,8 +62,8 @@ type SessionBackend interface {
 	// List returns every stored record, sorted by ID. Backends skip records
 	// they cannot decode (reporting them through their own logging) rather
 	// than failing the whole listing. Listed records may share one
-	// read-only last result (Session.Last) between records whose stored
-	// results are equal.
+	// read-only last result (Session.Last): on the disk backend, the
+	// records that name one result file share its decoded snapshot.
 	List() ([]*SessionRecord, error)
 	// Name identifies the backend in stats and logs ("memory", "disk").
 	// "memory" means the backend keeps no records: a server over it builds
@@ -94,102 +96,76 @@ func (memoryBackend) Get(string) (*SessionRecord, error) { return nil, ErrRecord
 func (memoryBackend) Delete(string) error                { return nil }
 func (memoryBackend) List() ([]*SessionRecord, error)    { return nil, nil }
 
-// encodeRecord serializes a record for storage; the bytes equal
-// json.Marshal(rec). It marshals the record without the session's last
-// result, then splices the result in through ResultSnapshot.AppendJSON, which
-// copies a memoized encoding instead of encoding (and re-scanning every flow
-// of) the whole evaluated space again. The session snapshot is the record's
-// last field and its last result the snapshot's last field, so the result
-// goes right before the two closing braces.
-func encodeRecord(rec *SessionRecord) ([]byte, error) {
-	if rec.ID == "" {
-		return nil, errors.New("server: session record without ID")
-	}
-	head := *rec
-	var last *core.ResultSnapshot
+// storedRecord is a SessionRecord as the disk backend stores it: the
+// session's last result is not inline but named by Result, the hex SHA-256
+// of its result file's bytes. A version-1 record holds it inline instead.
+type storedRecord struct {
+	SessionRecord
+	Result string `json:"result,omitempty"`
+}
+
+// encodeRecord serializes a record for storage, its session's last result
+// named by digest and left out.
+func encodeRecord(rec *SessionRecord, digest string) ([]byte, error) {
+	sr := storedRecord{SessionRecord: *rec, Result: digest}
 	if rec.Session != nil && rec.Session.Last != nil {
 		sess := *rec.Session
-		last, sess.Last = sess.Last, nil
-		head.Session = &sess
+		sess.Last = nil
+		sr.Session = &sess
 	}
-	blob, err := json.Marshal(&head)
-	if err == nil && last != nil {
-		blob, err = last.AppendJSON(append(blob[:len(blob)-2], `,"last":`...))
-		blob = append(blob, "}}"...)
-	}
+	blob, err := json.Marshal(&sr)
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding session record %s: %w", rec.ID, err)
 	}
 	return blob, nil
 }
 
-// decodeRecord parses a stored record, rejecting formats newer than this
-// build understands (a downgraded binary must not half-load future records).
-func decodeRecord(blob []byte) (*SessionRecord, error) {
-	var rec SessionRecord
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return nil, fmt.Errorf("server: decoding session record: %w", err)
-	}
-	if err := checkRecord(&rec); err != nil {
-		return nil, err
-	}
-	return &rec, nil
-}
-
-// listedRecord is a stored record as a listing decodes it: the session's
-// last result stays raw bytes, so that it is decoded once per distinct
-// encoding rather than once per record.
-type listedRecord struct {
-	SessionRecord
-	Session *struct {
-		core.SessionSnapshot
-		Last json.RawMessage `json:"last"`
-	} `json:"session"`
-}
-
-// decodeListedRecord is decodeRecord for a listing: records whose last
-// results are byte-equal share one decoded *core.ResultSnapshot, which lasts
-// keeps by those bytes. Equal bytes decode to equal snapshots, so the record
-// is the one decodeRecord returns.
-func decodeListedRecord(blob []byte, lasts map[string]*core.ResultSnapshot) (*SessionRecord, error) {
-	var lr listedRecord
-	if err := json.Unmarshal(blob, &lr); err != nil {
-		return nil, fmt.Errorf("server: decoding session record: %w", err)
-	}
-	rec := &lr.SessionRecord
-	if sess := lr.Session; sess != nil {
-		rec.Session = &sess.SessionSnapshot
-		if raw := sess.Last; len(raw) > 0 && string(raw) != "null" {
-			last, ok := lasts[string(raw)]
-			if !ok {
-				last = new(core.ResultSnapshot)
-				if err := json.Unmarshal(raw, last); err != nil {
-					return nil, fmt.Errorf("server: decoding session record: %w", err)
-				}
-				lasts[string(raw)] = last
-			}
-			rec.Session.Last = last
+// decodeRecord parses a stored record and returns the digest of the result
+// file it names ("" for none: no last result, or a version-1 record that
+// holds it inline). It rejects formats newer than this build understands (a
+// downgraded binary must not half-load future records).
+func decodeRecord(blob []byte) (*SessionRecord, string, error) {
+	var sr storedRecord
+	if err := json.Unmarshal(blob, &sr); err != nil {
+		// A newer format may not decode at all: report it as newer.
+		var v struct {
+			ID      string
+			Version int
 		}
+		if json.Unmarshal(blob, &v) == nil && v.Version > SessionRecordVersion {
+			return nil, "", newerRecord(v.ID, v.Version)
+		}
+		return nil, "", fmt.Errorf("server: decoding session record: %w", err)
 	}
-	if err := checkRecord(rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// checkRecord rejects a decoded record without an ID or with a newer format
-// version than this build writes.
-func checkRecord(rec *SessionRecord) error {
+	rec := &sr.SessionRecord
 	if rec.ID == "" {
-		return errors.New("server: session record without ID")
+		return nil, "", errors.New("server: session record without ID")
 	}
 	if rec.Version > SessionRecordVersion {
-		return fmt.Errorf("server: session record %s has format version %d (this build supports up to %d)",
-			rec.ID, rec.Version, SessionRecordVersion)
+		return nil, "", newerRecord(rec.ID, rec.Version)
 	}
-	return nil
+	if sr.Result != "" {
+		if err := validRecordID(sr.Result); err != nil {
+			return nil, "", fmt.Errorf("server: session record %s names result %q", rec.ID, sr.Result)
+		}
+		if rec.Session == nil {
+			return nil, "", fmt.Errorf("server: session record %s names a result but carries no session", rec.ID)
+		}
+	}
+	return rec, sr.Result, nil
 }
 
-// SessionRecordVersion is the current record format; it wraps (and moves in
-// lockstep with) core.SnapshotFormatVersion.
-const SessionRecordVersion = 1
+// errNewerRecord marks a record skipped for a format newer than this build's.
+var errNewerRecord = fmt.Errorf("this build supports up to %d", SessionRecordVersion)
+
+func newerRecord(id string, version int) error {
+	return fmt.Errorf("server: session record %s has format version %d (%w)", id, version, errNewerRecord)
+}
+
+// SessionRecordVersion is the current record format. Version 2 names the
+// last result by the digest of a result file the disk backend stores once
+// for all the records naming it; version-1 records, which hold it inline, are
+// still read, and a session's next write-through rewrites its record in
+// version 2. The core snapshot inside has its own version,
+// core.SnapshotFormatVersion.
+const SessionRecordVersion = 2

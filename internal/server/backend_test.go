@@ -107,6 +107,28 @@ func TestBackendContract(t *testing.T) {
 		if recs, _ = b.List(); len(recs) != 0 {
 			t.Errorf("after delete: %v", recordIDs(recs))
 		}
+
+		// A record with a last result: Get reads it back with its result
+		// file, and deleting the last record naming that file deletes it.
+		doc := recordConfig(t, 1)
+		rec := recordOf("d4", doc, plannedSnapshot(t, doc, "tpcds-purchases", 1))
+		if err := b.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := b.Get("d4"); err != nil {
+			t.Fatalf("Get with a result file: %v", err)
+		} else if !sameJSON(t, got, rec) {
+			t.Error("a record with a last result did not round-trip through Get")
+		}
+		if files := resultFiles(t, b.Dir()); len(files) != 1 {
+			t.Errorf("result files %v, want one", files)
+		}
+		if err := b.Delete("d4"); err != nil {
+			t.Fatal(err)
+		}
+		if files := resultFiles(t, b.Dir()); len(files) != 0 {
+			t.Errorf("result files %v left after deleting the record naming them", files)
+		}
 	})
 }
 
@@ -259,11 +281,11 @@ func stripID(body, id string) string { return strings.ReplaceAll(body, id, "SID"
 // server starts over the same directory, and the restored session must be
 // byte-for-byte identical — detail, history, skyline, full last result —
 // and still accept a select. Two sibling sessions planned the first
-// session's initial key, so their records hold one byte-equal last result
-// that the restart restores once: every restored session serves exactly
-// what its record restored alone (decodeRecord + core.RestoreSession)
-// serves, before and after a select, and a select in one sibling leaves the
-// other as it was.
+// session's initial key, so their records name one result file that the
+// restart restores once: every restored session serves exactly what its
+// record restored alone (DiskBackend.Get + core.RestoreSession) serves,
+// before and after a select, and a select in one sibling leaves the other as
+// it was.
 func TestRestartDurability(t *testing.T) {
 	dir := t.TempDir()
 	clock := func() time.Time { return time.Unix(9000, 0) }
@@ -358,15 +380,16 @@ func TestRestartDurability(t *testing.T) {
 }
 
 // restoreAlone serves the record of session id in dir from a server of its
-// own, restored through decodeRecord and core.RestoreSession: what a
-// restored session must serve however many records share its result.
+// own, restored through DiskBackend.Get (the record and its result file) and
+// core.RestoreSession: what a restored session must serve however many
+// records share its result.
 func restoreAlone(t *testing.T, dir, id string, clock func() time.Time) *Server {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(dir, id+snapshotExt))
+	b, err := NewDiskBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := decodeRecord(blob)
+	rec, err := b.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"poiesis/internal/core"
 )
 
 // TestRestoreDropsExpiredBestEffort: start-up deletes the records of sessions
@@ -55,13 +62,7 @@ func TestRestoreDropsExpiredBestEffort(t *testing.T) {
 		}
 	}
 
-	stuck := errors.New("operation not permitted")
-	b.removeFile = func(path string) error {
-		if strings.HasSuffix(path, "m2"+snapshotExt) {
-			return stuck
-		}
-		return os.Remove(path)
-	}
+	b.fs = stuckRemoveFS{stuck: func(path string) bool { return strings.HasSuffix(path, "m2"+snapshotExt) }}
 	s := open()
 	if got := s.RestoredSessions(); got != 1 {
 		t.Fatalf("restored %d sessions, want only the live one", got)
@@ -87,7 +88,7 @@ func TestRestoreDropsExpiredBestEffort(t *testing.T) {
 	}
 
 	// Once the filesystem recovers, the next start reclaims the leftover.
-	b.removeFile = nil
+	b.fs = osFS{}
 	if got := open().RestoredSessions(); got != 1 {
 		t.Fatalf("second start restored %d sessions, want 1", got)
 	}
@@ -106,15 +107,224 @@ func storedIDs(t *testing.T, b *DiskBackend) []string {
 	return recordIDs(recs)
 }
 
+// stuckRemoveFS is the operating system's file system, except that it
+// refuses to unlink the paths stuck matches.
+type stuckRemoveFS struct {
+	osFS
+	stuck func(path string) bool
+}
+
+func (f stuckRemoveFS) Remove(path string) error {
+	if f.stuck(path) {
+		return errors.New("operation not permitted")
+	}
+	return osFS{}.Remove(path)
+}
+
 // TestSyncDirReportsOpenFailure: a directory that cannot be opened must
 // fail the sync, not report a durable rename or unlink that never got its
 // directory fsync.
 func TestSyncDirReportsOpenFailure(t *testing.T) {
-	err := syncDir(filepath.Join(t.TempDir(), "missing"))
+	err := osFS{}.SyncDir(filepath.Join(t.TempDir(), "missing"))
 	if err == nil || !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("syncDir on a missing directory: %v, want a wrapped not-exist error", err)
+		t.Fatalf("SyncDir on a missing directory: %v, want a wrapped not-exist error", err)
 	}
-	if err := syncDir(t.TempDir()); err != nil {
-		t.Fatalf("syncDir on a real directory: %v", err)
+	if err := (osFS{}).SyncDir(t.TempDir()); err != nil {
+		t.Fatalf("SyncDir on a real directory: %v", err)
+	}
+}
+
+// resultFiles lists the result files in dir.
+func resultFiles(tb testing.TB, dir string) []string {
+	tb.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), resultExt) {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// TestConcurrentPutDeleteKeepsResults: sessions that share results are put
+// and deleted at once, over and over (run under -race), so a result's count
+// keeps falling to zero and rising again while its file is unlinked. Every
+// put that returns leaves its record naming a result file that exists, and
+// once every record is deleted no result file is left.
+func TestConcurrentPutDeleteKeepsResults(t *testing.T) {
+	doc := recordConfig(t, 1)
+	snaps := []*core.SessionSnapshot{
+		plannedSnapshot(t, doc, "tpcds-purchases", 1),
+		plannedSnapshot(t, doc, "tpcds-sales", 1),
+	}
+	b := newTestDiskBackend(t)
+	if _, err := b.List(); err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 6, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := fmt.Sprintf("w%d", w)
+			for i := 0; i < rounds; i++ {
+				snap := snaps[(w+i)%len(snaps)]
+				if err := b.Put(recordOf(id, doc, snap)); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := os.Stat(b.resultPath(snap.Last.Digest())); err != nil {
+					t.Errorf("put %s returned, its result file: %v", id, err)
+					return
+				}
+				if i%3 != 2 {
+					if err := b.Delete(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	recs, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Session.Last == nil {
+			t.Errorf("record %s lost its result", rec.ID)
+		}
+		if err := b.Delete(rec.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files := resultFiles(t, b.Dir()); len(files) != 0 {
+		t.Errorf("result files %v left after every record was deleted", files)
+	}
+}
+
+// TestDeletedSessionsLeaveNoResultFiles: sessions that planned one cached key
+// and one of their own, some deleted by the client and the rest evicted
+// after their TTL, leave no record and no result file behind.
+func TestDeletedSessionsLeaveNoResultFiles(t *testing.T) {
+	b := newTestDiskBackend(t)
+	now := time.Unix(9000, 0)
+	s := New(Config{Backend: b, Logf: t.Logf, Now: func() time.Time { return now }, SessionTTL: time.Minute})
+	defer s.Close()
+	var ids []string
+	for i := 0; i < 4; i++ {
+		id := createSession(t, s, fmt.Sprintf("s%d", i))
+		for _, step := range []struct{ path, body string }{
+			{"/plan", ""}, {"/select", `{"index":0}`}, {"/plan", ""},
+		} {
+			if rr := do(t, s, "POST", "/v1/sessions/"+id+step.path, step.body, nil); rr.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", step.path, rr.Code, rr.Body.String())
+			}
+		}
+		ids = append(ids, id)
+	}
+	if files := resultFiles(t, b.Dir()); len(files) == 0 {
+		t.Fatal("planned sessions stored no result file")
+	}
+	for _, id := range ids[:2] {
+		if rr := do(t, s, "DELETE", "/v1/sessions/"+id, "", nil); rr.Code != http.StatusNoContent {
+			t.Fatalf("delete: %d", rr.Code)
+		}
+	}
+	now = now.Add(2 * time.Minute)
+	if n := s.Sessions(); n != 0 {
+		t.Fatalf("%d sessions outlived the TTL", n)
+	}
+	s.Close() // waits for the eviction worker's deletes
+	if entries, err := os.ReadDir(b.Dir()); err != nil || len(entries) != 0 {
+		t.Errorf("files left after every session was deleted or evicted: %d (%v)", len(entries), err)
+	}
+}
+
+// TestRestoreVersion1Store: a store written in record format 1, with each
+// last result inline, restores: every session serves the bytes it served
+// from that store before format 2 (hashed in testdata), and a select answers
+// as it did then. The session's next write-through rewrites its record in
+// format 2, and after a plan the record names a result file.
+func TestRestoreVersion1Store(t *testing.T) {
+	dir := t.TempDir()
+	entries, err := os.ReadDir(filepath.Join("testdata", "v1-store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		blob, err := os.ReadFile(filepath.Join("testdata", "v1-store", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want map[string]string
+	blob, err := os.ReadFile(filepath.Join("testdata", "v1-store-responses.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDiskBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Logf = t.Logf
+	s := New(Config{Backend: b, Logf: t.Logf, Now: func() time.Time { return time.Unix(9000, 0) }})
+	defer s.Close()
+	if got := s.RestoredSessions(); got != len(entries) {
+		t.Fatalf("restored %d sessions, want %d", got, len(entries))
+	}
+	gets := 0
+	for _, key := range slices.Sorted(maps.Keys(want)) {
+		method, path, _ := strings.Cut(key, " ")
+		if method != "GET" {
+			continue
+		}
+		gets++
+		rr := do(t, s, "GET", "/v1/sessions/"+path, "", nil)
+		if sum := sha256.Sum256(rr.Body.Bytes()); hex.EncodeToString(sum[:]) != want[key] {
+			t.Errorf("%s serves other bytes than from format 1: %d %s", key, rr.Code, rr.Body.String())
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(want)) {
+		method, path, _ := strings.Cut(key, " ")
+		if method != "POST" {
+			continue
+		}
+		id := strings.TrimSuffix(path, "/select")
+		rr := do(t, s, "POST", "/v1/sessions/"+path, `{"index":0}`, nil)
+		if sum := sha256.Sum256(rr.Body.Bytes()); rr.Code != http.StatusOK || hex.EncodeToString(sum[:]) != want[key] {
+			t.Errorf("%s answers otherwise than from format 1: %d %s", key, rr.Code, rr.Body.String())
+		}
+		// The select's write-through rewrote the record in format 2; a plan's
+		// names its result file.
+		if rr := do(t, s, "POST", "/v1/sessions/"+id+"/plan", "", nil); rr.Code != http.StatusOK {
+			t.Fatalf("plan %s: %d %s", id, rr.Code, rr.Body.String())
+		}
+		blob, err := os.ReadFile(b.path(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, digest, err := decodeRecord(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Version != SessionRecordVersion || digest == "" {
+			t.Errorf("session %s rewritten as version %d naming result %q", id, rec.Version, digest)
+		}
+	}
+	if gets == 0 || len(resultFiles(t, dir)) == 0 {
+		t.Fatalf("%d hashed reads, %d result files", gets, len(resultFiles(t, dir)))
 	}
 }

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -35,12 +38,15 @@ func recordOf(id string, doc *config.Document, snap *core.SessionSnapshot) *Sess
 	}
 }
 
-// TestEncodeRecordMatchesMarshal: the spliced encoder writes exactly the
-// bytes of json.Marshal(rec), for every builtin flow at depth 1 and 2, for a
-// record without a last result, with a memoized last result (before and
-// after a selection, so with history), and with last results that carry no
-// memo: one decoded from a stored record and one rebuilt through
-// RestoreResult and SnapshotResult.
+// TestEncodeRecordMatchesMarshal: what the disk backend stores for a record
+// — the record with its last result left out and named by digest, and the
+// result file — reads back through Get as exactly json.Marshal(rec), for
+// every builtin flow at depth 1 and 2: a record without a last result, with a
+// memoized last result (before and after a selection, so with history), and
+// with last results that carry no memo: one read back from a result file and
+// one rebuilt through RestoreResult and SnapshotResult. The result file holds
+// json.Marshal of the last result under the hex SHA-256 of those bytes, so
+// all three name one file.
 func TestEncodeRecordMatchesMarshal(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for depth := 1; depth <= 2; depth++ {
@@ -52,21 +58,47 @@ func TestEncodeRecordMatchesMarshal(t *testing.T) {
 				}
 				g, _ := workloads.Get(name)
 				sess := core.NewSession(p, g, sim.AutoBinding(g, 100, 1))
+				b := newTestDiskBackend(t)
 
-				check := func(label string, rec *SessionRecord) []byte {
+				// check stores rec and returns the digest its record names.
+				check := func(label string, rec *SessionRecord) string {
 					t.Helper()
-					want, err := json.Marshal(rec)
-					if err != nil {
-						t.Fatal(err)
+					if err := b.Put(rec); err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					got, err := encodeRecord(rec)
+					got, err := b.Get(rec.ID)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%s: encodeRecord differs from json.Marshal (%d vs %d bytes)", label, len(got), len(want))
+					if !sameJSON(t, got, rec) {
+						t.Fatalf("%s: the stored record reads back differently from json.Marshal", label)
 					}
-					return got
+					blob, err := os.ReadFile(b.path(rec.ID))
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, digest, err := decodeRecord(blob)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (digest != "") != (rec.Session.Last != nil) || bytes.Contains(blob, []byte(`"last"`)) {
+						t.Fatalf("%s: the record names result %q and holds no last result inline", label, digest)
+					}
+					if digest != "" {
+						want, err := json.Marshal(rec.Session.Last)
+						if err != nil {
+							t.Fatal(err)
+						}
+						file, err := os.ReadFile(b.resultPath(digest))
+						if err != nil {
+							t.Fatal(err)
+						}
+						sum := sha256.Sum256(want)
+						if !bytes.Equal(file, want) || hex.EncodeToString(sum[:]) != digest {
+							t.Fatalf("%s: result file %s does not hold json.Marshal of the last result under its SHA-256", label, digest)
+						}
+					}
+					return digest
 				}
 				snapshot := func() *core.SessionSnapshot {
 					t.Helper()
@@ -92,14 +124,18 @@ func TestEncodeRecordMatchesMarshal(t *testing.T) {
 					}
 				}
 				snap := snapshot()
-				blob := check("history and memoized last result", recordOf("r3", doc, snap))
+				digest := check("history and memoized last result", recordOf("r3", doc, snap))
+				if digest != snap.Last.Digest() {
+					t.Fatalf("the record names %s, the memo's digest is %s", digest, snap.Last.Digest())
+				}
 
-				stored, err := decodeRecord(blob)
+				stored, err := b.Get("r3")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if again := check("decoded record", stored); !bytes.Equal(again, blob) {
-					t.Fatal("a decoded record does not encode to the stored bytes")
+				stored.ID = "r4"
+				if again := check("read-back record", stored); again != digest {
+					t.Fatal("a read-back result names another file than the memoized one")
 				}
 
 				fresh, err := core.SnapshotResult(sess.LastResult())
@@ -115,12 +151,26 @@ func TestEncodeRecordMatchesMarshal(t *testing.T) {
 				}
 				unmemoized := *snap
 				unmemoized.Last = fresh
-				if got := check("restored last result", recordOf("r3", doc, &unmemoized)); !bytes.Equal(got, blob) {
-					t.Fatal("a restored result encodes differently from the memoized one")
+				if got := check("restored last result", recordOf("r5", doc, &unmemoized)); got != digest {
+					t.Fatal("a restored result names another file than the memoized one")
 				}
 			})
 		}
 	}
+}
+
+// sameJSON reports whether got and want marshal to the same bytes.
+func sameJSON(t *testing.T, got, want any) bool {
+	t.Helper()
+	a, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(a, b)
 }
 
 // cachedPlanSessions runs, on a disk-backed server, one session's plan (a
@@ -201,7 +251,8 @@ func TestCachedPlanEncodesResultOnce(t *testing.T) {
 
 // TestConcurrentRecordsShareOneEncoding: 8 sessions holding one cached Result
 // persist at once (run under -race). The memo is built once under its
-// sync.Once, and every stored record carries the same bytes for the result.
+// sync.Once, the result is stored as one result file, and every stored
+// record reads back the same bytes for it.
 func TestConcurrentRecordsShareOneEncoding(t *testing.T) {
 	const sessions = 8
 	doc := recordConfig(t, 1)
@@ -272,6 +323,9 @@ func TestConcurrentRecordsShareOneEncoding(t *testing.T) {
 	}
 	if len(recs) != sessions {
 		t.Fatalf("%d records stored, want %d", len(recs), sessions)
+	}
+	if files := resultFiles(t, b.Dir()); len(files) != 1 {
+		t.Errorf("result files %v, want one", files)
 	}
 	for _, rec := range recs {
 		got, err := json.Marshal(rec.Session.Last)

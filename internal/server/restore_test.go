@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,26 +80,65 @@ func lastResult(t *testing.T, s *Server, id string) *core.Result {
 	return st.sess.LastResult()
 }
 
-// TestRestoreSharesResults: records whose stored last results are byte-equal
-// share one *core.Result after a restart. A record whose last result differs
-// in one byte gets a result of its own.
+// TestRestoreSharesResults: 500 records over 10 results store each result
+// once, as one result file, and records hold no result inline. After a
+// restart, the records naming one result share one *core.Result. One byte
+// changed in a result file makes exactly the records naming it skip, with a
+// warning, and the others restore as before.
 func TestRestoreSharesResults(t *testing.T) {
 	b := newTestDiskBackend(t)
-	ids := seedRecords(t, b, 6, 2)
+	ids := seedRecords(t, b, 500, 10)
+	files := resultFiles(t, b.Dir())
+	if len(files) != 10 {
+		t.Fatalf("%d result files for 10 distinct results", len(files))
+	}
+	records := 0
+	for name, blob := range storedFiles(t, b.Dir()) {
+		if strings.HasSuffix(name, snapshotExt) {
+			records++
+			if bytes.Contains(blob, []byte(`"alternatives"`)) {
+				t.Fatalf("record %s holds a result inline", name)
+			}
+		}
+	}
+	if records != 500 {
+		t.Fatalf("%d record files, want 500", records)
+	}
 
-	// Change one digit of the evaluated count in one record's last result.
-	odd := ids[0][2]
-	path := filepath.Join(b.Dir(), odd+snapshotExt)
+	s := New(Config{Backend: b, Logf: t.Logf, Now: restoreClock})
+	if got := s.RestoredSessions(); got != 500 {
+		t.Fatalf("restored %d sessions, want 500", got)
+	}
+	results := map[*core.Result]bool{}
+	for _, group := range ids {
+		first := lastResult(t, s, group[0])
+		if first == nil || results[first] {
+			t.Fatal("two distinct results were restored as one")
+		}
+		results[first] = true
+		for _, id := range group[1:] {
+			if lastResult(t, s, id) != first {
+				t.Fatalf("session %s holds its own copy of a shared result", id)
+			}
+		}
+	}
+	s.Close()
+
+	// Change one digit of the evaluated count in the first result's file.
+	rec, err := b.Get(ids[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := b.resultPath(digestOf(t, rec.Session.Last))
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := bytes.Index(blob, []byte(`"last":`))
-	at := bytes.Index(blob[last:], []byte(`"evaluated":`))
-	if last < 0 || at < 0 {
-		t.Fatal("stored record has no evaluated count in its last result")
+	at := bytes.Index(blob, []byte(`"evaluated":`))
+	if at < 0 {
+		t.Fatal("stored result has no evaluated count")
 	}
-	at += last + len(`"evaluated":`)
+	at += len(`"evaluated":`)
 	if blob[at] == '1' {
 		blob[at] = '2'
 	} else {
@@ -105,39 +148,60 @@ func TestRestoreSharesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Config{Backend: b, Logf: t.Logf, Now: restoreClock})
+	var logMu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	s = New(Config{Backend: b.WithLogf(logf), Logf: logf, Now: restoreClock})
 	defer s.Close()
-	if got := s.RestoredSessions(); got != 6 {
-		t.Fatalf("restored %d sessions, want 6", got)
+	if got := s.RestoredSessions(); got != 450 {
+		t.Fatalf("restored %d sessions, want the 450 whose result is intact", got)
 	}
-	first, second := lastResult(t, s, ids[0][0]), lastResult(t, s, ids[1][0])
-	if first == nil || second == nil || first == second {
-		t.Fatal("the two distinct results were not restored apart")
-	}
-	for _, id := range ids[0][:2] {
-		if lastResult(t, s, id) != first {
-			t.Errorf("session %s holds its own copy of a byte-equal result", id)
+	for _, id := range ids[0] {
+		if _, ok := s.store.get(id); ok {
+			t.Fatalf("session %s restored from a changed result file", id)
 		}
 	}
-	for _, id := range ids[1] {
-		if lastResult(t, s, id) != second {
-			t.Errorf("session %s holds its own copy of a byte-equal result", id)
+	for _, group := range ids[1:] {
+		first := lastResult(t, s, group[0])
+		for _, id := range group[1:] {
+			if lastResult(t, s, id) != first {
+				t.Fatalf("session %s holds its own copy of a shared result", id)
+			}
 		}
 	}
-	own := lastResult(t, s, odd)
-	if own == first || own == second {
-		t.Fatal("a record whose last result differs shares another's result")
+	logMu.Lock()
+	skipped := 0
+	for _, line := range logs {
+		if strings.Contains(line, "does not match its digest") {
+			skipped++
+		}
 	}
-	if own.Stats.Evaluated == first.Stats.Evaluated {
-		t.Errorf("the changed record restored evaluated=%d, as the unchanged ones", own.Stats.Evaluated)
+	logMu.Unlock()
+	if skipped != len(ids[0]) {
+		t.Errorf("%d skip warnings for a changed result file, want one per record naming it (%d)", skipped, len(ids[0]))
 	}
 }
 
-// TestListedRecordMatchesDecodeRecord: the listing's decoder and decodeRecord
-// read every stored record alike, so encodeRecord writes the same bytes for
-// both: records without a last result, with one, with history, and with a
-// null last result. Two records with byte-equal last results share one
-// decoded snapshot.
+// digestOf returns the hex SHA-256 of rs's JSON encoding.
+func digestOf(t *testing.T, rs *core.ResultSnapshot) string {
+	t.Helper()
+	blob, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestListedRecordMatchesDecodeRecord: List reads every stored record as Get
+// does (decodeRecord, then the result file the record names): records
+// without a last result, with one, with history, and a version-1 record that
+// holds its last result inline. Listed records naming one result file share
+// one decoded snapshot; each Get decodes its own.
 func TestListedRecordMatchesDecodeRecord(t *testing.T) {
 	doc := recordConfig(t, 1)
 	p, err := doc.Planner()
@@ -146,80 +210,75 @@ func TestListedRecordMatchesDecodeRecord(t *testing.T) {
 	}
 	g, _ := workloads.Get("tpcds-sales")
 	sess := core.NewSession(p, g, sim.AutoBinding(g, 100, 1))
-	var blobs [][]byte
-	encode := func(snap *core.SessionSnapshot) []byte {
-		t.Helper()
-		blob, err := encodeRecord(recordOf(fmt.Sprintf("r%d", len(blobs)), doc, snap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs = append(blobs, blob)
-		return blob
-	}
-	snapshot := func() *core.SessionSnapshot {
+	b := newTestDiskBackend(t)
+	put := func(id string) *core.SessionSnapshot {
 		t.Helper()
 		snap, err := sess.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := b.Put(recordOf(id, doc, snap)); err != nil {
+			t.Fatal(err)
+		}
 		return snap
 	}
 
-	noLast := encode(snapshot())
-	// The same record with "last":null spliced in as the snapshot's last field.
-	blobs = append(blobs, append(append(bytes.Clone(noLast[:len(noLast)-2]), `,"last":null`...), "}}"...))
+	put("r0") // no last result
 	if _, err := sess.Explore(); err != nil {
 		t.Fatal(err)
 	}
-	withLast := encode(snapshot())
+	last := put("r1").Last
+	put("r2") // the same last result
+	// A version-1 record holding that last result inline.
+	snap, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := recordOf("r3", doc, snap)
+	v1.Version = 1
+	blob, err := json.Marshal(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(b.path("r3"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sess.Select(0); err != nil {
 		t.Fatal(err)
 	}
-	encode(snapshot()) // history, no last result
+	put("r4") // history, no last result
 	if _, err := sess.Explore(); err != nil {
 		t.Fatal(err)
 	}
-	encode(snapshot()) // history and a last result
+	put("r5") // history and a last result
 
-	lasts := map[string]*core.ResultSnapshot{}
-	for i, blob := range blobs {
-		want, err := decodeRecord(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodeListedRecord(blob, lasts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBlob, err := encodeRecord(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBlob, err := encodeRecord(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotBlob, wantBlob) {
-			t.Errorf("record %d: the listing decodes differently from decodeRecord", i)
-		}
-		if (got.Session.Last == nil) != (want.Session.Last == nil) {
-			t.Errorf("record %d: listed last result %v, decoded %v", i, got.Session.Last != nil, want.Session.Last != nil)
-		}
-	}
-
-	a, err := decodeListedRecord(withLast, lasts)
+	recs, err := b.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decodeListedRecord(withLast, lasts)
-	if err != nil {
-		t.Fatal(err)
+	if ids := recordIDs(recs); !slices.Equal(ids, []string{"r0", "r1", "r2", "r3", "r4", "r5"}) {
+		t.Fatalf("listed %v", ids)
 	}
-	if a.Session.Last == nil || a.Session.Last != b.Session.Last {
-		t.Error("byte-equal last results were decoded twice")
+	for _, rec := range recs {
+		want, err := b.Get(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameJSON(t, rec, want) {
+			t.Errorf("record %s: the listing decodes differently from Get", rec.ID)
+		}
+		if rec.Session.Last != nil && rec.Session.Last == want.Session.Last {
+			t.Errorf("record %s: Get shares the listing's decoded result", rec.ID)
+		}
 	}
-	if len(lasts) != 2 {
-		t.Errorf("%d distinct last results decoded, want 2", len(lasts))
+	if recs[1].Session.Last == nil || recs[1].Session.Last != recs[2].Session.Last {
+		t.Error("records naming one result file were decoded apart")
+	}
+	if recs[3].Session.Last == nil || !sameJSON(t, recs[3].Session.Last, last) {
+		t.Error("the version-1 record's inline last result was not read")
+	}
+	if recs[3].Session.Last == recs[1].Session.Last {
+		t.Error("a version-1 record shares a result file's decoded result")
 	}
 }
 

@@ -287,11 +287,12 @@ func New(cfg Config) *Server {
 // from one listing: records that expired while the service was down are
 // deleted, the rest are rebuilt (planner from the persisted config document,
 // analyst state from the core snapshot) and adopted without a redundant
-// write-back. Records that share one decoded last result (the listing shares
-// byte-equal ones) share one restored *core.Result, as sessions that adopted
-// one cached plan do. A record that fails to load — corrupted snapshot,
-// unknown future format, invalid flow — is skipped with a warning; one bad
-// record must not take down the service or the healthy sessions next to it.
+// write-back. Records that share one decoded last result (on disk, the
+// records naming one result file) share one restored *core.Result, as
+// sessions that adopted one cached plan do. A record that fails to load —
+// corrupted snapshot, unknown future format, invalid flow — is skipped with a
+// warning; one bad record must not take down the service or the healthy
+// sessions next to it.
 func (s *Server) restoreSessions(ttl time.Duration) {
 	backend := s.cfg.Backend
 	recs, err := backend.List()
@@ -327,8 +328,9 @@ func (s *Server) restoreSessions(ttl time.Duration) {
 		}
 		// In cluster mode each replica restores only the sessions the ring
 		// assigns to it. Records owned by other replicas stay untouched in
-		// the backend: session snapshots are self-contained, so moving a
-		// record into the owner's backend is all a rebalance takes.
+		// the backend. A rebalance moves a record into the owner's backend
+		// through the backend API (Get, then Put), which carries its last
+		// result with it; on disk that is the record and its result file.
 		if s.cluster != nil && !s.cluster.IsLocal(cluster.SessionKey(rec.ID)) {
 			s.skippedForeign++
 			continue

@@ -74,12 +74,13 @@ func BenchmarkSessionStoreGetParallel(b *testing.B) {
 }
 
 // BenchmarkRestoreSessions measures a server's start-up over a disk store of
-// 500 session records, in three shapes:
+// 500 session records, in three shapes, and reports the store's size
+// (storeMB):
 //   - shared: 10 distinct planned results, 50 records each, the shape of a
-//     service whose analysts shared cached plans. Start-up lists the directory
-//     once and decodes and restores each distinct result once.
+//     service whose analysts shared cached plans. The store holds 10 result
+//     files, and start-up reads, decodes and restores each once.
 //   - distinct: 500 distinct results, one per record, so nothing is shared
-//     and each result is decoded and restored on its own.
+//     and start-up reads 1,000 files.
 //   - expired: the shared store with every record idle past the session TTL.
 //     Start-up restores nothing and deletes every record, one directory fsync
 //     each; the loop rewrites the files, untimed, before each start.
@@ -96,6 +97,7 @@ func BenchmarkRestoreSessions(b *testing.B) {
 			}
 			db.Logf = func(string, ...any) {}
 			seedRecords(b, db, 500, bc.distinct)
+			storeMB := float64(dirBytes(b, db.Dir())) / 1e6
 			now, want := restoreClock, 500
 			var files map[string][]byte
 			if bc.expired {
@@ -120,8 +122,27 @@ func BenchmarkRestoreSessions(b *testing.B) {
 				}
 				s.Close()
 			}
+			b.ReportMetric(storeMB, "storeMB")
 		})
 	}
+}
+
+// dirBytes returns the total size of the files in dir.
+func dirBytes(tb testing.TB, dir string) int64 {
+	tb.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
 }
 
 // storedFiles reads every file in dir, by name.
@@ -140,4 +161,54 @@ func storedFiles(tb testing.TB, dir string) map[string][]byte {
 		files[e.Name()] = blob
 	}
 	return files
+}
+
+// BenchmarkDiskPut measures one write-through of a planned session's record
+// on the disk backend:
+//   - cached: the backend already stores the result, so the put writes and
+//     fsyncs the record alone, as a cached plan's does;
+//   - new-result: the result is one the backend does not store (the record
+//     naming it is deleted, untimed, before each put), so the put first
+//     writes and fsyncs the result file and fsyncs the directory. The
+//     difference between the two is what the first put of a result pays.
+func BenchmarkDiskPut(b *testing.B) {
+	doc := recordConfig(b, 1)
+	snap := plannedSnapshot(b, doc, "tpcds-purchases", 1)
+	for _, fresh := range []bool{false, true} {
+		name := "cached"
+		if fresh {
+			name = "new-result"
+		}
+		b.Run(name, func(b *testing.B) {
+			db, err := NewDiskBackend(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := db.List(); err != nil {
+				b.Fatal(err)
+			}
+			rec := recordOf("r0", doc, snap)
+			if err := db.Put(rec); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if fresh {
+					b.StopTimer()
+					if err := db.Delete(rec.ID); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := db.Put(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if fresh && len(resultFiles(b, db.Dir())) != 1 {
+				b.Fatal("the put did not store its result file")
+			}
+		})
+	}
 }
