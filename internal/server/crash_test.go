@@ -277,8 +277,8 @@ func TestCrashAtEveryStep(t *testing.T) {
 // crash at step: that of its last call that returned, and that of a call in
 // flight. A nil record stands for no session.
 func wantAfterCrash(ops []crashOp, id string, step int) []*SessionRecord {
-	var done, inFlight []*SessionRecord
-	done = []*SessionRecord{nil}
+	done := []*SessionRecord{nil}
+	var inFlight []*SessionRecord
 	for _, op := range ops {
 		switch {
 		case op.id != id || op.first >= step:
