@@ -81,7 +81,7 @@ type ResultSnapshot struct {
 	// encoded is json.Marshal of this snapshot, set once on the snapshots
 	// Session.Snapshot memoizes (AppendJSON); nil on every other snapshot.
 	encoded []byte
-	// digest is the hex SHA-256 of encoded, set with it (Digest).
+	// digest is ResultDigest(encoded), set with it (Digest).
 	digest string
 }
 
@@ -234,12 +234,18 @@ func (rs *ResultSnapshot) encode() error {
 	for i := range rs.Alternatives {
 		alias(&rs.Alternatives[i].Flow)
 	}
-	sum := sha256.Sum256(blob)
-	rs.encoded, rs.digest = blob, hex.EncodeToString(sum[:])
+	rs.encoded, rs.digest = blob, ResultDigest(blob)
 	return nil
 }
 
-// Digest returns the hex SHA-256 of the bytes AppendJSON appends, for a
+// ResultDigest names a result snapshot's JSON encoding: the hex SHA-256 of
+// blob, the bytes AppendJSON appends.
+func ResultDigest(blob []byte) string {
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:])
+}
+
+// Digest returns ResultDigest of the bytes AppendJSON appends, for a
 // snapshot taken by Session.Snapshot, computed once with its memoized
 // encoding. Any other snapshot has no memo and returns "".
 func (rs *ResultSnapshot) Digest() string { return rs.digest }

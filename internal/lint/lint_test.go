@@ -69,6 +69,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		"nofmtkernel/bad/internal/sim/bad.go:24 nofmtkernel",
 		"nolockio/bad/pkg/bad.go:20 nolockio",
 		"nolockio/bad/pkg/bad.go:33 nolockio",
+		"nolockio/bad/pkg/bad.go:52 nolockio",
 		"spanend/bad/pkg/bad.go:13 spanend",
 		"spanend/bad/pkg/bad.go:25 spanend",
 		"spanend/bad/pkg/bad.go:31 spanend",

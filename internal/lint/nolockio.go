@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
+	"strings"
 )
 
 // Nolockio is the PR 6 bug class: blocking I/O — file, network or
@@ -15,6 +17,10 @@ import (
 // a deferred Unlock keeps it held to the end of the function. Function
 // literals are not entered (they run later, usually after the unlock), and
 // Try* acquisitions are ignored.
+//
+// I/O behind an interface (a file-system seam a test can replace) is
+// declared by a `//lint:io` line in the interface type's doc comment: every
+// method called on a value of that type counts as I/O.
 var Nolockio = &Analyzer{
 	Name: "nolockio",
 	Doc:  "forbid file/network/database I/O while a sync mutex is held",
@@ -22,21 +28,73 @@ var Nolockio = &Analyzer{
 }
 
 func runNolockio(p *Pass) {
+	l := &lockIO{Pass: p, ioTypes: ioInterfaces(p)}
 	for _, f := range p.Files() {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			walkLocked(p, fd.Body.List, map[string]bool{})
+			l.walkLocked(fd.Body.List, map[string]bool{})
 		}
 	}
+}
+
+// lockIO is one nolockio pass with the package's I/O interfaces.
+type lockIO struct {
+	*Pass
+	ioTypes map[types.Object]bool
+}
+
+// ioInterfaces returns the package's interface types whose doc comment
+// carries a `//lint:io` line.
+func ioInterfaces(p *Pass) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	for _, f := range p.Files() {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				if _, ok := ts.Type.(*ast.InterfaceType); !ok {
+					continue
+				}
+				doc := ts.Doc
+				if doc == nil && len(gd.Specs) == 1 {
+					doc = gd.Doc
+				}
+				if hasIODirective(doc) {
+					if obj := p.Pkg.Info.Defs[ts.Name]; obj != nil {
+						out[obj] = true
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+func hasIODirective(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if rest, ok := strings.CutPrefix(c.Text, "//lint:io"); ok && (rest == "" || rest[0] == ' ') {
+			return true
+		}
+	}
+	return false
 }
 
 // walkLocked processes a statement list, threading the held-mutex set
 // through sequential statements and copying it into nested blocks (a lock
 // acquired inside a branch does not lexically escape it).
-func walkLocked(p *Pass, stmts []ast.Stmt, held map[string]bool) {
+func (p *lockIO) walkLocked(stmts []ast.Stmt, held map[string]bool) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ast.ExprStmt:
@@ -50,7 +108,7 @@ func walkLocked(p *Pass, stmts []ast.Stmt, held map[string]bool) {
 					continue
 				}
 			}
-			checkIOUnderLock(p, s, held)
+			p.checkIOUnderLock(s, held)
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the mutex held for the rest of the
 			// function; I/O in the deferred call itself runs after all
@@ -62,42 +120,42 @@ func walkLocked(p *Pass, stmts []ast.Stmt, held map[string]bool) {
 			// goroutine's locks; only the call operands are evaluated here.
 			continue
 		case *ast.BlockStmt:
-			walkLocked(p, s.List, copyHeld(held))
+			p.walkLocked(s.List, copyHeld(held))
 		case *ast.IfStmt:
 			if s.Init != nil {
-				checkIOUnderLock(p, s.Init, held)
+				p.checkIOUnderLock(s.Init, held)
 			}
-			checkIOUnderLock(p, exprStmtOf(s.Cond), held)
-			walkLocked(p, s.Body.List, copyHeld(held))
+			p.checkIOUnderLock(exprStmtOf(s.Cond), held)
+			p.walkLocked(s.Body.List, copyHeld(held))
 			if s.Else != nil {
-				walkLocked(p, []ast.Stmt{s.Else}, copyHeld(held))
+				p.walkLocked([]ast.Stmt{s.Else}, copyHeld(held))
 			}
 		case *ast.ForStmt:
-			walkLocked(p, s.Body.List, copyHeld(held))
+			p.walkLocked(s.Body.List, copyHeld(held))
 		case *ast.RangeStmt:
-			walkLocked(p, s.Body.List, copyHeld(held))
+			p.walkLocked(s.Body.List, copyHeld(held))
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLocked(p, cc.Body, copyHeld(held))
+					p.walkLocked(cc.Body, copyHeld(held))
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					walkLocked(p, cc.Body, copyHeld(held))
+					p.walkLocked(cc.Body, copyHeld(held))
 				}
 			}
 		case *ast.SelectStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
-					walkLocked(p, cc.Body, copyHeld(held))
+					p.walkLocked(cc.Body, copyHeld(held))
 				}
 			}
 		case *ast.LabeledStmt:
-			walkLocked(p, []ast.Stmt{s.Stmt}, held)
+			p.walkLocked([]ast.Stmt{s.Stmt}, held)
 		default:
-			checkIOUnderLock(p, s, held)
+			p.checkIOUnderLock(s, held)
 		}
 	}
 }
@@ -116,7 +174,7 @@ func exprStmtOf(e ast.Expr) ast.Stmt { return &ast.ExprStmt{X: e} }
 // checkIOUnderLock reports every blocking I/O call inside stmt when at least
 // one mutex is lexically held. Function literals are skipped: they execute
 // later, outside the current critical section.
-func checkIOUnderLock(p *Pass, stmt ast.Stmt, held map[string]bool) {
+func (p *lockIO) checkIOUnderLock(stmt ast.Stmt, held map[string]bool) {
 	if len(held) == 0 || stmt == nil {
 		return
 	}
@@ -128,7 +186,11 @@ func checkIOUnderLock(p *Pass, stmt ast.Stmt, held map[string]bool) {
 		if !ok {
 			return true
 		}
-		if what := ioCallName(p, call); what != "" {
+		what := ioCallName(p.Pass, call)
+		if what == "" {
+			what = p.ioInterfaceCall(call)
+		}
+		if what != "" {
 			p.Reportf(call.Pos(), "%s while %s is held: move the I/O outside the critical section (copy what you need under the lock, then release it)", what, anyHeld(held))
 		}
 		return true
@@ -143,6 +205,20 @@ func anyHeld(held map[string]bool) string {
 		}
 	}
 	return best
+}
+
+// ioInterfaceCall returns "Type.Method" for a method called on a value of
+// one of the package's I/O interfaces, or "".
+func (p *lockIO) ioInterfaceCall(call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(p.ioTypes) == 0 {
+		return ""
+	}
+	n, ok := p.Pkg.Info.TypeOf(sel.X).(*types.Named)
+	if !ok || !p.ioTypes[n.Obj()] {
+		return ""
+	}
+	return n.Obj().Name() + "." + sel.Sel.Name
 }
 
 // ioCallName classifies a call as blocking file/network/database I/O and

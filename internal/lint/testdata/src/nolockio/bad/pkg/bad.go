@@ -37,3 +37,17 @@ func (c *Cache) Fetch(url string) error {
 	}
 	return resp.Body.Close()
 }
+
+// Disk is a file-system seam: its methods block on the disk.
+//
+//lint:io
+type Disk interface {
+	Remove(path string) error
+}
+
+// Drop unlinks through the seam while s.mu is held.
+func (s *Store) Drop(d Disk) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return d.Remove(s.path)
+}

@@ -31,3 +31,30 @@ func (s *Store) Reader() func() ([]byte, error) {
 		return os.ReadFile(path)
 	}
 }
+
+// Disk is a file-system seam: its methods block on the disk.
+//
+//lint:io
+type Disk interface {
+	Remove(path string) error
+}
+
+// Drop unlinks through the seam after releasing s.mu.
+func (s *Store) Drop(d Disk) error {
+	s.mu.Lock()
+	path := s.path
+	s.mu.Unlock()
+	return d.Remove(path)
+}
+
+// Namer carries no //lint:io line, so calling it under a lock is fine.
+type Namer interface {
+	Name() string
+}
+
+// Label calls a plain interface under s.mu.
+func (s *Store) Label(n Namer) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.path + n.Name()
+}

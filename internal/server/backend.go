@@ -42,7 +42,10 @@ var ErrRecordNotFound = errors.New("server: session record not found")
 // plan completion, select, delete, TTL eviction). At startup it lists the
 // backend once: records last used before the TTL cutoff are deleted through
 // Delete, and the rest are restored. Implementations must be safe for
-// concurrent use.
+// concurrent use, but the server never overlaps two writes of one ID: a
+// session's plans and selects write under its own lock, and deletion and
+// TTL eviction only take a session no plan or select holds. A backend may
+// rely on that order.
 //
 // The service assumes a single writer per backend: two server processes
 // sharing one disk directory would overwrite each other's records. Sharding
@@ -135,25 +138,28 @@ func decodeRecord(blob []byte) (*SessionRecord, string, error) {
 		if json.Unmarshal(blob, &v) == nil && v.Version > SessionRecordVersion {
 			return nil, "", newerRecord(v.ID, v.Version)
 		}
-		return nil, "", fmt.Errorf("server: decoding session record: %w", err)
+		return nil, "", fmt.Errorf("%w: %v", errCorruptRecord, err)
 	}
 	rec := &sr.SessionRecord
 	if rec.ID == "" {
-		return nil, "", errors.New("server: session record without ID")
+		return nil, "", fmt.Errorf("%w: no ID", errCorruptRecord)
 	}
 	if rec.Version > SessionRecordVersion {
 		return nil, "", newerRecord(rec.ID, rec.Version)
 	}
 	if sr.Result != "" {
 		if err := validRecordID(sr.Result); err != nil {
-			return nil, "", fmt.Errorf("server: session record %s names result %q", rec.ID, sr.Result)
+			return nil, "", fmt.Errorf("%w: %s names result %q", errCorruptRecord, rec.ID, sr.Result)
 		}
 		if rec.Session == nil {
-			return nil, "", fmt.Errorf("server: session record %s names a result but carries no session", rec.ID)
+			return nil, "", fmt.Errorf("%w: %s names a result but carries no session", errCorruptRecord, rec.ID)
 		}
 	}
 	return rec, sr.Result, nil
 }
+
+// errCorruptRecord marks a record whose own bytes do not decode.
+var errCorruptRecord = errors.New("server: corrupt session record")
 
 // errNewerRecord marks a record skipped for a format newer than this build's.
 var errNewerRecord = fmt.Errorf("this build supports up to %d", SessionRecordVersion)

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,7 +35,8 @@ import (
 // the stored records, and Put and Delete keep the counts, so a put whose
 // result is already stored writes only its record. Until the first List the
 // counts cover only this instance's own puts, so no result file is unlinked
-// before it.
+// before it. The counts follow each ID's record because the calls for one ID
+// never overlap (see SessionBackend).
 //
 // One DiskBackend instance is safe for concurrent use; one *directory*
 // assumes a single writing process (see SessionBackend's single-writer
@@ -62,7 +61,10 @@ type DiskBackend struct {
 	refs *resultRefs
 }
 
-// storeFS is the file system as the disk backend uses it.
+// storeFS is the file system as the disk backend uses it. Every method
+// blocks on the disk.
+//
+//lint:io
 type storeFS interface {
 	// Create opens path for writing, truncating or creating it.
 	Create(path string) (storeFile, error)
@@ -76,6 +78,8 @@ type storeFS interface {
 
 // storeFile is a file being written; its bytes are durable once Sync
 // returns.
+//
+//lint:io
 type storeFile interface {
 	io.Writer
 	Sync() error
@@ -224,7 +228,7 @@ func (b *DiskBackend) Put(rec *SessionRecord) error {
 			if result, err = last.AppendJSON(nil); err != nil {
 				return err
 			}
-			digest = hexSHA256(result)
+			digest = core.ResultDigest(result)
 		}
 	}
 	blob, err := encodeRecord(rec, digest)
@@ -249,32 +253,21 @@ func (b *DiskBackend) Put(rec *SessionRecord) error {
 		b.release(digest)
 		return fmt.Errorf("server: writing session snapshot %s: %w", rec.ID, err)
 	}
-	// The rename and the count change are one step, so concurrent puts of
-	// one ID leave the counts naming the record that won.
-	r := b.refs
-	r.mu.Lock()
-	err = b.fs.Rename(tmp, filepath.Join(b.dir, name))
-	var old string
-	if err == nil {
-		old = r.swap(rec.ID, digest)
-	}
-	r.mu.Unlock()
-	if err != nil {
+	//lint:ignore nolockio shared-mode directory gate, see comment on RLock above
+	if err := b.fs.Rename(tmp, filepath.Join(b.dir, name)); err != nil {
+		//lint:ignore nolockio shared-mode directory gate, see comment on RLock above
 		_ = b.fs.Remove(tmp)
 		b.release(digest)
 		return fmt.Errorf("server: committing session snapshot %s: %w", rec.ID, err)
 	}
+	old := b.refs.swap(rec.ID, digest)
+	//lint:ignore nolockio shared-mode directory gate, see comment on RLock above
 	if err := b.fs.SyncDir(b.dir); err != nil {
 		// The old record may come back after a crash: keep its result.
 		return err
 	}
 	b.release(old)
 	return nil
-}
-
-func hexSHA256(blob []byte) string {
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
 }
 
 // storeResult makes f's result file durable unless it already is. result is
@@ -296,10 +289,13 @@ func (b *DiskBackend) storeResult(f *resultFile, digest string, last *core.Resul
 	if err != nil {
 		return err
 	}
+	//lint:ignore nolockio f.mu orders this write against an unlink of the same result, see resultFile
 	if err := b.fs.Rename(tmp, filepath.Join(b.dir, name)); err != nil {
+		//lint:ignore nolockio f.mu orders this write against an unlink of the same result, see resultFile
 		_ = b.fs.Remove(tmp)
 		return err
 	}
+	//lint:ignore nolockio f.mu orders this write against an unlink of the same result, see resultFile
 	if err := b.fs.SyncDir(b.dir); err != nil {
 		return err
 	}
@@ -343,8 +339,10 @@ func (r *resultRefs) pin(digest string) *resultFile {
 }
 
 // swap records that id's stored record names digest ("" for none, or no
-// record) and returns the digest it named before. Callers hold r.mu.
+// record) and returns the digest it named before.
 func (r *resultRefs) swap(id, digest string) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	old := r.ids[id]
 	if digest == "" {
 		delete(r.ids, id)
@@ -381,6 +379,7 @@ func (b *DiskBackend) release(digest string) {
 		return
 	}
 	if listed {
+		//lint:ignore nolockio f.mu orders this unlink against a rewrite of the same result, see resultFile
 		if err := b.fs.Remove(b.resultPath(digest)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			b.logf("server: session store: removing unused result %s: %v", digest, err)
 		}
@@ -437,7 +436,7 @@ func (b *DiskBackend) readResult(digest string) (*core.ResultSnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: reading session result %s: %w", digest, err)
 	}
-	if hexSHA256(blob) != digest {
+	if core.ResultDigest(blob) != digest {
 		return nil, fmt.Errorf("server: session result %s does not match its digest", digest)
 	}
 	rs := new(core.ResultSnapshot)
@@ -451,25 +450,21 @@ func (b *DiskBackend) Delete(id string) error {
 	if err := validRecordID(id); err != nil {
 		return err
 	}
+	// The read side of b.mu gates the directory as in Put.
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	r := b.refs
-	r.mu.Lock()
-	err := b.fs.Remove(b.path(id))
-	var old string
-	if err == nil {
-		old = r.swap(id, "")
-	}
-	r.mu.Unlock()
-	if err != nil {
+	//lint:ignore nolockio shared-mode directory gate, see comment on RLock in Put
+	if err := b.fs.Remove(b.path(id)); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
 		return fmt.Errorf("server: deleting session snapshot %s: %w", id, err)
 	}
+	old := b.refs.swap(id, "")
 	// The unlink must be as durable as Put's rename: without the directory
 	// fsync a crash could resurrect a session the client was told is gone,
 	// and its result must still be there.
+	//lint:ignore nolockio shared-mode directory gate, see comment on RLock in Put
 	if err := b.fs.SyncDir(b.dir); err != nil {
 		return err
 	}
@@ -483,15 +478,19 @@ func (b *DiskBackend) Delete(id string) error {
 // ID/filename mismatches, a result file that is missing or does not hash to
 // its name — are skipped with a logged warning instead of failing the
 // listing, so one bad file cannot prevent a restart from restoring the
-// healthy sessions. Orphaned temp files from interrupted writes are removed,
-// and so are result files no listed record names — unless a record was
-// skipped for a newer format, whose results this build cannot tell.
+// healthy sessions. A skipped record stays on disk, and so does the result
+// file it names, so a later start can still restore it. Orphaned temp files
+// from interrupted writes are removed, and so are result files no record
+// names — unless a record was skipped for any reason but its own bytes not
+// decoding (a newer format, a failed read, a mismatched ID), since the
+// result it names is then unknown.
 func (b *DiskBackend) List() ([]*SessionRecord, error) {
 	// The exclusive side of b.mu keeps the directory quiescent while the scan
 	// removes orphaned files, so no in-flight Put loses its temp file or its
 	// result: holding it across the scan's I/O is the design, as in Put.
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	//lint:ignore nolockio exclusive directory scan, see comment on Lock above
 	entries, err := b.fs.ReadDir(b.dir)
 	if err != nil {
 		return nil, fmt.Errorf("server: listing session store: %w", err)
@@ -499,20 +498,21 @@ func (b *DiskBackend) List() ([]*SessionRecord, error) {
 	var recs []*SessionRecord
 	var digests []string
 	var results []string
-	newer := false
+	keepResults := false
 	for _, e := range entries {
 		name := e.Name()
 		switch {
 		case e.IsDir():
 		case strings.HasPrefix(name, tempPrefix):
 			b.logf("server: session store: removing partial snapshot %s", name)
+			//lint:ignore nolockio exclusive directory scan, see comment on Lock above
 			_ = b.fs.Remove(filepath.Join(b.dir, name))
 		case strings.HasSuffix(name, resultExt):
 			results = append(results, strings.TrimSuffix(name, resultExt))
 		case strings.HasSuffix(name, snapshotExt):
 			rec, digest, err := b.readRecord(strings.TrimSuffix(name, snapshotExt))
 			if err != nil {
-				newer = newer || errors.Is(err, errNewerRecord)
+				keepResults = keepResults || !errors.Is(err, errCorruptRecord)
 				b.logf("server: session store: skipping snapshot %s: %v", name, err)
 				continue
 			}
@@ -530,21 +530,28 @@ func (b *DiskBackend) List() ([]*SessionRecord, error) {
 	out := recs[:0]
 	for i, rec := range recs {
 		if d := digests[i]; d != "" {
+			// The record names d whether or not d reads back: count it, so
+			// the file is neither collected now nor unlinked while the
+			// record is stored.
+			ids[rec.ID] = d
+			f := files[d]
+			if f == nil {
+				f = &resultFile{}
+				files[d] = f
+			}
+			f.refs++
 			last, ok := lasts[d]
 			if !ok {
 				last.snap, last.err = b.readResult(d)
 				lasts[d] = last
+				// A put of d rewrites a file that did not read back.
+				f.durable = last.err == nil
 			}
 			if last.err != nil {
 				b.logf("server: session store: skipping snapshot %s: %v", rec.ID+snapshotExt, last.err)
 				continue
 			}
 			rec.Session.Last = last.snap
-			ids[rec.ID] = d
-			if files[d] == nil {
-				files[d] = &resultFile{durable: true}
-			}
-			files[d].refs++
 		}
 		out = append(out, rec)
 	}
@@ -552,10 +559,11 @@ func (b *DiskBackend) List() ([]*SessionRecord, error) {
 	r.mu.Lock()
 	r.files, r.ids, r.listed = files, ids, true
 	r.mu.Unlock()
-	if !newer {
+	if !keepResults {
 		for _, d := range results {
 			if files[d] == nil {
 				b.logf("server: session store: removing result %s that no record names", d)
+				//lint:ignore nolockio exclusive directory scan, see comment on Lock above
 				_ = b.fs.Remove(b.resultPath(d))
 			}
 		}

@@ -328,3 +328,116 @@ func TestRestoreVersion1Store(t *testing.T) {
 		t.Fatalf("%d hashed reads, %d result files", gets, len(resultFiles(t, dir)))
 	}
 }
+
+// TestSkippedRecordsKeepTheirResults: a start that skips a record for any
+// reason but its own bytes not decoding collects no result file, and a
+// record whose result file does not read back keeps that file, so a later
+// start restores what the failure hid. A record that does not decode at all
+// does not stop the collection of a result no record names.
+func TestSkippedRecordsKeepTheirResults(t *testing.T) {
+	doc := recordConfig(t, 1)
+	snaps := []*core.SessionSnapshot{
+		plannedSnapshot(t, doc, "tpcds-purchases", 1),
+		plannedSnapshot(t, doc, "tpcds-sales", 1),
+	}
+	// seed stores record a naming the first result and b naming the second,
+	// and returns b's result file.
+	seed := func(t *testing.T) (*DiskBackend, string) {
+		b := newTestDiskBackend(t)
+		for i, id := range []string{"a", "b"} {
+			if err := b.Put(recordOf(id, doc, snaps[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b, b.resultPath(snaps[1].Last.Digest())
+	}
+	start := func(b *DiskBackend) int {
+		s := New(Config{Backend: b, Logf: b.Logf, Now: restoreClock})
+		defer s.Close()
+		return s.RestoredSessions()
+	}
+	exists := func(t *testing.T, path string) bool {
+		t.Helper()
+		_, err := os.Stat(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatal(err)
+		}
+		return err == nil
+	}
+
+	for _, c := range []struct {
+		name string
+		// hide makes b's record or result unreadable for one start; heal
+		// undoes it.
+		hide, heal func(t *testing.T, b *DiskBackend, result string)
+	}{{
+		name: "unreadable record",
+		hide: func(t *testing.T, b *DiskBackend, _ string) {
+			b.fs = failReadFS{fail: func(path string) bool { return path == b.path("b") }}
+		},
+		heal: func(t *testing.T, b *DiskBackend, _ string) { b.fs = osFS{} },
+	}, {
+		name: "mismatched ID",
+		hide: func(t *testing.T, b *DiskBackend, _ string) {
+			if err := os.Rename(b.path("b"), b.path("x")); err != nil {
+				t.Fatal(err)
+			}
+		},
+		heal: func(t *testing.T, b *DiskBackend, _ string) {
+			if err := os.Rename(b.path("x"), b.path("b")); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}, {
+		name: "unreadable result",
+		hide: func(t *testing.T, b *DiskBackend, result string) {
+			b.fs = failReadFS{fail: func(path string) bool { return path == result }}
+		},
+		heal: func(t *testing.T, b *DiskBackend, _ string) { b.fs = osFS{} },
+	}} {
+		t.Run(c.name, func(t *testing.T) {
+			b, result := seed(t)
+			c.hide(t, b, result)
+			if got := start(b); got != 1 {
+				t.Fatalf("restored %d sessions with b hidden, want 1", got)
+			}
+			if !exists(t, result) {
+				t.Fatal("the hidden record's result file was collected")
+			}
+			c.heal(t, b, result)
+			if got := start(b); got != 2 {
+				t.Fatalf("restored %d sessions once b reads again, want 2", got)
+			}
+		})
+	}
+
+	t.Run("corrupt record", func(t *testing.T) {
+		b, result := seed(t)
+		if err := os.WriteFile(b.path("z"), []byte(`{"version":2,"id":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(b.path("b")); err != nil {
+			t.Fatal(err)
+		}
+		if got := start(b); got != 1 {
+			t.Fatalf("restored %d sessions, want 1", got)
+		}
+		if exists(t, result) {
+			t.Error("a result no record names survived a start that skipped only an undecodable record")
+		}
+	})
+}
+
+// failReadFS is the operating system's file system, except that reading the
+// paths fail matches fails.
+type failReadFS struct {
+	osFS
+	fail func(path string) bool
+}
+
+func (f failReadFS) ReadFile(path string) ([]byte, error) {
+	if f.fail(path) {
+		return nil, errors.New("input/output error")
+	}
+	return osFS{}.ReadFile(path)
+}

@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -186,15 +184,14 @@ func TestRestoreSharesResults(t *testing.T) {
 	}
 }
 
-// digestOf returns the hex SHA-256 of rs's JSON encoding.
+// digestOf returns the name of rs's JSON encoding.
 func digestOf(t *testing.T, rs *core.ResultSnapshot) string {
 	t.Helper()
-	blob, err := json.Marshal(rs)
+	blob, err := rs.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	return core.ResultDigest(blob)
 }
 
 // TestListedRecordMatchesDecodeRecord: List reads every stored record as Get
