@@ -3,7 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"slices"
 )
 
 // Nolockio is the PR 6 bug class: blocking I/O — file, network or
@@ -19,8 +19,8 @@ import (
 // Try* acquisitions are ignored.
 //
 // I/O behind an interface (a file-system seam a test can replace) is
-// declared by a `//lint:io` line in the interface type's doc comment: every
-// method called on a value of that type counts as I/O.
+// declared by a `//lint:io` line in the type's doc comment: every method
+// called on a value of that type counts as I/O.
 var Nolockio = &Analyzer{
 	Name: "nolockio",
 	Doc:  "forbid file/network/database I/O while a sync mutex is held",
@@ -28,7 +28,7 @@ var Nolockio = &Analyzer{
 }
 
 func runNolockio(p *Pass) {
-	l := &lockIO{Pass: p, ioTypes: ioInterfaces(p)}
+	l := &lockIO{Pass: p, ioTypes: ioTypes(p)}
 	for _, f := range p.Files() {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -40,15 +40,15 @@ func runNolockio(p *Pass) {
 	}
 }
 
-// lockIO is one nolockio pass with the package's I/O interfaces.
+// lockIO is one nolockio pass with the package's I/O types.
 type lockIO struct {
 	*Pass
 	ioTypes map[types.Object]bool
 }
 
-// ioInterfaces returns the package's interface types whose doc comment
-// carries a `//lint:io` line.
-func ioInterfaces(p *Pass) map[types.Object]bool {
+// ioTypes returns the package's types whose doc comment (or, in a group
+// without its own, the group's) holds a `//lint:io` line.
+func ioTypes(p *Pass) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	for _, f := range p.Files() {
 		for _, decl := range f.Decls {
@@ -61,34 +61,17 @@ func ioInterfaces(p *Pass) map[types.Object]bool {
 				if !ok {
 					continue
 				}
-				if _, ok := ts.Type.(*ast.InterfaceType); !ok {
-					continue
-				}
 				doc := ts.Doc
-				if doc == nil && len(gd.Specs) == 1 {
+				if doc == nil {
 					doc = gd.Doc
 				}
-				if hasIODirective(doc) {
-					if obj := p.Pkg.Info.Defs[ts.Name]; obj != nil {
-						out[obj] = true
-					}
+				if doc != nil && slices.ContainsFunc(doc.List, func(c *ast.Comment) bool { return c.Text == "//lint:io" }) {
+					out[p.Pkg.Info.Defs[ts.Name]] = true
 				}
 			}
 		}
 	}
 	return out
-}
-
-func hasIODirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, "//lint:io"); ok && (rest == "" || rest[0] == ' ') {
-			return true
-		}
-	}
-	return false
 }
 
 // walkLocked processes a statement list, threading the held-mutex set
@@ -188,7 +171,7 @@ func (p *lockIO) checkIOUnderLock(stmt ast.Stmt, held map[string]bool) {
 		}
 		what := ioCallName(p.Pass, call)
 		if what == "" {
-			what = p.ioInterfaceCall(call)
+			what = p.ioTypeCall(call)
 		}
 		if what != "" {
 			p.Reportf(call.Pos(), "%s while %s is held: move the I/O outside the critical section (copy what you need under the lock, then release it)", what, anyHeld(held))
@@ -207,9 +190,9 @@ func anyHeld(held map[string]bool) string {
 	return best
 }
 
-// ioInterfaceCall returns "Type.Method" for a method called on a value of
-// one of the package's I/O interfaces, or "".
-func (p *lockIO) ioInterfaceCall(call *ast.CallExpr) string {
+// ioTypeCall returns "Type.Method" for a method called on a value of
+// one of the package's I/O types, or "".
+func (p *lockIO) ioTypeCall(call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(p.ioTypes) == 0 {
 		return ""
